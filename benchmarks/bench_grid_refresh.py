@@ -1,42 +1,36 @@
-"""Grid/SoA refresh benchmark: the K-SKY refresh engines head to head.
+"""Refresh-strategy benchmark: the K-SKY launch modes head to head.
 
-Measures, per boundary and per config, what each refresh optimization
-buys using the detector's own :class:`repro.metrics.RefreshProfile`
-counters:
+Measures, per boundary and per config, what each refresh strategy buys
+using the detector's own :class:`repro.metrics.RefreshProfile` counters.
+Every strategy runs the one scan engine; only how its scans are launched
+differs:
 
-* ``batched`` -- the object-path batched engine (the baseline);
-* ``grid`` -- object-path batched + grid-cell candidate pruning;
-* ``soa`` -- ``skyband_impl="soa"`` under ``refresh_strategy="auto"``:
-  the vectorized structure-of-arrays skyband tier driving the batched
-  scans, with the measured batched-vs-grid crossover picking the kernel
-  strategy per regime (so the r=200 rows where pruning loses stay off
+* ``batched`` -- shared pairwise kernels over the full scan range (the
+  baseline);
+* ``grid`` -- batched + grid-cell candidate pruning;
+* ``auto`` -- the package default: the measured crossover policy picks
+  the mode per boundary (so the r=200 rows where pruning loses stay off
   the grid path);
-* ``per-point`` / ``per-point-soa`` oracle runs at the headline configs
-  -- the paper's literal one-kernel-per-point Alg. 3 loop on the object
-  oracle (the reference every speedup claim is anchored to) and on the
-  canonical SoA engine's per-point family, measuring what the per-point
-  port itself buys.
+* ``per-point`` at the headline configs -- the paper's literal
+  one-kernel-per-point Alg. 3 loop, the reference every speedup claim is
+  anchored to.
 
 Key reported quantities:
 
-* ``refresh_speedup`` -- batched(object) refresh_ns / soa refresh_ns,
-  the tentpole measurement (>= 1.0 expected everywhere, including the
-  rows where plain grid regressed);
+* ``refresh_speedup`` -- batched refresh_ns / auto refresh_ns: does the
+  default beat the pinned baseline (>= 1.0 wanted everywhere; rows below
+  land in ``regressions``);
 * ``grid_speedup`` -- batched / grid, continuity with the v1 schema;
-* ``python_insert_iters_reduction`` -- interpreted skyband-scan
-  iterations, object vs soa: the Python insert loop the SoA tier
-  exists to kill;
-* ``soa_insert_rows`` -- skyband entries committed through bulk array
-  appends instead of per-entry ``insert()`` calls;
-* ``perpoint_speedup_soa`` -- per-point(object) refresh_ns / soa
-  refresh_ns at the oracle configs (the >= 5x acceptance gate);
-* ``perpoint_path_speedup`` -- per-point(object) refresh_ns /
-  per-point(soa) refresh_ns: the per-point strategy before vs after the
-  canonical-SoA port, holding the strategy fixed.
+* ``perpoint_speedup`` -- per-point refresh_ns / auto refresh_ns at the
+  per-point configs.
 
-Output equality across every engine pair is asserted on every config --
+Output equality across every strategy pair is asserted on every config --
 a speedup that changes answers is a bug, not a result.  Per-config
 speedups below 1.0 stay in the JSON next to their counters.
+
+Schema v4 (this script).  The committed ``BENCH_grid.json`` is v3, from
+commit e57d18e: its ``batched``/``grid`` rows ran the since-retired object
+scan tier and its ``soa`` row is what v4 calls ``auto``.
 
 Usage::
 
@@ -81,19 +75,14 @@ WORKLOAD = "B"
 SLIDE_DIV = 20
 #: stream length in windows: one warm-up window + one steady-state window
 WINDOWS_PER_STREAM = 2
-#: configs that additionally run the per-point oracles (once each -- the
-#: object oracle is the slow path by design); the soa-vs-per-point
-#: speedup is the headline gate, and the object-vs-soa per-point pair
-#: measures the canonical-SoA port of the per-point family itself
+#: configs that additionally run the per-point strategy (once each: it is
+#: the slow path by design)
 PERPOINT_CONFIGS = ((16_000, 100.0), (16_000, 200.0))
 #: headline gates, checked in full mode (warnings, not failures: honest
 #: regressions belong in the JSON)
 HEADLINE_SPEEDUP = 1.5
 HEADLINE_MIN_WINDOW = 16_000
 PERPOINT_SPEEDUP_TARGET = 5.0
-#: the per-point strategy itself, object oracle vs canonical SoA family
-PERPOINT_PATH_TARGET = 1.0
-ITERS_REDUCTION_TARGET = 10.0
 #: timing runs per engine in full mode (alternating order, per-boundary
 #: minimum of refresh_ns across repeats): detector outputs and work
 #: counters are deterministic, wall time is not, and ambient load bursts
@@ -101,23 +90,8 @@ ITERS_REDUCTION_TARGET = 10.0
 #: boundary, not per run
 REPEATS = 3
 
-#: benchmarked engines: label -> DetectorConfig kwargs.  The object
-#: baselines pin ``skyband_impl`` explicitly: "soa" is the package
-#: default now, and the before/after comparison is meaningless if the
-#: "before" silently runs the "after" tier.
-ENGINES = {
-    "batched": {"refresh_strategy": "batched", "skyband_impl": "object"},
-    "grid": {"refresh_strategy": "grid", "skyband_impl": "object"},
-    "soa": {"refresh_strategy": "auto", "skyband_impl": "soa"},
-}
-
-#: the per-point oracle pair (run only at PERPOINT_CONFIGS)
-PERPOINT_ENGINES = {
-    "per-point": {"refresh_strategy": "per-point",
-                  "skyband_impl": "object"},
-    "per-point-soa": {"refresh_strategy": "per-point",
-                      "skyband_impl": "soa"},
-}
+#: benchmarked strategies (``per-point`` runs only at PERPOINT_CONFIGS)
+ENGINES = ("batched", "grid", "auto")
 
 
 def _ranges(window: int, r: float):
@@ -190,14 +164,16 @@ def run_config(window: int, r: float, seed: int = 11,
     # deterministic across repeats -- only wall time varies, and ambient
     # load bursts can span a whole run, so a min over whole runs is not
     # robust while a min per boundary is)
-    labels = list(ENGINES)
     order = []
     for rep in range(max(1, repeats)):
-        order.extend(labels if rep % 2 == 0 else reversed(labels))
+        order.extend(ENGINES if rep % 2 == 0 else reversed(ENGINES))
+    if with_perpoint:
+        order.append("per-point")
     runs = {}
     boundary_ns: dict = {}
     for label in order:
-        det = SOPDetector(group, config=DetectorConfig(**ENGINES[label]))
+        det = SOPDetector(group, config=DetectorConfig(
+            refresh_strategy=label))
         res = det.run(stream)
         runs[label] = (det, res)
         sample_ns = np.array([s[0] for s in det.profile.samples],
@@ -205,12 +181,6 @@ def run_config(window: int, r: float, seed: int = 11,
         prev = boundary_ns.get(label)
         boundary_ns[label] = (sample_ns if prev is None
                               else np.minimum(prev, sample_ns))
-    if with_perpoint:
-        for label, kwargs in PERPOINT_ENGINES.items():
-            det = SOPDetector(group, config=DetectorConfig(**kwargs))
-            runs[label] = (det, det.run(stream))
-            boundary_ns[label] = np.array(
-                [s[0] for s in det.profile.samples], dtype=np.int64)
     robust_ns = {label: float(arr.sum()) for label, arr in
                  boundary_ns.items()}
     det_b, res_b = runs["batched"]
@@ -223,10 +193,8 @@ def run_config(window: int, r: float, seed: int = 11,
     def _ns(label):
         return robust_ns[label]
 
-    soa_ns = _ns("soa")
+    auto_ns = _ns("auto")
     grid_ns = _ns("grid")
-    iters_b = det_b.profile.python_insert_iters
-    iters_s = runs["soa"][0].profile.python_insert_iters
     out = {
         "workload": WORKLOAD,
         "window": window,
@@ -237,26 +205,19 @@ def run_config(window: int, r: float, seed: int = 11,
         "stream_points": len(stream),
         "batched": _profile_dict(det_b, robust_ns["batched"]),
         "grid": _profile_dict(runs["grid"][0], robust_ns["grid"]),
-        "soa": _profile_dict(runs["soa"][0], robust_ns["soa"]),
-        "refresh_speedup": round(_ns("batched") / soa_ns, 3)
-        if soa_ns else float("nan"),
+        "auto": _profile_dict(runs["auto"][0], robust_ns["auto"]),
+        "refresh_speedup": round(_ns("batched") / auto_ns, 3)
+        if auto_ns else float("nan"),
         "grid_speedup": round(_ns("batched") / grid_ns, 3)
         if grid_ns else float("nan"),
-        "python_insert_iters_reduction": round(iters_b / iters_s, 1)
-        if iters_s else float("inf"),
         "outputs_equal": equal,
         "equality_diffs": diffs[:5],
     }
     if with_perpoint:
         pp_ns = _ns("per-point")
-        pps_ns = _ns("per-point-soa")
         out["per_point"] = _profile_dict(runs["per-point"][0], pp_ns)
-        out["per_point_soa"] = _profile_dict(runs["per-point-soa"][0],
-                                             pps_ns)
-        out["perpoint_speedup_soa"] = (round(pp_ns / soa_ns, 3)
-                                       if soa_ns else float("nan"))
-        out["perpoint_path_speedup"] = (round(pp_ns / pps_ns, 3)
-                                        if pps_ns else float("nan"))
+        out["perpoint_speedup"] = (round(pp_ns / auto_ns, 3)
+                                   if auto_ns else float("nan"))
     return out
 
 
@@ -269,16 +230,14 @@ def run_grid(windows, rs, extra_pairs=(), repeats: int = REPEATS,
         cfg = run_config(window, r, repeats=repeats,
                          with_perpoint=(window, r) in set(perpoint_configs))
         configs.append(cfg)
-        pp = (f" perpoint->soa {cfg['perpoint_speedup_soa']:.2f}x "
-              f"(perpoint path {cfg['perpoint_path_speedup']:.2f}x)"
-              if "perpoint_speedup_soa" in cfg else "")
+        pp = (f" per-point->auto {cfg['perpoint_speedup']:.2f}x"
+              if "perpoint_speedup" in cfg else "")
         print(
             f"workload B r={cfg['r']:>5.0f} win={cfg['window']:>6}: "
             f"batched {cfg['batched']['mean_refresh_ms']:8.2f} ms/b "
-            f"-> soa {cfg['soa']['mean_refresh_ms']:8.2f} ms/b "
+            f"-> auto {cfg['auto']['mean_refresh_ms']:8.2f} ms/b "
             f"speedup {cfg['refresh_speedup']:.2f}x "
-            f"(grid {cfg['grid_speedup']:.2f}x, "
-            f"iters /{cfg['python_insert_iters_reduction']}){pp} "
+            f"(grid {cfg['grid_speedup']:.2f}x){pp} "
             f"outputs_equal={cfg['outputs_equal']}"
         )
         if not cfg["outputs_equal"]:
@@ -293,17 +252,7 @@ def run_grid(windows, rs, extra_pairs=(), repeats: int = REPEATS,
         default=None,
     )
     perpoint = max(
-        (c["perpoint_speedup_soa"] for c in configs
-         if "perpoint_speedup_soa" in c),
-        default=None,
-    )
-    perpoint_path = min(
-        (c["perpoint_path_speedup"] for c in configs
-         if "perpoint_path_speedup" in c),
-        default=None,
-    )
-    min_iters_reduction = min(
-        (c["python_insert_iters_reduction"] for c in configs),
+        (c["perpoint_speedup"] for c in configs if "perpoint_speedup" in c),
         default=None,
     )
     regressions = [
@@ -311,13 +260,8 @@ def run_grid(windows, rs, extra_pairs=(), repeats: int = REPEATS,
          "refresh_speedup": c["refresh_speedup"]}
         for c in configs if c["refresh_speedup"] < 1.0
     ]
-    regressions.extend(
-        {"window": c["window"], "r": c["r"],
-         "perpoint_path_speedup": c["perpoint_path_speedup"]}
-        for c in configs if c.get("perpoint_path_speedup", 1.0) < 1.0
-    )
     return {
-        "schema": "bench_grid_refresh/v3",
+        "schema": "bench_grid_refresh/v4",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -329,16 +273,13 @@ def run_grid(windows, rs, extra_pairs=(), repeats: int = REPEATS,
             "windows_per_stream": WINDOWS_PER_STREAM,
             "slide_divisor": SLIDE_DIV,
             "timing_runs_per_engine": repeats,
-            "engines": {k: dict(v) for k, v in ENGINES.items()},
-            "perpoint_engines": {k: dict(v)
-                                 for k, v in PERPOINT_ENGINES.items()},
+            "strategies": list(ENGINES),
+            "perpoint_configs": [list(c) for c in perpoint_configs],
             "stream": "make_synthetic_points(dim=2, outlier_rate=0.02, "
                       "seed=7, n_clusters=4, cluster_spread=120)",
         },
         "headline_speedup_at_large_windows": headline,
         "headline_speedup_vs_perpoint": perpoint,
-        "min_perpoint_path_speedup": perpoint_path,
-        "min_python_insert_iters_reduction": min_iters_reduction,
         "regressions": regressions,
         "configs": configs,
     }
@@ -360,17 +301,11 @@ def main(argv=None) -> int:
         report = run_grid(WINDOWS, RS, extra_pairs=xl_pairs,
                           perpoint_configs=PERPOINT_CONFIGS)
         gates = (
-            ("best large-window batched->soa speedup",
+            ("best large-window batched->auto speedup",
              report["headline_speedup_at_large_windows"], HEADLINE_SPEEDUP),
-            ("per-point->soa speedup",
+            ("per-point->auto speedup",
              report["headline_speedup_vs_perpoint"],
              PERPOINT_SPEEDUP_TARGET),
-            ("per-point path object->soa speedup",
-             report["min_perpoint_path_speedup"],
-             PERPOINT_PATH_TARGET),
-            ("min python_insert_iters reduction",
-             report["min_python_insert_iters_reduction"],
-             ITERS_REDUCTION_TARGET),
         )
         for what, got, want in gates:
             if got is not None and got < want:

@@ -206,7 +206,6 @@ def run_grid(windows, slide_divs) -> dict:
             "cpu_count": os.cpu_count(),
         },
         "settings": {
-            "skyband_impl": DetectorConfig().skyband_impl,
             "refresh_strategy": "batched",
             "fixed_r": FIXED_R,
             "k_values": list(K_VALUES),

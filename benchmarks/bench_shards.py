@@ -31,9 +31,8 @@ window into most shards; sharding them buys little and can cost
 is asserted on every config -- a speedup that changes answers is a bug,
 not a result.
 
-Schema v2: ``settings.skyband_impl`` records which skyband tier produced
-the numbers (the SoA refactor made ``"soa"`` the detector default, so
-v1 files measured the retired object tier and are not comparable).
+Schema v2: v1 files measured the retired object scan tier and are not
+comparable.
 
 Usage::
 
@@ -55,8 +54,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro import (DetectorConfig, Runtime, compare_outputs,
-                   make_synthetic_points)
+from repro import Runtime, compare_outputs, make_synthetic_points
 from repro.bench import build_workload, default_ranges
 
 N_QUERIES = 8
@@ -80,7 +78,7 @@ WINDOWS_PER_STREAM = 2
 
 
 def _ranges(window: int):
-    """Benchmark ranges pinned to one swift-window size (cf. bench_refresh)."""
+    """Benchmark ranges pinned to one swift-window size (cf. bench_grid_refresh)."""
     slide = max(50, window // SLIDE_DIV)
     return replace(
         default_ranges(fixed_r=FIXED_R),
@@ -187,7 +185,6 @@ def run_grid(windows, workloads, shard_counts, process_shards) -> dict:
             "cpu_count": os.cpu_count(),
         },
         "settings": {
-            "skyband_impl": DetectorConfig().skyband_impl,
             "n_queries": N_QUERIES,
             "windows_per_stream": WINDOWS_PER_STREAM,
             "slide_divisor": SLIDE_DIV,

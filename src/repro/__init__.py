@@ -37,12 +37,9 @@ from .checkpoint import (
 )
 from .engine import (
     AutoRefresh,
-    BatchedRefresh,
     DetectorConfig,
     DueQueryEvaluator,
     ExecutorSubscriber,
-    GridPrunedRefresh,
-    PerPointRefresh,
     RefreshEngine,
     SafetyTracker,
     StreamExecutor,
@@ -192,7 +189,6 @@ __all__ = [
     "AlertSubscriber",
     "AutoRefresh",
     "Backend",
-    "BatchedRefresh",
     "CallbackSink",
     "CheckpointSubscriber",
     "CheckpointedRun",
@@ -204,11 +200,9 @@ __all__ = [
     "ExecutorSubscriber",
     "GridCandidateIndex",
     "GridIndex",
-    "GridPrunedRefresh",
     "IndexedWindow",
     "IngestionServer",
     "Merger",
-    "PerPointRefresh",
     "ProcessPoolBackend",
     "RefreshEngine",
     "Runtime",

@@ -222,22 +222,10 @@ def load_checkpoint(
                 and restored_config != saved_config
                 and not allow_config_mismatch):
             diff = saved_config.diff(restored_config)
-            hint = ""
-            if "skyband_impl" in diff:
-                hint = (
-                    " [skyband_impl is 'object' (legacy Python-list "
-                    "LSky oracle) or 'soa' (canonical vectorized tier, "
-                    "the current default); both are output-identical, "
-                    "so pre-refactor 'object' checkpoints restore "
-                    "bit-exact under either -- keep the saved impl in "
-                    "the factory config, or pass "
-                    "allow_config_mismatch=True to upgrade]"
-                )
             raise ValueError(
                 f"{path}: detector config mismatch at restore "
                 f"(checkpoint vs factory): {diff}; pass "
                 "allow_config_mismatch=True to reconfigure deliberately"
-                + hint
             )
     if points:
         detector.warm_start(points)

@@ -105,24 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out", default=None, help="results JSONL path")
     det.add_argument("--until", type=int, default=None,
                      help="stop at this boundary")
-    det.add_argument("--no-batched-refresh", action="store_true",
-                     help="run K-SKY refresh point-at-a-time (SOP only)")
     det.add_argument("--batch-min-rows", type=int, default=8,
                      help="batched-refresh crossover: below this many rows "
                           "per boundary, fall back to per-point (SOP only)")
     det.add_argument("--refresh-strategy",
-                     choices=("auto", "per-point", "batched", "grid"),
+                     choices=DetectorConfig._REFRESH_STRATEGIES,
                      default="auto",
-                     help="K-SKY refresh engine: per-point, batched, or "
-                          "grid (batched + grid-cell candidate pruning); "
-                          "auto defers to --no-batched-refresh (SOP only)")
-    det.add_argument("--skyband-impl", choices=("object", "soa"),
-                     default="soa",
-                     help="skyband state backend: soa (default; canonical "
-                          "flat numpy arrays, vectorized scans on every "
-                          "refresh strategy) or object (legacy Python-list "
-                          "LSky, the bit-exact oracle; identical outputs, "
-                          "SOP only)")
+                     help="how K-SKY refresh launches its scans: per-point, "
+                          "batched, or grid (batched + grid-cell candidate "
+                          "pruning); auto measures and picks per boundary "
+                          "(SOP only)")
     det.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
                      default="none",
                      help="first-tier inlier screen ahead of the exact "
@@ -198,10 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--replication-radius", type=float, default=0.0,
                      help="border replication radius (0: derive from r)")
     srv.add_argument("--refresh-strategy",
-                     choices=("auto", "incremental", "rebuild"),
+                     choices=DetectorConfig._REFRESH_STRATEGIES,
                      default="auto")
-    srv.add_argument("--skyband-impl", choices=("object", "soa"),
-                     default="soa")
     srv.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
                      default="none")
     srv.add_argument("--prefilter-mode", choices=("exact", "fast"),
@@ -274,10 +264,8 @@ def _cmd_detect(args) -> int:
     base = _ALGORITHMS[args.algorithm]
     config = DetectorConfig(
         eager=not args.lazy,
-        use_batched_refresh=not args.no_batched_refresh,
         batch_min_rows=args.batch_min_rows,
         refresh_strategy=args.refresh_strategy,
-        skyband_impl=args.skyband_impl,
         prefilter=args.prefilter,
         prefilter_mode=args.prefilter_mode,
         shards=args.shards,
@@ -345,7 +333,6 @@ def _cmd_serve(args) -> int:
         shards=args.shards,
         replication_radius=args.replication_radius,
         refresh_strategy=args.refresh_strategy,
-        skyband_impl=args.skyband_impl,
         prefilter=args.prefilter,
         prefilter_mode=args.prefilter_mode,
     )

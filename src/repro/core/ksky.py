@@ -27,11 +27,9 @@ dominator-dependent reach table ``allowed_layer``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from ..streams.buffer import WindowBuffer
 from .lsky import LSky, SkybandEntry
@@ -163,6 +161,12 @@ class _Resolution:
 class KSkyRunner:
     """Executes K-SKY scans against a shared :class:`WindowBuffer`.
 
+    This is Alg. 1-2 as written, one evaluated point at a time over
+    :class:`LSky`: the reference the production scan path
+    (:class:`~repro.engine.VectorizedSkybandEngine`) is held bit-exact
+    against.  Detectors never run it; the lockstep suites reach it through
+    :class:`repro.testing.ReferenceRefresh`.
+
     ``chunk_size`` controls the blockwise distance computation: candidate
     distances are computed ``chunk_size`` points at a time with the
     workload's vectorized metric, then the skyband logic consumes the chunk
@@ -205,8 +209,8 @@ class KSkyRunner:
     ) -> KSkyResult:
         """Scan only the live indexes ``[new_from_index, end)``.
 
-        The array-based detector path uses this to obtain the new-arrival
-        skyband entries, then merges them with the cached previous
+        The detector's survivor path wants exactly this -- the new-arrival
+        skyband entries -- and merges them with the cached previous
         evidence itself (see ``repro.core.sop``).
         """
         lsky = LSky(self.plan.n_layers)
@@ -221,375 +225,6 @@ class KSkyRunner:
             terminated_early=terminated,
             resolved_all=resolution.done,
         )
-
-    def scan_precomputed(
-        self,
-        p_seq: int,
-        layers: Sequence[int],
-        cand_seqs: Sequence[int],
-        cand_poss: Sequence[float],
-    ) -> KSkyResult:
-        """Batched form of :meth:`scan_new_arrivals`: consume one row of a
-        precomputed layer matrix instead of launching per-point kernels.
-
-        ``layers`` is the evaluated point's row of
-        ``RGrid.layers_of(pairwise_block(...))`` as a plain Python list;
-        ``cand_seqs``/``cand_poss`` are the aligned candidate seqs and
-        window positions, shared by every row of the batch.  All three are
-        oldest-first in live-buffer order over ``[new_from, len(buffer))``.
-
-        The scan order (newest first), the chunk boundaries, and the
-        resolution-check cadence replicate :meth:`_scan_buffer` exactly, so
-        the produced skyband, the ``examined`` count, and the
-        ``terminated_early`` flag are identical to the per-point path --
-        the detector's batched/per-point output-equality gate depends on
-        this.  The loop body touches only Python ints and lists: the numpy
-        work all happened in the one pairwise kernel per boundary.
-        """
-        plan = self.plan
-        lsky = LSky(plan.n_layers)
-        resolution = _Resolution(plan, self._pending)
-        n_layers = plan.n_layers
-        k_max = plan.k_max
-        allowed = plan.allowed_layer
-        dominator_count = lsky.dominator_count
-        insert = lsky.insert
-        on_insert = resolution.on_insert
-        examined = 0
-        chunk = self.chunk_size
-        block_hi = len(layers)
-        terminated = False
-        while block_hi > 0:
-            block_lo = block_hi - chunk
-            if block_lo < 0:
-                block_lo = 0
-            for j in range(block_hi - 1, block_lo - 1, -1):
-                if cand_seqs[j] == p_seq:
-                    continue
-                examined += 1
-                m = layers[j]
-                if m >= n_layers:
-                    continue
-                c = dominator_count(m)
-                if c < k_max and m <= allowed[c]:
-                    insert(cand_seqs[j], cand_poss[j], m)
-                    if on_insert(lsky, m):
-                        terminated = True
-                        break
-                elif resolution.done:
-                    terminated = True
-                    break
-            if terminated or resolution.check(lsky):
-                return KSkyResult(
-                    lsky=lsky,
-                    examined=examined,
-                    terminated_early=True,
-                    resolved_all=resolution.done,
-                )
-            block_hi = block_lo
-        return KSkyResult(
-            lsky=lsky,
-            examined=examined,
-            terminated_early=False,
-            resolved_all=resolution.done,
-        )
-
-    def scan_batched(
-        self,
-        row_indexes: Sequence[int],
-        p_seqs: Sequence[int],
-        buffer: WindowBuffer,
-        lo: int,
-        cand_idx: Optional[np.ndarray] = None,
-    ) -> List[KSkyResult]:
-        """Chunk-synchronous batched scans over live indexes ``[lo, end)``.
-
-        ``row_indexes``/``p_seqs`` give the live-buffer index and seq of
-        each evaluated point.  All rows share the same candidate range, so
-        each chunk costs one ``pairwise_block`` kernel over the still-active
-        rows and one vectorized ``layers_of`` hash -- rows that terminate
-        drop out of subsequent chunks, which keeps ``distance_rows``
-        identical to running :meth:`scan_new_arrivals` (``lo > 0``) or
-        :meth:`run_new_point` (``lo == 0``) per row: the per-point path also
-        pays for a whole chunk before scanning it.
-
-        ``cand_idx``, when given, restricts the pairwise kernels to a
-        candidate *subset*: an ascending, duplicate-free array of live
-        indexes (the grid-pruned refresh engine passes the cell
-        neighborhoods from ``GridCandidateIndex.candidates_within``).  The
-        scan still walks the full ``[lo, end)`` range chunk by chunk --
-        chunk boundaries stay anchored at the buffer top -- but each
-        chunk's kernel sees only the subset columns falling inside it
-        (views of one per-scan gather, ``pairwise_gathered``), and runs of
-        candidate-free chunks are folded into ``examined`` arithmetic in
-        one step: a boundary resolution check with no intervening insert
-        filters ``pending`` against an unchanged LSky, so skipping it is
-        state-identical.  Provided the excluded indexes are all
-        farther than the plan's largest radius (so ``layers_of`` would map
-        them past ``n_layers`` and the scan would discard them without
-        touching any state), insert decisions, termination points, LSky
-        contents and ``examined`` counts are bit-identical to the
-        full-range scan; only ``distance_rows`` shrinks.  Excluded
-        candidates are folded into ``examined`` arithmetically, exactly
-        like the vectorized-threshold skips below.
-
-        Equivalence with the per-point path is exact -- same chunk
-        boundaries (anchored at the buffer top), same insert decisions,
-        same termination points, same ``examined`` counts.  The Python loop
-        only visits candidates that could change the skyband: a candidate
-        at layer ``m`` is inserted only if fewer than ``k_max`` stored
-        entries dominate it (Def. 6 condition 2), i.e. only if ``m`` is
-        below the ``k_max``-th smallest stored layer, and a rejected
-        candidate never mutates scan state (the ``resolution.done``
-        rejection branch of ``_sky_insert`` is unreachable: ``done`` only
-        becomes true at a terminating insert or chunk-boundary check).  The
-        below-threshold positions are found with one vectorized comparison
-        per chunk; everything the loop touches is a Python int.  Skipped
-        candidates are folded into ``examined`` arithmetically.
-        """
-        plan = self.plan
-        n_layers = plan.n_layers
-        k_max = plan.k_max
-        allowed = plan.allowed_layer
-        chunk = self.chunk_size
-        hi = len(buffer)
-        n = len(p_seqs)
-        mat = buffer.matrix()
-        # cached structure-of-arrays views (built once per buffer epoch,
-        # not per chunk): seqs and scan positions for the whole live region
-        seqs_all = buffer.seqs()
-        poss_all = buffer.positions(self.by_time)
-
-        lskys = [LSky(n_layers) for _ in range(n)]
-        resolutions = [_Resolution(plan, self._pending) for _ in range(n)]
-        examined = [0] * n
-        results: List[Optional[KSkyResult]] = [None] * n
-        active = list(range(n))
-        # Single-layer fast path (fixed-r workloads).  With one layer and
-        # the exact per-insert resolution regime, the scan collapses: every
-        # selected candidate is at layer 0, is always insertable
-        # (``allowed[c] == 0`` for ``c < k_max``), and the scan terminates
-        # exactly at the ``k_max``-th insert (layer 0 is ``<= min_layer``
-        # for every sub-group, so all of ``pending`` resolves when the
-        # dominator count reaches the largest k).  The per-candidate
-        # bisect / insert / ``on_insert`` machinery is therefore replaced
-        # by one newest-first bulk take per (row, chunk) -- same inserts,
-        # same termination candidate, same ``examined`` arithmetic, same
-        # final ``pending`` (boundary ``check`` recomputes it from the
-        # LSky, which matches what per-insert filtering would have left).
-        single = (n_layers == 1 and bool(self._pending)
-                  and len(self._pending) <= _Resolution._EXACT_LIMIT)
-        n_chunks = -(-(hi - lo) // chunk) if hi > lo else 0
-        if cand_idx is None:
-            offs = cand_list = cand_mat = None
-        else:
-            # per-scan precomputation: one vectorized searchsorted locates
-            # every chunk's candidate span, one fancy-index gather
-            # materialises the candidate coordinates (per-chunk kernels
-            # then see views of it), one tolist serves every chunk
-            edges = np.maximum(hi - chunk * np.arange(n_chunks + 1), lo)
-            offs = np.searchsorted(cand_idx, edges, side="left").tolist()
-            cand_list = cand_idx.tolist()
-            cand_mat = mat[cand_idx] if cand_list else None
-        q_mat: Optional[np.ndarray] = None  # rebuilt when rows drop out
-        i = 0
-        while i < n_chunks and active:
-            block_hi = hi - i * chunk
-            block_lo = max(lo, block_hi - chunk)
-            width = block_hi - block_lo
-            c_base = 0
-            if offs is None:
-                n_cols = width
-            else:
-                c_base = offs[i + 1]
-                n_cols = offs[i] - c_base
-                if n_cols == 0:
-                    # Candidate-free run.  No kernel and -- provably -- no
-                    # state change: a boundary resolution check filters
-                    # ``pending`` against an LSky no insert has touched
-                    # since the previous (already-run) check, so it
-                    # removes nothing and returns False for every row
-                    # still active.  The one exception, an empty pending
-                    # template, makes the *first* boundary check return
-                    # True and terminates below exactly where the unfolded
-                    # walk would.  Everything else folds the entire run
-                    # into ``examined`` arithmetic and jumps straight to
-                    # the next chunk holding a candidate.
-                    if c_base == 0:
-                        nxt_i = n_chunks
-                    else:
-                        nxt_i = (hi - 1 - cand_list[c_base - 1]) // chunk
-                    run_lo = max(lo, hi - nxt_i * chunk)
-                    still = []
-                    for row in active:
-                        self_idx = row_indexes[row]
-                        if resolutions[row].pending:
-                            examined[row] += (block_hi - run_lo) - (
-                                1 if run_lo <= self_idx < block_hi else 0)
-                            still.append(row)
-                            continue
-                        examined[row] += width - (
-                            1 if block_lo <= self_idx < block_hi else 0)
-                        results[row] = KSkyResult(
-                            lsky=lskys[row],
-                            examined=examined[row],
-                            terminated_early=True,
-                            resolved_all=True,
-                        )
-                    if len(still) != len(active):
-                        q_mat = None
-                    active = still
-                    i = nxt_i
-                    continue
-            if q_mat is None:
-                q_mat = mat[np.asarray(
-                    [row_indexes[r] for r in active], dtype=np.intp)]
-            if offs is None:
-                dists = buffer.pairwise_block(q_mat, block_lo, block_hi)
-            else:
-                dists = buffer.pairwise_gathered(
-                    q_mat, cand_mat[c_base:c_base + n_cols])
-            lmat = plan.grid.layers_of(dists)
-            # per-row insert threshold: the k_max-th smallest stored
-            # layer (n_layers while fewer than k_max entries exist --
-            # then every real layer is still insertable)
-            thresh = np.empty(len(active), dtype=np.int64)
-            km1 = k_max - 1
-            for a, row in enumerate(active):
-                sl = lskys[row]._sorted_layers
-                thresh[a] = sl[km1] if km1 < len(sl) else n_layers
-            rows_nz, js_nz = np.nonzero(lmat < thresh[:, None])
-            seg = np.searchsorted(
-                rows_nz, np.arange(len(active) + 1)).tolist()
-            js_all = js_nz.tolist()
-            ms_all = None if single else lmat[rows_nz, js_nz].tolist()
-
-            still = []
-            for a, row in enumerate(active):
-                lsky = lskys[row]
-                resolution = resolutions[row]
-                terminated = False
-                inserted = False
-                jt = 0
-                if single:
-                    # bulk take: newest `k_max - len` selected candidates,
-                    # skipping the evaluated point's own column
-                    sb_seqs = lsky.seqs
-                    need = k_max - len(sb_seqs)
-                    lo_s = seg[a]
-                    self_idx = row_indexes[row]
-                    if offs is None:
-                        j_self = self_idx - block_lo
-                    elif block_lo <= self_idx < block_hi:
-                        p = bisect_left(cand_list, self_idx, c_base,
-                                        c_base + n_cols)
-                        j_self = (p - c_base if p < c_base + n_cols
-                                  and cand_list[p] == self_idx else -1)
-                    else:
-                        j_self = -1
-                    take: List[int] = []
-                    ii = seg[a + 1] - 1
-                    while ii >= lo_s and len(take) < need:
-                        j = js_all[ii]
-                        if j != j_self:
-                            take.append(block_lo + j if offs is None
-                                        else cand_list[c_base + j])
-                        ii -= 1
-                    if take:
-                        inserted = True
-                        sb_seqs.extend(seqs_all[x] for x in take)
-                        lsky.poss.extend(poss_all[x] for x in take)
-                        t = len(take)
-                        lsky.layers.extend([0] * t)
-                        lsky._sorted_layers.extend([0] * t)
-                        if t == need:
-                            # the k_max-th insert resolves every sub-group,
-                            # exactly as per-insert filtering would have
-                            resolution.pending = []
-                            terminated = True
-                            jt = take[-1] - block_lo
-                else:
-                    # skyband insert, hand-inlined: LSky.insert validates
-                    # its descending-seq invariant per call, which the
-                    # newest-first scan order already guarantees; the
-                    # per-point path keeps the validating method and the
-                    # lockstep equivalence suite compares LSky contents
-                    # against it
-                    sl = lsky._sorted_layers
-                    sb_seqs = lsky.seqs
-                    sb_poss = lsky.poss
-                    sb_layers = lsky.layers
-                    on_insert = resolution.on_insert
-                    p_seq = p_seqs[row]
-                    for ii in range(seg[a + 1] - 1, seg[a] - 1, -1):
-                        j = js_all[ii]
-                        idx = (block_lo + j if offs is None
-                               else cand_list[c_base + j])
-                        if seqs_all[idx] == p_seq:
-                            continue
-                        m = ms_all[ii]
-                        c = bisect_right(sl, m)
-                        if c < k_max and m <= allowed[c]:
-                            sb_seqs.append(seqs_all[idx])
-                            sb_poss.append(poss_all[idx])
-                            sb_layers.append(m)
-                            insort(sl, m)
-                            inserted = True
-                            if on_insert(lsky, m):
-                                terminated = True
-                                jt = idx - block_lo
-                                break
-                self_rel = row_indexes[row] - block_lo
-                self_in = 0 <= self_rel < width
-                if terminated:
-                    examined[row] += (width - jt) - (
-                        1 if self_in and self_rel > jt else 0)
-                    results[row] = KSkyResult(
-                        lsky=lsky,
-                        examined=examined[row],
-                        terminated_early=True,
-                        resolved_all=resolution.done
-                        or resolution.check(lsky),
-                    )
-                    continue
-                examined[row] += width - (1 if self_in else 0)
-                # the boundary resolution check is a no-op unless this
-                # row inserted during the chunk (it filters ``pending``
-                # against an LSky that has not changed since the previous
-                # boundary) -- except for an empty pending template,
-                # which makes the first boundary check return True
-                if inserted:
-                    if resolution.check(lsky):
-                        results[row] = KSkyResult(
-                            lsky=lsky,
-                            examined=examined[row],
-                            terminated_early=True,
-                            resolved_all=resolution.done,
-                        )
-                        continue
-                elif not resolution.pending:
-                    results[row] = KSkyResult(
-                        lsky=lsky,
-                        examined=examined[row],
-                        terminated_early=True,
-                        resolved_all=True,
-                    )
-                    continue
-                still.append(row)
-            if len(still) != len(active):
-                q_mat = None
-            active = still
-            i += 1
-        for row in active:
-            resolution = resolutions[row]
-            results[row] = KSkyResult(
-                lsky=lskys[row],
-                examined=examined[row],
-                terminated_early=False,
-                resolved_all=resolution.done
-                or resolution.check(lskys[row]),
-            )
-        return results
 
     def run_existing_point(
         self,

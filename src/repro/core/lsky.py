@@ -216,7 +216,7 @@ class LSky:
         The representation contract shared with
         :meth:`~repro.core.lsky_soa.LSkySoA.as_arrays`: the detector
         stores every point's committed skyband as these three arrays, so
-        an object ``LSky`` built by the legacy impl converts here at the
+        an ``LSky`` built by the reference runner converts here at the
         commit boundary.  Treat the result as read-only.
         """
         n = len(self.seqs)

@@ -1,17 +1,13 @@
 """LSkySoA: the layered skyband as a flat structure-of-arrays tier.
 
-:class:`~repro.core.lsky.LSky` stores one evaluated point's skyband as
-Python lists and is mutated one entry at a time; profiling
-(``BENCH_grid.json``) showed that after the kernel-volume optimizations the
-refresh stage spends most of its time in exactly those per-entry
-interpreted loops.  This module provides the array-backed twin:
+The detector's committed per-point evidence is three parallel numpy
+arrays ``(seqs, poss, layers)`` in arrival-descending order.  This module
+holds what the scan engine (``repro.engine.refresh``) needs to produce
+them without a per-entry interpreted loop:
 
-* :class:`LSkySoA` -- the same API and the same invariants as ``LSky``
-  (entries in arrival-descending order, layer multiset for dominator
-  counting), but held as parallel numpy arrays (``seqs``, ``poss``,
-  ``layers``) plus a per-layer count vector, so ``dominator_count`` /
-  ``count_within`` / ``k_distance_layer`` / ``succ_layers`` become
-  cumsum/searchsorted passes and bulk inserts are array concatenation;
+* :class:`LSkySoA` -- the array carrier a scan result hands to the
+  evidence commit (the reference :class:`~repro.core.lsky.LSky` keeps the
+  paper's mutation/query API; this one only adopts and exposes arrays);
 * :func:`insert_limits` + :func:`resolve_chunk_inserts` -- the vectorized
   form of the Alg. 2 ``skyEvaluate`` insert loop over a whole candidate
   chunk (see the exactness argument below);
@@ -50,7 +46,7 @@ cut point, so regime transitions and check cadence stay literal.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,304 +60,53 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
 class LSkySoA:
-    """Array-backed layered skyband; drop-in twin of :class:`LSky`.
+    """One scan's skyband as ``int64``/``float64``/``int64`` arrays.
 
-    The invariants, validation errors, and query semantics replicate
-    ``LSky`` exactly (``tests/test_lsky_soa.py`` drives both through random
-    interleavings and compares every observable).  The ``seqs``/``poss``/
-    ``layers`` properties return live numpy views -- treat them as
-    read-only.
+    Entries are in scan (arrival-descending) order with layers within
+    ``[0, n_layers)``; the scan order guarantees both, nothing is
+    re-validated here.  Inputs may be arrays or plain lists.  Every result
+    is consumed exactly once -- frozen into the point's canonical arrays
+    by the evidence commit (:meth:`as_arrays`) -- so construction is one
+    ``asarray`` per column and nothing else.
     """
 
-    __slots__ = ("n_layers", "_seqs", "_poss", "_layers", "_n",
-                 "_layer_counts", "_csum", "_buckets", "_cards")
+    __slots__ = ("n_layers", "seqs", "poss", "layers")
 
-    def __init__(self, n_layers: int):
-        if n_layers < 1:
-            raise ValueError("LSky needs at least one layer")
+    def __init__(self, n_layers: int, seqs=_EMPTY_I, poss=_EMPTY_F,
+                 layers=_EMPTY_I):
         self.n_layers = n_layers
-        self._seqs = _EMPTY_I
-        self._poss = _EMPTY_F
-        self._layers = _EMPTY_I
-        self._n = 0
-        #: per-layer entry counts; None on adopted instances until needed
-        self._layer_counts: Optional[np.ndarray] = np.zeros(
-            n_layers, dtype=np.int64)
-        self._csum: Optional[np.ndarray] = None
-        self._buckets: Optional[Dict[int, List[int]]] = None
-        self._cards: Optional[Dict[int, int]] = None
-
-    # ----------------------------------------------------------- construction
-
-    @classmethod
-    def from_parts(cls, n_layers: int, seqs: np.ndarray, poss: np.ndarray,
-                   layers: np.ndarray) -> "LSkySoA":
-        """Adopt already-validated arrays (the vectorized engine's path).
-
-        ``seqs`` must be strictly descending and ``layers`` within range;
-        the caller guarantees both (the scan order does).
-        """
-        sky = cls(n_layers)
-        sky._seqs = np.ascontiguousarray(seqs, dtype=np.int64)
-        sky._poss = np.ascontiguousarray(poss, dtype=np.float64)
-        sky._layers = np.ascontiguousarray(layers, dtype=np.int64)
-        sky._n = len(sky._seqs)
-        if sky._n:
-            sky._layer_counts = np.bincount(
-                sky._layers, minlength=n_layers).astype(np.int64)
-        return sky
-
-    @classmethod
-    def adopt(cls, n_layers: int, seqs, poss, layers) -> "LSkySoA":
-        """:meth:`from_parts` minus every deferrable cost -- the per-result
-        hot path of the vectorized engine (tens of thousands of calls per
-        boundary sweep).  Inputs may be arrays or plain lists in scan
-        order; the per-layer count vector is built lazily on first use."""
-        sky = object.__new__(cls)
-        sky.n_layers = n_layers
-        sky._seqs = np.asarray(seqs, dtype=np.int64)
-        sky._poss = np.asarray(poss, dtype=np.float64)
-        sky._layers = np.asarray(layers, dtype=np.int64)
-        sky._n = len(sky._seqs)
-        sky._layer_counts = None
-        sky._csum = None
-        sky._buckets = None
-        sky._cards = None
-        return sky
+        self.seqs = np.asarray(seqs, dtype=np.int64)
+        self.poss = np.asarray(poss, dtype=np.float64)
+        self.layers = np.asarray(layers, dtype=np.int64)
 
     @classmethod
     def from_segments(cls, n_layers: int, segs_s: List, segs_p: List,
                       segs_l: List) -> "LSkySoA":
-        """Adopt per-chunk scan-order segments (arrays or plain lists).
-
-        Every scan result is consumed exactly once -- frozen into the
-        point's canonical arrays by the evidence commit -- so eager
-        concatenation here pays the same single ``asarray``/``concatenate``
-        a lazy scheme would defer, without the indirection machinery
-        (PR 7 removed the ``_LazySegmentsSoA`` shim on those grounds).
-        """
+        """Adopt per-chunk scan-order segments (arrays or plain lists)."""
         if len(segs_s) == 1:
-            return cls.adopt(n_layers, segs_s[0], segs_p[0], segs_l[0])
-        return cls.adopt(
+            return cls(n_layers, segs_s[0], segs_p[0], segs_l[0])
+        return cls(
             n_layers,
             np.concatenate([np.asarray(s, dtype=np.int64) for s in segs_s]),
             np.concatenate([np.asarray(p, dtype=np.float64) for p in segs_p]),
             np.concatenate([np.asarray(l, dtype=np.int64) for l in segs_l]),
         )
 
-    # ------------------------------------------------------------- mutation
-
-    def _invalidate(self) -> None:
-        self._csum = None
-        self._buckets = None
-        self._cards = None
-
-    def _counts(self) -> np.ndarray:
-        """Materialize the lazy per-layer count vector (adopt path)."""
-        if self._layer_counts is None:
-            if self._n:
-                self._layer_counts = np.bincount(
-                    self._layers[: self._n],
-                    minlength=self.n_layers).astype(np.int64)
-            else:
-                self._layer_counts = np.zeros(self.n_layers, dtype=np.int64)
-        return self._layer_counts
-
-    def _reserve(self, extra: int) -> None:
-        need = self._n + extra
-        cap = len(self._seqs)
-        if need <= cap:
-            return
-        cap = max(8, cap * 2, need)
-        for name, dtype in (("_seqs", np.int64), ("_poss", np.float64),
-                            ("_layers", np.int64)):
-            grown = np.empty(cap, dtype=dtype)
-            old = getattr(self, name)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def insert(self, seq: int, pos: float, layer: int) -> None:
-        """Append a skyband point (must be older than all stored entries)."""
-        if not 0 <= layer < self.n_layers:
-            raise ValueError(f"layer {layer} out of range [0, {self.n_layers})")
-        if self._n and seq >= self._seqs[self._n - 1]:
-            raise ValueError(
-                f"entries must be inserted in descending seq order: "
-                f"{seq} after {int(self._seqs[self._n - 1])}"
-            )
-        counts = self._counts()
-        self._reserve(1)
-        self._seqs[self._n] = seq
-        self._poss[self._n] = pos
-        self._layers[self._n] = layer
-        self._n += 1
-        counts[layer] += 1
-        self._invalidate()
-
-    def extend_older(self, entries: Sequence[SkybandEntry]) -> None:
-        """Bulk-append entries that are all older than the stored ones."""
-        if not len(entries):
-            return
-        if self._n and entries[0][0] >= self._seqs[self._n - 1]:
-            raise ValueError(
-                f"extend_older requires strictly older entries: "
-                f"{entries[0][0]} after {int(self._seqs[self._n - 1])}"
-            )
-        prev = entries[0][0] + 1
-        for seq, pos, layer in entries:
-            if seq >= prev:
-                raise ValueError("extend_older entries must be seq-descending")
-            if not 0 <= layer < self.n_layers:
-                raise ValueError(f"layer {layer} out of range")
-            prev = seq
-        k = len(entries)
-        counts = self._counts()
-        self._reserve(k)
-        n = self._n
-        self._seqs[n: n + k] = [e[0] for e in entries]
-        self._poss[n: n + k] = [e[1] for e in entries]
-        new_layers = np.fromiter((e[2] for e in entries), dtype=np.int64,
-                                 count=k)
-        self._layers[n: n + k] = new_layers
-        self._n = n + k
-        counts += np.bincount(new_layers, minlength=self.n_layers)
-        self._invalidate()
-
-    def extend_arrays(self, seqs: np.ndarray, poss: np.ndarray,
-                      layers: np.ndarray) -> None:
-        """Trusted bulk append (scan-order guaranteed by the caller)."""
-        k = len(seqs)
-        if not k:
-            return
-        counts = self._counts()
-        self._reserve(k)
-        n = self._n
-        self._seqs[n: n + k] = seqs
-        self._poss[n: n + k] = poss
-        self._layers[n: n + k] = layers
-        self._n = n + k
-        counts += np.bincount(layers, minlength=self.n_layers)
-        self._invalidate()
-
-    # -------------------------------------------------------------- queries
-
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def seqs(self) -> np.ndarray:
-        return self._seqs[: self._n]
-
-    @property
-    def poss(self) -> np.ndarray:
-        return self._poss[: self._n]
-
-    @property
-    def layers(self) -> np.ndarray:
-        return self._layers[: self._n]
-
-    def _cumulative(self) -> np.ndarray:
-        if self._csum is None:
-            self._csum = np.cumsum(self._counts())
-        return self._csum
-
-    def dominator_count(self, layer: int) -> int:
-        """Stored entries with layer <= ``layer`` (Def. 5 prefix count)."""
-        if layer < 0:
-            return 0
-        if layer >= self.n_layers:
-            return self._n
-        return int(self._cumulative()[layer])
-
-    def _live_prefix(self, min_pos: float) -> int:
-        """Length of the unexpired prefix: ``LSky`` stops at the *first*
-        entry with ``pos < min_pos`` (positions descend in detector use,
-        so that is the whole live set) -- replicated literally so the twin
-        agrees even on adversarial non-monotone positions."""
-        n = self._n
-        if not n:
-            return 0
-        expired = self._poss[:n] < min_pos
-        return int(np.argmax(expired)) if expired.any() else n
-
-    def count_within(self, max_layer: int, min_pos: float, cap: int) -> int:
-        """Neighbors with ``layer <= max_layer`` and ``pos >= min_pos``,
-        capped at ``cap`` -- one mask plus one vectorized count."""
-        keep = self._live_prefix(min_pos)
-        if not keep:
-            return 0
-        count = int(np.count_nonzero(self._layers[:keep] <= max_layer))
-        return count if count < cap else cap
-
-    def succ_layers(self, p_seq: int) -> List[int]:
-        """Layers of entries younger than ``p_seq`` (a prefix)."""
-        n = self._n
-        if not n:
-            return []
-        keep = int(np.searchsorted(-self._seqs[:n], -p_seq, side="left"))
-        return self._layers[:keep].tolist()
-
-    def k_distance_layer(self, k: int) -> Optional[int]:
-        """Layer of the k-th nearest neighbor by normalized distance."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self._n < k:
-            return None
-        # smallest layer m whose cumulative count reaches k
-        return int(np.searchsorted(self._cumulative(), k, side="left"))
-
-    def unexpired_entries(self, min_pos: float) -> List[SkybandEntry]:
-        """Entries with ``pos >= min_pos``, preserving descending order."""
-        keep = self._live_prefix(min_pos)
-        if not keep:
-            return []
-        return list(zip(self._seqs[:keep].tolist(),
-                        self._poss[:keep].tolist(),
-                        self._layers[:keep].tolist()))
+        return len(self.seqs)
 
     def entries(self) -> Iterator[SkybandEntry]:
         """All entries in processing (arrival-descending) order."""
-        n = self._n
-        return iter(zip(self._seqs[:n].tolist(), self._poss[:n].tolist(),
-                        self._layers[:n].tolist()))
-
-    def layer_buckets(self) -> Dict[int, List[int]]:
-        """Buckets ``B_m -> [seqs...]`` (Fig. 2 layout), cached."""
-        if self._buckets is None:
-            n = self._n
-            layers = self._layers[:n]
-            seqs = self._seqs[:n]
-            buckets: Dict[int, List[int]] = {}
-            for m in np.unique(layers).tolist():
-                buckets[m] = seqs[layers == m][::-1].tolist()
-            self._buckets = buckets
-        return {m: list(s) for m, s in self._buckets.items()}
-
-    def layer_cardinalities(self) -> Dict[int, int]:
-        """Per-layer entry counts, cached."""
-        if self._cards is None:
-            uniq, counts = np.unique(self._layers[: self._n],
-                                     return_counts=True)
-            self._cards = dict(zip(uniq.tolist(), counts.tolist()))
-        return dict(self._cards)
+        return iter(zip(self.seqs.tolist(), self.poss.tolist(),
+                        self.layers.tolist()))
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical ``(seqs, poss, layers)`` int64/f64/int64 arrays.
-
-        The shared representation contract with :meth:`LSky.as_arrays`:
-        the detector's committed point state is exactly these three
-        arrays.  Returns the backing arrays directly when no spare
-        capacity exists (the adopt path), a trimmed copy otherwise;
-        treat the result as read-only.
-        """
-        n = self._n
-        if len(self._seqs) == n:
-            return self._seqs, self._poss, self._layers
-        return (self._seqs[:n].copy(), self._poss[:n].copy(),
-                self._layers[:n].copy())
+        """Canonical ``(seqs, poss, layers)`` arrays -- the representation
+        contract shared with :meth:`LSky.as_arrays`; treat as read-only."""
+        return self.seqs, self.poss, self.layers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LSkySoA({self._n} entries over {self.n_layers} layers)"
+        return f"LSkySoA({len(self)} entries over {self.n_layers} layers)"
 
 
 # --------------------------------------------------------- vectorized resolve

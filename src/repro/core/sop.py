@@ -17,9 +17,10 @@ Execution model per swift boundary ``t`` (``slide = gcd`` of member slides,
 Since the staged-runtime refactor, that pipeline is explicit: the stages
 live in :meth:`SOPDetector.run_boundary` (driven by
 :class:`~repro.engine.StreamExecutor`, which fires lifecycle hooks after
-each stage), the refresh stage delegates to a pluggable
-:class:`~repro.engine.RefreshEngine` strategy (per-point vs. batched --
-selected from :class:`~repro.engine.DetectorConfig`), the safe-for-all
+each stage), the refresh stage delegates to the
+:class:`~repro.engine.RefreshEngine` (its launch mode -- per-point,
+batched, grid or auto -- comes from
+:class:`~repro.engine.DetectorConfig`), the safe-for-all
 test lives in :class:`~repro.engine.SafetyTracker`, and due-query
 classification in :class:`~repro.engine.DueQueryEvaluator`.  This module
 keeps what is irreducibly SOP's: the evidence arrays, their commitment
@@ -33,41 +34,32 @@ dominate younger ones, so no per-entry rescan is needed), and concatenate
 the new-arrival entries in front.  Safety and due-query evaluation are
 likewise vectorized.
 
-**Batched refresh engine.**  The surviving points of a boundary all scan
-the *same* new arrivals, so their distance evidence is one
-``(survivors x new arrivals)`` matrix.  The batched strategy computes it
-with a single ``WindowBuffer.pairwise_block`` kernel, hashes the whole
-matrix to layers with one ``RGrid.layers_of`` call, and feeds each row to
-``KSkyRunner.scan_precomputed`` -- a pure-Python int loop that replicates
-the per-point scan's candidate order, chunk boundaries, and termination
-cadence exactly, so outputs and ``memory_units()`` are identical to the
-per-point path (``tests/test_sop_batched.py`` asserts this across the
-Table 1 grid).  From-scratch scans (new points, or with least examination
-disabled) stay per-point below the ``batch_min_rows`` crossover: against
-a full window, early termination skips most of the input, which a
-precomputed full matrix would forfeit.
+**One scan path.**  Every scan a detector runs is
+:class:`~repro.engine.VectorizedSkybandEngine`'s, whatever the launch
+mode: per-point rows get one ``distances_from`` kernel per chunk, batched
+rows share one ``WindowBuffer.pairwise_block`` kernel and one
+``RGrid.layers_of`` hash per chunk, grid mode restricts those kernels to
+grid-cell candidate neighborhoods.  All modes replicate the reference
+per-point scan's candidate order, chunk boundaries, and termination
+cadence exactly, so outputs, evidence arrays and ``memory_units()`` are
+identical (``tests/test_sop_batched.py``, ``tests/test_sop_grid.py`` and
+``tests/test_lsky_soa.py`` assert this across the Table 1 grid against
+``repro.testing.ReferenceRefresh``, Alg. 1-2 as written).  Row groups
+below the ``batch_min_rows`` crossover always run per-point: one kernel
+launch amortizes nothing over so few rows.
 
 Ablation switches (fields of :class:`~repro.engine.DetectorConfig`, used
-by ``benchmarks/bench_ablations.py`` and ``benchmarks/bench_refresh.py``):
+by ``benchmarks/bench_ablations.py``):
 
 * ``eager=False`` -- refresh skybands only at boundaries where some member
   query is due, instead of at every swift boundary;
 * ``use_safe_inliers=False`` -- never prune fully safe points;
 * ``use_least_examination=False`` -- surviving points rescan the whole
   window instead of (new arrivals + old skyband);
-* ``use_batched_refresh=False`` -- surviving points launch one distance
-  kernel each (the pre-batching engine);
-* ``refresh_strategy="grid"`` -- batched refresh with grid-cell candidate
-  pruning (``GridPrunedRefresh``); "per-point"/"batched" force the other
-  engines; "auto" (default) runs the measured batched-vs-grid crossover
-  (``AutoRefresh``), falling back to per-point when the legacy
-  ``use_batched_refresh=False`` ablation asks for it;
-* ``skyband_impl="soa"`` (default) -- every refresh strategy (per-point,
-  batched, grid, auto) runs through the vectorized structure-of-arrays
-  skyband tier (``VectorizedSkybandEngine`` over ``LSkySoA``), the
-  canonical representation; ``"object"`` selects the Python-list
-  ``LSky`` path, kept as the bit-exact oracle the equivalence suites
-  compare against.
+* ``refresh_strategy`` -- "per-point" (one distance kernel per evaluated
+  point, the pre-batching engine), "batched", "grid" (batched + grid-cell
+  candidate pruning) pin the launch mode; "auto" (default) lets the
+  measured crossover policy (``AutoRefresh``) pick it per boundary.
 
 All switches preserve output equality; they only trade CPU/memory.
 """
@@ -81,25 +73,18 @@ import numpy as np
 from ..baselines.base import Detector
 from ..engine.config import DetectorConfig
 from ..engine.evaluator import DueQueryEvaluator
-from ..engine.refresh import (
-    AutoRefresh,
-    BatchedRefresh,
-    GridPrunedRefresh,
-    PerPointRefresh,
-    RefreshEngine,
-    VectorizedSkybandEngine,
-)
+from ..engine.refresh import RefreshEngine, VectorizedSkybandEngine
 from ..engine.safety import SafetyTracker
 from ..metrics.profiling import RefreshProfile
 from ..streams.buffer import WindowBuffer
-from .ksky import KSkyResult, KSkyRunner
-from .lsky import LSky
+from .ksky import KSkyResult
 from .parser import SkybandPlan, parse_workload
 from .prefilter import InlierScreen, build_prefilter
 from .point import Point
 from .queries import QueryGroup
 
 __all__ = ["SOPDetector"]
+
 
 class _PointState:
     """Per-live-point bookkeeping: evidence arrays + safety + horizon.
@@ -121,22 +106,6 @@ class _PointState:
     def entry_count(self) -> int:
         return 0 if self.seqs is None else len(self.seqs)
 
-    def as_object_lsky(self):
-        """Rebuild an :class:`LSky` view of the evidence.
-
-        The committed state is canonically the three SoA arrays; this
-        adapter exists for tests, inspection, and the legacy object impl
-        only -- nothing on the hot path calls it.
-        """
-        if self.seqs is None:
-            return None
-        sky = LSky(max(int(self.layers.max()) + 1, 1) if len(self.layers)
-                   else 1)
-        sky.n_layers = 1 << 30  # permissive: view only
-        for seq, pos, layer in zip(self.seqs, self.poss, self.layers):
-            sky.insert(int(seq), float(pos), int(layer))
-        return sky
-
 
 class SOPDetector(Detector):
     """Sharing-aware outlier processing over a query workload.
@@ -146,7 +115,7 @@ class SOPDetector(Detector):
     spelling and remain supported -- an explicit ``config`` wins over
     them.  The ablation switches are mirrored as attributes for
     introspection; the refresh strategy is selected once at construction
-    (swap :attr:`refresh_engine` directly to change it afterwards).
+    (assign :attr:`refresh_engine` directly to change it afterwards).
     """
 
     name = "sop"
@@ -159,10 +128,8 @@ class SOPDetector(Detector):
         eager: bool = True,
         use_safe_inliers: bool = True,
         use_least_examination: bool = True,
-        use_batched_refresh: bool = True,
         batch_min_rows: int = 8,
         refresh_strategy: str = "auto",
-        skyband_impl: str = "soa",
         config: Optional[DetectorConfig] = None,
     ):
         if config is None:
@@ -172,42 +139,25 @@ class SOPDetector(Detector):
                 eager=eager,
                 use_safe_inliers=use_safe_inliers,
                 use_least_examination=use_least_examination,
-                use_batched_refresh=use_batched_refresh,
                 batch_min_rows=batch_min_rows,
                 refresh_strategy=refresh_strategy,
-                skyband_impl=skyband_impl,
             )
         super().__init__(group, config.metric)
         #: the single source of truth for every switch and knob; persisted
         #: by checkpoints and preserved across dynamic-workload rebuilds
         self.config = config
         self.plan: SkybandPlan = parse_workload(group)
-        self.runner = KSkyRunner(self.plan, chunk_size=config.chunk_size)
         self.buffer = WindowBuffer(self.metric)
         self.eager = config.eager
         self.use_safe_inliers = config.use_safe_inliers
         self.use_least_examination = config.use_least_examination
-        self.use_batched_refresh = config.use_batched_refresh
         self.batch_min_rows = max(1, config.batch_min_rows)
-        #: skyband state backend: a VectorizedSkybandEngine (the default)
-        #: routes every refresh strategy through the canonical numpy
-        #: structure-of-arrays tier; None selects the legacy object-path
-        #: (Python-list LSky) oracle scans -- identical outputs either way
-        self.skyband_impl = config.skyband_impl
-        self.skyband_engine: Optional[VectorizedSkybandEngine] = (
-            VectorizedSkybandEngine(self.plan, config.chunk_size)
-            if config.skyband_impl == "soa" else None
-        )
-        #: pluggable refresh strategy (see repro.engine.refresh)
-        strategy = config.resolved_refresh_strategy()
-        self.refresh_engine: RefreshEngine = (
-            GridPrunedRefresh(self.batch_min_rows) if strategy == "grid"
-            else BatchedRefresh(self.batch_min_rows)
-            if strategy == "batched"
-            else AutoRefresh(self.batch_min_rows)
-            if strategy == "auto"
-            else PerPointRefresh()
-        )
+        #: the one K-SKY scan implementation (see repro.engine.refresh)
+        self.skyband_engine = VectorizedSkybandEngine(self.plan,
+                                                      config.chunk_size)
+        #: launches the boundary's scans in the configured strategy's mode
+        self.refresh_engine = RefreshEngine(config.refresh_strategy,
+                                            self.batch_min_rows)
         #: first-tier inlier screen (see repro.core.prefilter); None for
         #: prefilter="none".  The refresh engine consults it per boundary
         #: and routes certified points to :meth:`_mark_prefilter_safe`
@@ -269,7 +219,7 @@ class SOPDetector(Detector):
         return evicted
 
     def _refresh(self, window_start: float) -> None:
-        """Stages 2+3: K-SKY refresh + safety, via the refresh strategy."""
+        """Stages 2+3: K-SKY refresh + safety, via the refresh engine."""
         self.refresh_engine.refresh(self, window_start)
 
     def _evaluate_due(

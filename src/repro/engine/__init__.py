@@ -13,14 +13,12 @@ explicit architecture instead of an implementation detail of one class:
   (``on_ingest`` / ``on_expire`` / ``on_refresh`` / ``on_evaluate`` /
   ``on_boundary_end``) that metering, checkpointing, and alert routing
   subscribe to instead of re-implementing their own loops;
-* :class:`RefreshEngine` -- the strategy interface for the K-SKY refresh
-  stage, with :class:`PerPointRefresh` (one distance kernel per evaluated
-  point, the paper's literal Alg. 3 loop), :class:`BatchedRefresh` (one
-  pairwise kernel per boundary chunk), :class:`GridPrunedRefresh`
-  (batched kernels restricted to grid-cell candidate neighborhoods), and
-  :class:`AutoRefresh` (measured batched-vs-grid crossover)
-  implementations; batched scans route through
-  :class:`VectorizedSkybandEngine` when ``skyband_impl="soa"``;
+* :class:`RefreshEngine` -- the K-SKY refresh stage: partition the live
+  points, launch their scans per-point, batched (one pairwise kernel per
+  boundary chunk) or grid-pruned (batched kernels restricted to grid-cell
+  candidate neighborhoods), commit, profile.  ``refresh_strategy`` pins
+  the launch mode or lets the :class:`AutoRefresh` policy measure and
+  pick it per boundary; every scan is :class:`VectorizedSkybandEngine`'s;
 * :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) as a
   separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification
@@ -34,25 +32,15 @@ each layer back to the paper).
 from .config import DetectorConfig
 from .evaluator import DueQueryEvaluator
 from .executor import ExecutorSubscriber, NULL_HOOKS, StreamExecutor
-from .refresh import (
-    AutoRefresh,
-    BatchedRefresh,
-    GridPrunedRefresh,
-    PerPointRefresh,
-    RefreshEngine,
-    VectorizedSkybandEngine,
-)
+from .refresh import AutoRefresh, RefreshEngine, VectorizedSkybandEngine
 from .safety import SafetyTracker
 
 __all__ = [
     "AutoRefresh",
-    "BatchedRefresh",
     "DetectorConfig",
     "DueQueryEvaluator",
     "ExecutorSubscriber",
-    "GridPrunedRefresh",
     "NULL_HOOKS",
-    "PerPointRefresh",
     "RefreshEngine",
     "SafetyTracker",
     "StreamExecutor",

@@ -1,8 +1,7 @@
 """DetectorConfig: one record for every ablation switch and tuning knob.
 
 Before this existed, the ablation flags (``eager``, ``use_safe_inliers``,
-``use_least_examination``, ``use_batched_refresh``, ``batch_min_rows``)
-and the metric/chunking knobs were loose keyword arguments that each layer
+``use_least_examination``, ``batch_min_rows``) and the metric/chunking knobs were loose keyword arguments that each layer
 of the system re-spelled: the API hard-coded defaults, the CLI exposed
 none of them, dynamic rebuilds forwarded an opaque kwargs dict, and
 checkpoints dropped them entirely -- a restored detector silently ran with
@@ -38,24 +37,14 @@ class DetectorConfig:
     eager: bool = True
     use_safe_inliers: bool = True
     use_least_examination: bool = True
-    use_batched_refresh: bool = True
     #: crossover heuristic: batches smaller than this run per-point
     batch_min_rows: int = 8
-    #: which K-SKY refresh engine drives the boundary scans: "per-point",
-    #: "batched", "grid" (batched + grid-cell candidate pruning), or
-    #: "auto" -- the measured batched-vs-grid crossover
-    #: (:class:`~repro.engine.AutoRefresh`), which never picks grid in
-    #: regimes where probing shows it losing; with the legacy
-    #: ``use_batched_refresh=False`` ablation, "auto" still resolves to
-    #: the per-point engine
+    #: how the refresh engine launches the boundary's K-SKY scans:
+    #: "per-point", "batched", "grid" (batched + grid-cell candidate
+    #: pruning), or "auto" -- the measured crossover policy
+    #: (:class:`~repro.engine.AutoRefresh`) picks the mode per boundary
+    #: and never settles on grid in regimes where probing shows it losing
     refresh_strategy: str = "auto"
-    #: skyband state backend: "soa" (the default -- flat numpy
-    #: structure-of-arrays tier, canonical representation for every
-    #: refresh strategy, per-point included) or "object" (Python-list
-    #: ``LSky``, kept selectable as the bit-exact oracle the equivalence
-    #: suites and the CI legacy leg compare against; identical outputs,
-    #: more interpreter work)
-    skyband_impl: str = "soa"
     #: number of value-partitioned shards the runtime drives (1 = the
     #: classic single-executor path, byte-identical to pre-shard runs)
     shards: int = 1
@@ -103,7 +92,6 @@ class DetectorConfig:
 
     _BACKENDS = ("serial", "process", "supervised")
     _REFRESH_STRATEGIES = ("auto", "per-point", "batched", "grid")
-    _SKYBAND_IMPLS = ("object", "soa")
     _FAILURE_POLICIES = ("fail", "retry", "drop-and-flag")
     _PREFILTERS = ("none", "qn", "sensitivity")
     _PREFILTER_MODES = ("exact", "fast")
@@ -134,11 +122,6 @@ class DetectorConfig:
                 f"refresh_strategy must be one of "
                 f"{self._REFRESH_STRATEGIES}, "
                 f"got {self.refresh_strategy!r}"
-            )
-        if self.skyband_impl not in self._SKYBAND_IMPLS:
-            raise ValueError(
-                f"skyband_impl must be one of {self._SKYBAND_IMPLS}, "
-                f"got {self.skyband_impl!r}"
             )
         if self.on_shard_failure not in self._FAILURE_POLICIES:
             raise ValueError(
@@ -174,21 +157,6 @@ class DetectorConfig:
                     f"use prefilter='none' with custom metrics"
                 )
 
-    def resolved_refresh_strategy(self) -> str:
-        """The effective refresh strategy.
-
-        An explicit ``refresh_strategy`` wins.  ``"auto"`` now names a
-        real engine -- the measured batched-vs-grid crossover
-        (:class:`~repro.engine.AutoRefresh`) -- unless the legacy
-        ``use_batched_refresh=False`` ablation asks for the per-point
-        engine.  Both resolutions preserve outputs: every engine is
-        output-exact, so old configs (and old checkpoints, which restore
-        with ``refresh_strategy="auto"``) only change wall time.
-        """
-        if self.refresh_strategy != "auto":
-            return self.refresh_strategy
-        return "auto" if self.use_batched_refresh else "per-point"
-
     # -------------------------------------------------------- serialization
 
     def as_dict(self) -> Dict[str, Any]:
@@ -197,14 +165,26 @@ class DetectorConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DetectorConfig":
-        """Inverse of :meth:`as_dict`; unknown keys fail loudly."""
+        """Inverse of :meth:`as_dict`; unknown keys fail loudly.
+
+        Upgrade on read: headers written while the object scan tier was
+        selectable carry two retired keys.  ``skyband_impl`` only ever
+        chose between output-identical implementations and is dropped;
+        ``use_batched_refresh=False`` made ``refresh_strategy="auto"``
+        resolve to per-point, so it maps onto that strategy.
+        """
+        data = dict(data)
+        data.pop("skyband_impl", None)
+        if (not data.pop("use_batched_refresh", True)
+                and data.get("refresh_strategy", "auto") == "auto"):
+            data["refresh_strategy"] = "per-point"
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown DetectorConfig field(s): {sorted(unknown)}"
             )
-        return cls(**dict(data))
+        return cls(**data)
 
     def replace(self, **changes) -> "DetectorConfig":
         """A copy with the given fields changed."""

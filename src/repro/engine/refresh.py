@@ -1,32 +1,39 @@
-"""Refresh strategies: how the K-SKY refresh stage launches its scans.
+"""The K-SKY refresh stage: one engine, one scan path.
 
 Every swift boundary, each live non-fully-safe point refreshes its skyband
 (Alg. 3 loop): new points scan the window from scratch, surviving points
 scan only the new arrivals plus their unexpired previous skyband (least
 examination, Alg. 1 / Lemma 2).  *What* is scanned is fixed by the paper;
-*how* the scans are launched is a strategy:
+*how* the scans are launched is the boundary's **mode**, and there is one
+:class:`RefreshEngine` that runs all of them:
 
-* :class:`PerPointRefresh` -- one vectorized distance kernel per evaluated
-  point (the paper's literal per-point loop; also the fallback for tiny
-  batches);
-* :class:`BatchedRefresh` -- the surviving points of one boundary all scan
-  the same candidate range, so their evidence is one ``(rows x candidates)``
-  matrix computed with a single pairwise kernel per chunk
-  (``KSkyRunner.scan_batched``); scan order, chunk boundaries, and
-  termination cadence replicate the per-point path exactly, so outputs and
-  work accounting are identical (``tests/test_sop_batched.py`` is the
-  gate);
-* :class:`GridPrunedRefresh` -- batched scans, but each evaluated point's
-  pairwise kernels see only the candidates in grid cells intersecting its
-  ``r_max`` ball (:class:`~repro.index.GridCandidateIndex`).  Every pruned
-  candidate is farther than ``r_max``, i.e. exactly a candidate
-  ``layers_of`` would map past ``n_layers`` and the scan would discard
-  without touching any state (Def. 5 condition 3), so outputs, LSky
-  contents and termination points stay bit-identical while the kernel
-  shrinks from O(rows x window) to O(rows x neighborhood)
-  (``tests/test_sop_grid.py`` is the gate).
+    partition -> per row group: per-point scans | one ``scan_batched`` per
+    candidate group -> commit -> one profile sample
 
-The strategy owns the shared partition step (scratch vs. survivors, from
+* ``per-point`` -- one vectorized distance kernel per evaluated point
+  (the paper's literal per-point loop; also what any row group smaller
+  than ``batch_min_rows`` gets, where a shared launch amortizes nothing);
+* ``batched`` -- the rows of a group all scan the same candidate range,
+  so their evidence is one ``(rows x candidates)`` matrix computed with a
+  single pairwise kernel per chunk; scan order, chunk boundaries, and
+  termination cadence replicate the per-point path exactly;
+* ``grid`` -- batched scans, but the candidate groups come from the
+  grid-cell provider: each evaluated point's pairwise kernels see only
+  the candidates in grid cells intersecting its ``r_max`` ball
+  (:class:`~repro.index.GridCandidateIndex`).  Every pruned candidate is
+  farther than ``r_max``, i.e. exactly a candidate ``layers_of`` would map
+  past ``n_layers`` and the scan would discard without touching any state
+  (Def. 5 condition 3), so outputs, evidence and termination points stay
+  bit-identical while the kernel shrinks from O(rows x window) to
+  O(rows x neighborhood).
+
+``refresh_strategy`` pins the mode, or -- ``"auto"`` -- lets the
+:class:`AutoRefresh` policy choose it per boundary.  Every scan is
+:class:`VectorizedSkybandEngine`'s; the lockstep suites hold each mode
+bit-exact against the reference runner (``repro.testing.ReferenceRefresh``
+over :class:`~repro.core.ksky.KSkyRunner`).
+
+The engine owns the partition step (scratch vs. survivors, from
 ``_PointState.last_seen_seq``) and the per-boundary profile sample; the
 detector keeps evidence commitment (:meth:`SOPDetector._commit_scratch` /
 ``_commit_survivor``) because committing touches safety state and the
@@ -51,400 +58,45 @@ from ..core.lsky_soa import (
 )
 from ..index import GridCandidateIndex
 
-__all__ = ["RefreshEngine", "PerPointRefresh", "BatchedRefresh",
-           "GridPrunedRefresh", "AutoRefresh", "VectorizedSkybandEngine"]
+__all__ = ["RefreshEngine", "AutoRefresh", "VectorizedSkybandEngine"]
 
 
-def _scan_rows(det, row_indexes, p_seqs, lo, cand_idx=None):
-    """Dispatch one batched scan group to the detector's skyband backend.
+class AutoRefresh:
+    """Measured mode crossover: the ``refresh_strategy="auto"`` policy.
 
-    ``skyband_impl=soa`` detectors carry a :class:`VectorizedSkybandEngine`
-    (``det.skyband_engine``); everything else runs the object-path
-    ``KSkyRunner.scan_batched``.  Both are bit-exact for outputs, LSky
-    contents and ``examined`` -- the equivalence suite drives them in
-    lockstep -- so refresh strategies can route here without caring.
-    """
-    eng = getattr(det, "skyband_engine", None)
-    if eng is not None:
-        return eng.scan_batched(row_indexes, p_seqs, det.buffer, lo,
-                                cand_idx=cand_idx)
-    return det.runner.scan_batched(row_indexes, p_seqs, det.buffer, lo,
-                                   cand_idx=cand_idx)
-
-
-class RefreshEngine:
-    """Strategy interface for the refresh stage of one boundary.
-
-    :meth:`refresh` partitions the live population and dispatches the two
-    scan families to the subclass; subclass scan methods return how many
-    rows went through a batched kernel (for the refresh profile).
-    """
-
-    #: short strategy name, surfaced in reprs and reports
-    name = "refresh"
-
-    def refresh(self, det, window_start: float) -> None:
-        """Run K-SKY for every live, non-fully-safe point of ``det``."""
-        buf = det.buffer
-        pts = buf.points
-        if not pts:
-            return
-        t0 = time.perf_counter_ns()
-        kernels0 = buf.kernel_calls
-        examined0 = det.stats["points_examined"]
-        soa_eng = getattr(det, "skyband_engine", None)
-        if soa_eng is not None:
-            py0, soa0 = soa_eng.py_iters, soa_eng.soa_rows
-
-        newest_seq = pts[-1].seq
-        n_live = len(pts)
-        states = det._states
-        # first tier: the prefilter's certainly-inlier mask (None when
-        # there is no screen or it sits this boundary out).  Its anchor
-        # kernels run inside the timed region with kernels0 already
-        # snapshotted, so the screen's own cost lands in this boundary's
-        # refresh_ns / kernel_launches sample -- honest accounting.
-        screen = getattr(det, "prefilter", None)
-        prune = None
-        if screen is not None:
-            prune = screen.prune_mask(det)
-            if prune is not None:
-                prune = prune.tolist()
-        pf_screened = pf_pruned = 0
-        #: from-scratch scans, as (live index, point, state-or-None)
-        scratch: List[Tuple[int, object, object]] = []
-        #: new_from index -> [(live index, point, state), ...]
-        survivors: Dict[int, List[Tuple[int, object, object]]] = {}
-        for idx, p in enumerate(pts):
-            st = states.get(p.seq)
-            if st is not None and st.fully_safe:
-                continue
-            if prune is not None:
-                pf_screened += 1
-                if prune[idx]:
-                    # suspect-mask short-circuit: certified points commit
-                    # straight to the fully-safe state the skipped scan
-                    # would have produced (exact mode; fast mode accepts
-                    # the screen's statistical evidence here)
-                    pf_pruned += 1
-                    det._mark_prefilter_safe(p.seq, newest_seq)
-                    continue
-            if st is None or not det.use_least_examination:
-                scratch.append((idx, p, st))
-            else:
-                # live index of the first arrival this survivor has not
-                # scanned yet; searchsorted, not base-offset arithmetic,
-                # because shard streams skip sequence numbers
-                new_from = buf.first_index_at_or_after_seq(
-                    st.last_seen_seq + 1)
-                survivors.setdefault(new_from, []).append((idx, p, st))
-        if screen is not None:
-            screen.observe(pf_screened, pf_pruned)
-
-        batch_rows = self._scan_scratch(det, scratch, newest_seq)
-        for new_from, group in survivors.items():
-            batch_rows += self._scan_survivors(
-                det, new_from, group, window_start, n_live, newest_seq)
-
-        pruned, cells_visited = self._take_prune_stats()
-        # ``python_insert_iters``: on the object path this is the logical
-        # candidate count (== examined delta; one interpreted iteration per
-        # candidate).  The SoA engine resolves candidates with array passes,
-        # so there it reports the *actual* interpreted iterations (resolve
-        # replays + fallback visits) -- the measured interpreter-work drop.
-        if soa_eng is not None:
-            py_iters = soa_eng.py_iters - py0
-            soa_rows = soa_eng.soa_rows - soa0
-        else:
-            py_iters = det.stats["points_examined"] - examined0
-            soa_rows = 0
-        det.profile.record(
-            time.perf_counter_ns() - t0,
-            buf.kernel_calls - kernels0,
-            batch_rows,
-            py_iters,
-            pruned,
-            cells_visited,
-            soa_insert_rows=soa_rows,
-            prefilter_screened=pf_screened,
-            prefilter_suspects=pf_screened - pf_pruned,
-            prefilter_pruned=pf_pruned,
-        )
-
-    # ------------------------------------------------------------ interface
-
-    def _scan_scratch(self, det, scratch, newest_seq) -> int:
-        """Scan the from-scratch rows; returns rows batched."""
-        raise NotImplementedError
-
-    def _scan_survivors(self, det, new_from, group, window_start, n_live,
-                        newest_seq) -> int:
-        """Scan one survivor group (shared first-unseen index)."""
-        raise NotImplementedError
-
-    def _take_prune_stats(self) -> Tuple[int, int]:
-        """(candidates_pruned, cells_visited) since last taken; resets."""
-        return 0, 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class PerPointRefresh(RefreshEngine):
-    """One distance kernel per evaluated point (the paper's literal loop).
-
-    Like the batched strategies, the scans route through the detector's
-    skyband backend: SoA detectors run ``VectorizedSkybandEngine``'s
-    per-point family natively on canonical SoA state (so
-    ``python_insert_iters``/``soa_insert_rows`` are counted by the engine
-    itself, consistently with the batched paths), object detectors run the
-    ``KSkyRunner`` oracle.
-    """
-
-    name = "per-point"
-
-    def _scan_scratch(self, det, scratch, newest_seq) -> int:
-        eng = getattr(det, "skyband_engine", None)
-        runner = det.runner if eng is None else eng
-        for _, p, st in scratch:
-            result = runner.run_new_point(p.values, p.seq, det.buffer)
-            det._commit_scratch(p, st, result, newest_seq)
-        return 0
-
-    def _scan_survivors(self, det, new_from, group, window_start, n_live,
-                        newest_seq) -> int:
-        eng = getattr(det, "skyband_engine", None)
-        runner = det.runner if eng is None else eng
-        for _, p, st in group:
-            scan = runner.scan_new_arrivals(p.values, p.seq, det.buffer,
-                                            new_from)
-            det._commit_survivor(p, st, scan, window_start, newest_seq)
-        return 0
-
-
-class BatchedRefresh(PerPointRefresh):
-    """Shared pairwise kernels past a crossover; per-point below it.
-
-    ``batch_min_rows`` is the crossover heuristic: groups smaller than it
-    run through the inherited per-point path, where one kernel launch
-    amortizes nothing over so few rows.
-    """
-
-    name = "batched"
-
-    def __init__(self, batch_min_rows: int = 8):
-        self.batch_min_rows = max(1, batch_min_rows)
-
-    def _scan_scratch(self, det, scratch, newest_seq) -> int:
-        if len(scratch) < self.batch_min_rows:
-            return super()._scan_scratch(det, scratch, newest_seq)
-        det.stats["batched_scans"] += len(scratch)
-        results = _scan_rows(
-            det, [idx for idx, _, _ in scratch],
-            [p.seq for _, p, _ in scratch], 0)
-        for (_, p, st), result in zip(scratch, results):
-            det._commit_scratch(p, st, result, newest_seq)
-        return len(scratch)
-
-    def _scan_survivors(self, det, new_from, group, window_start, n_live,
-                        newest_seq) -> int:
-        if n_live <= new_from or len(group) < self.batch_min_rows:
-            return super()._scan_survivors(det, new_from, group,
-                                           window_start, n_live, newest_seq)
-        det.stats["batched_scans"] += len(group)
-        results = _scan_rows(
-            det, [idx for idx, _, _ in group],
-            [p.seq for _, p, _ in group], new_from)
-        for (_, p, st), scan in zip(group, results):
-            det._commit_survivor(p, st, scan, window_start, newest_seq)
-        return len(group)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BatchedRefresh(batch_min_rows={self.batch_min_rows})"
-
-
-class GridPrunedRefresh(BatchedRefresh):
-    """Batched refresh with grid-cell candidate pruning.
-
-    Maintains a :class:`~repro.index.GridCandidateIndex` over the
-    detector's window buffer (cell size = the plan's largest radius
-    ``r_max``, synced incrementally each use) and, past the batching
-    crossover, feeds ``KSkyRunner.scan_batched`` the per-point candidate
-    subset instead of the whole scan range.  Evaluated points binned to
-    the same grid cell share one candidate array and one kernel group;
-    tiny neighbouring groups are merged up to ``_MERGE_MIN_ROWS`` rows
-    (their candidate union stays exact, see ``_merge_small_groups``).
-
-    Exactness: a candidate outside the neighborhood is farther than
-    ``r_max`` on some axis, hence farther than ``r_max`` under any
-    registered metric, hence ``layers_of`` maps it past ``n_layers`` and
-    the unpruned scan discards it without mutating scan state.  The
-    subset scan keeps chunk boundaries and resolution cadence anchored in
-    buffer-index space, so insert decisions, termination points, LSky
-    contents, outputs and ``points_examined`` are bit-identical to
-    :class:`BatchedRefresh`; only ``distance_rows``/``kernel_calls``
-    shrink (that is the measured win, see
-    ``benchmarks/bench_grid_refresh.py``).
-
-    Below the crossover the inherited per-point fallback runs unpruned --
-    tiny batches cannot amortize the neighborhood assembly.
-    """
-
-    name = "grid"
-
-    #: merge tiny per-cell groups (in sorted-cell order, so spatially
-    #: adjacent cells merge first) until each scan carries at least this
-    #: many rows.  The per-scan and per-chunk fixed costs then amortize;
-    #: the price is a slightly larger candidate union, and the extra
-    #: columns are beyond ``r_max`` for the rows of the *other* cells, so
-    #: the scan discards them without state change -- the same exactness
-    #: argument as the pruning itself.
-    _MERGE_MIN_ROWS = 24
-
-    def __init__(self, batch_min_rows: int = 8):
-        super().__init__(batch_min_rows)
-        self._grid: Optional[GridCandidateIndex] = None
-        self._r_max = 0.0
-        self._pruned = 0
-        self._cells_seen = 0
-
-    def _ensure_grid(self, det) -> GridCandidateIndex:
-        """The detector's candidate grid, synced to its buffer."""
-        grid = self._grid
-        if grid is None:
-            # one cell per r_max: the neighborhood is then the 3^dim
-            # Moore neighborhood, the standard grid-pruning cell choice
-            self._r_max = float(det.plan.grid.values[-1])
-            grid = self._grid = GridCandidateIndex(self._r_max)
-            self._cells_seen = 0
-        grid.sync(det.buffer)
-        return grid
-
-    def _take_prune_stats(self) -> Tuple[int, int]:
-        pruned, self._pruned = self._pruned, 0
-        cells = 0
-        if self._grid is not None:
-            cells = self._grid.cells_visited - self._cells_seen
-            self._cells_seen = self._grid.cells_visited
-        return pruned, cells
-
-    def _cell_groups(self, det, rows: List[int]
-                     ) -> List[Tuple[np.ndarray, List[int]]]:
-        """(candidate array, member positions) per unique query cell."""
-        grid = self._ensure_grid(det)
-        mat = det.buffer.matrix()
-        q_rows = np.asarray(rows, dtype=np.intp)
-        arrays, assign = grid.candidates_within(mat[q_rows], self._r_max)
-        members: Dict[int, List[int]] = {}
-        for i, g in enumerate(assign.tolist()):
-            members.setdefault(g, []).append(i)
-        groups = [(arrays[g], members[g]) for g in sorted(members)]
-        return self._merge_small_groups(groups)
-
-    @classmethod
-    def _merge_small_groups(cls, groups):
-        """Coalesce consecutive sub-``_MERGE_MIN_ROWS`` cell groups."""
-        if len(groups) <= 1:
-            return groups
-        merged = []
-        acc_arrays: List[np.ndarray] = []
-        acc_idxs: List[int] = []
-        for cand, idxs in groups:
-            acc_arrays.append(cand)
-            acc_idxs.extend(idxs)
-            if len(acc_idxs) >= cls._MERGE_MIN_ROWS:
-                merged.append((cls._union(acc_arrays), acc_idxs))
-                acc_arrays, acc_idxs = [], []
-        if acc_idxs:
-            merged.append((cls._union(acc_arrays), acc_idxs))
-        return merged
-
-    @staticmethod
-    def _union(arrays: List[np.ndarray]) -> np.ndarray:
-        if len(arrays) == 1:
-            return arrays[0]
-        return np.unique(np.concatenate(arrays))
-
-    def _scan_scratch(self, det, scratch, newest_seq) -> int:
-        if len(scratch) < self.batch_min_rows:
-            return super()._scan_scratch(det, scratch, newest_seq)
-        det.stats["batched_scans"] += len(scratch)
-        hi = len(det.buffer)
-        groups = self._cell_groups(det, [idx for idx, _, _ in scratch])
-        for cand, idxs in groups:
-            self._pruned += (hi - len(cand)) * len(idxs)
-            results = _scan_rows(
-                det, [scratch[i][0] for i in idxs],
-                [scratch[i][1].seq for i in idxs], 0, cand_idx=cand)
-            for i, result in zip(idxs, results):
-                _, p, st = scratch[i]
-                det._commit_scratch(p, st, result, newest_seq)
-        return len(scratch)
-
-    def _scan_survivors(self, det, new_from, group, window_start, n_live,
-                        newest_seq) -> int:
-        if n_live <= new_from or len(group) < self.batch_min_rows:
-            return super()._scan_survivors(det, new_from, group,
-                                           window_start, n_live, newest_seq)
-        det.stats["batched_scans"] += len(group)
-        span = n_live - new_from
-        groups = self._cell_groups(det, [idx for idx, _, _ in group])
-        for cand, idxs in groups:
-            # least examination: only the arrivals this survivor group has
-            # not scanned yet are candidates
-            c_lo = int(np.searchsorted(cand, new_from, side="left"))
-            cand = cand[c_lo:]
-            self._pruned += (span - len(cand)) * len(idxs)
-            results = _scan_rows(
-                det, [group[i][0] for i in idxs],
-                [group[i][1].seq for i in idxs], new_from, cand_idx=cand)
-            for i, scan in zip(idxs, results):
-                _, p, st = group[i]
-                det._commit_survivor(p, st, scan, window_start, newest_seq)
-        return len(group)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GridPrunedRefresh(batch_min_rows={self.batch_min_rows})"
-
-
-class AutoRefresh(RefreshEngine):
-    """Measured engine crossover (``refresh_strategy="auto"``).
-
-    ``BENCH_grid.json`` showed the grid engine *regressing* at r=200 on
+    ``BENCH_grid.json`` showed the grid mode *regressing* at r=200 on
     small/mid windows (0.75-0.90x): the neighborhood assembly there costs
     more than the pruned kernel volume saves.  Static heuristics over
-    (window, r) proved brittle, so auto measures instead: it starts on the
-    batched engine, probes the regime's alternative for a few boundaries,
-    and settles on whichever engine's measured ns-per-scanned-row is
-    lower, re-probing periodically in case the regime drifts.  All
-    engines are bit-exact for outputs (the lockstep suites gate that), so
-    the choice only moves wall time -- never results.
+    (window, r) proved brittle, so auto measures instead: it starts on
+    batched, probes the regime's alternative for a few boundaries, and
+    settles on whichever mode's measured ns-per-scanned-row is lower,
+    re-probing periodically in case the regime drifts.  All modes are
+    bit-exact for outputs (the lockstep suites gate that), so the choice
+    only moves wall time -- never results.
 
     Two regimes, split at ``_MIN_WINDOW`` live points:
 
-    * **large** -- batched vs. grid, as before.  Grid eligibility
-      additionally requires the probe to show real pruning work
-      (``candidates_pruned / batch_rows`` from the existing
-      :class:`~repro.metrics.profiling.RefreshProfile` counters): a probe
+    * **large** -- batched vs. grid.  Grid eligibility additionally
+      requires the probe to show real pruning work
+      (``candidates_pruned / batch_rows`` from the boundary's
+      :class:`~repro.metrics.profiling.RefreshProfile` sample): a probe
       that pruned next to nothing can still come out ahead on noise, and
       the recorded r=200 regressions are exactly the regime where pruning
       volume per row is low relative to window size.
     * **small** -- batched vs. per-point.  Grid is never probed there (no
-      recorded win under ~8k windows); instead small windows probe
-      :class:`PerPointRefresh`.  Unlike the large regime, the small-regime
-      *choice* is counter-only: per-point is eligible exactly when the
-      batched probe shows the batch tier achieving no amortization --
-      fewer than ``_PP_MAX_ROWS_PER_LAUNCH`` evaluated rows per kernel
-      launch (``batch_rows / kernel_launches`` deltas on a batched
-      boundary).  Below one row per launch every launch is a fallback
-      scan per-point would have issued anyway, plus partition
-      bookkeeping, so per-point is chosen deterministically; otherwise
-      batched stays.  Measured ns-per-row is still recorded in the
-      decision evidence, but it never drives the small-regime choice:
-      the default config routes small windows through auto, and the
-      equivalence suites compare deterministic work counters across
-      independent runs -- a wall-clock-driven choice between
-      counter-different engines would make those counters flap with
+      recorded win under ~8k windows).  Unlike the large regime, the
+      small-regime *choice* is counter-only: per-point is eligible exactly
+      when the batched probe shows the batch tier achieving no
+      amortization -- fewer than ``_PP_MAX_ROWS_PER_LAUNCH`` evaluated
+      rows per kernel launch on a batched boundary.  Below one row per
+      launch every launch is a fallback scan per-point would have issued
+      anyway, plus partition bookkeeping, so per-point is chosen
+      deterministically; otherwise batched stays.  Measured ns-per-row is
+      still recorded in the decision evidence, but it never drives the
+      small-regime choice: the default config routes small windows
+      through auto, and the equivalence suites compare deterministic work
+      counters across independent runs -- a wall-clock-driven choice
+      between counter-different modes would make those counters flap with
       ambient load.
 
     Costs are tracked per regime (a ns-per-row measured at 2k live points
@@ -455,15 +107,13 @@ class AutoRefresh(RefreshEngine):
     evidence to :attr:`decisions`.
     """
 
-    name = "auto"
-
-    #: boundaries on the batched engine before any probe (cold caches)
+    #: boundaries on batched before any probe (cold caches)
     _WARMUP = 2
-    #: boundaries per probe of a non-chosen engine
+    #: boundaries per probe of a non-chosen mode
     _PROBE = 2
-    #: settled boundaries between re-probes of the other engine
+    #: settled boundaries between re-probes of the other mode
     _REPROBE = 64
-    #: regime split: below this live-window size the alternative engine
+    #: regime split: below this live-window size the alternative mode
     #: is per-point, at or above it the alternative is grid
     _MIN_WINDOW = 4096
     #: minimum pruned candidates per scanned row for grid to be eligible
@@ -474,45 +124,18 @@ class AutoRefresh(RefreshEngine):
     #: EMA weight of the newest cost sample
     _ALPHA = 0.5
 
-    def __init__(self, batch_min_rows: int = 8):
-        self.batch_min_rows = max(1, batch_min_rows)
-        self._engines: Dict[str, RefreshEngine] = {
-            "batched": BatchedRefresh(self.batch_min_rows),
-            "grid": GridPrunedRefresh(self.batch_min_rows),
-            "per-point": PerPointRefresh(),
-        }
+    def __init__(self):
         self._chosen = "batched"
         self._boundary = 0
         self._settled = 0
         self._small = False
         self._probe_queue: List[str] = []
-        #: EMA ns-per-row, keyed "small:<engine>" / "large:<engine>"
+        #: EMA ns-per-row, keyed "small:<mode>" / "large:<mode>"
         self._cost: Dict[str, float] = {}
         self._grid_eligible = False
         self._pp_eligible = False
         #: (boundary, chosen, evidence) per decision -- observability
         self.decisions: List[Tuple[int, str, Dict[str, object]]] = []
-
-    def refresh(self, det, window_start: float) -> None:
-        name = self._pick(det)
-        engine = self._engines[name]
-        runs0 = det.stats["ksky_runs"]
-        pruned0 = det.profile.candidates_pruned
-        rows0 = det.profile.batch_rows
-        launches0 = det.profile.kernel_launches
-        t0 = time.perf_counter_ns()
-        engine.refresh(det, window_start)
-        self._observe(
-            name,
-            time.perf_counter_ns() - t0,
-            det.stats["ksky_runs"] - runs0,
-            det.profile.candidates_pruned - pruned0,
-            det.profile.batch_rows - rows0,
-            det.profile.kernel_launches - launches0,
-        )
-        self._boundary += 1
-
-    # ------------------------------------------------------------- decisions
 
     def _key(self, name: str) -> str:
         return f"{'small' if self._small else 'large'}:{name}"
@@ -592,17 +215,258 @@ class AutoRefresh(RefreshEngine):
             evidence["grid_eligible"] = self._grid_eligible
         self.decisions.append((self._boundary, choice, evidence))
 
-    def _take_prune_stats(self) -> Tuple[int, int]:  # pragma: no cover
-        # never called: refresh() delegates wholesale to the sub-engines,
-        # which record their own profile samples (prune stats included)
-        return 0, 0
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"AutoRefresh(chosen={self._chosen!r})"
+
+
+class RefreshEngine:
+    """Runs the refresh stage of one boundary in the boundary's mode.
+
+    ``strategy`` is ``DetectorConfig.refresh_strategy``: "per-point",
+    "batched" or "grid" pin the mode; "auto" installs an
+    :class:`AutoRefresh` :attr:`policy` that picks it per boundary and is
+    fed the same sample the profile records.
+
+    ``batch_min_rows`` is the crossover heuristic: row groups smaller
+    than it run per-point in every mode, where one kernel launch
+    amortizes nothing over so few rows (and tiny batches cannot amortize
+    the grid's neighborhood assembly either).
+
+    Grid mode maintains a :class:`~repro.index.GridCandidateIndex` over
+    the detector's window buffer (cell size = the plan's largest radius
+    ``r_max``, synced incrementally each use).  Evaluated points binned
+    to the same grid cell share one candidate array and one kernel group.
+    A candidate outside the neighborhood is farther than ``r_max`` on
+    some axis, hence under any registered metric, so the unpruned scan
+    would discard it without mutating scan state: results are
+    bit-identical to batched mode and only ``distance_rows``/
+    ``kernel_calls`` shrink (``scan_batched`` has the subset-scan half of
+    the argument, ``benchmarks/bench_grid_refresh.py`` the measurement).
+    """
+
+    #: merge tiny per-cell groups (in sorted-cell order, so spatially
+    #: adjacent cells merge first) until each scan carries at least this
+    #: many rows.  The per-scan and per-chunk fixed costs then amortize;
+    #: the price is a slightly larger candidate union, and the extra
+    #: columns are beyond ``r_max`` for the rows of the *other* cells, so
+    #: the scan discards them without state change -- the same exactness
+    #: argument as the pruning itself.
+    _MERGE_MIN_ROWS = 24
+
+    def __init__(self, strategy: str = "auto", batch_min_rows: int = 8):
+        #: the configured strategy, surfaced in reprs and reports
+        self.name = strategy
+        self.batch_min_rows = max(1, batch_min_rows)
+        #: per-boundary mode policy; None pins ``strategy`` as the mode
+        self.policy: Optional[AutoRefresh] = (
+            AutoRefresh() if strategy == "auto" else None)
+        self._grid: Optional[GridCandidateIndex] = None
+        self._r_max = 0.0
+        self._pruned = 0
+        self._cells_seen = 0
+
+    @property
+    def decisions(self) -> List[Tuple[int, str, Dict[str, object]]]:
+        """The policy's decision trace (empty for pinned strategies)."""
+        return [] if self.policy is None else self.policy.decisions
+
+    def refresh(self, det, window_start: float) -> None:
+        """Run K-SKY for every live, non-fully-safe point of ``det``."""
+        policy = self.policy
+        mode = self.name if policy is None else policy._pick(det)
+        sample = self._refresh(det, window_start, mode)
+        if policy is not None:
+            policy._observe(mode, *sample)
+            policy._boundary += 1
+
+    def _refresh(self, det, window_start: float, mode: str
+                 ) -> Tuple[int, int, int, int, int]:
+        """One boundary in ``mode``; returns what the policy observes:
+        ``(ns, ksky_runs, candidates_pruned, batch_rows, launches)``."""
+        buf = det.buffer
+        pts = buf.points
+        if not pts:
+            return 0, 0, 0, 0, 0
+        t0 = time.perf_counter_ns()
+        kernels0 = buf.kernel_calls
+        runs0 = det.stats["ksky_runs"]
+        eng = det.skyband_engine
+        py0, soa0 = eng.py_iters, eng.soa_rows
+
+        newest_seq = pts[-1].seq
+        states = det._states
+        # first tier: the prefilter's certainly-inlier mask (None when
+        # there is no screen or it sits this boundary out).  Its anchor
+        # kernels run inside the timed region with kernels0 already
+        # snapshotted, so the screen's own cost lands in this boundary's
+        # refresh_ns / kernel_launches sample -- honest accounting.
+        screen = det.prefilter
+        prune = None
+        if screen is not None:
+            prune = screen.prune_mask(det)
+            if prune is not None:
+                prune = prune.tolist()
+        pf_screened = pf_pruned = 0
+        #: from-scratch scans, as (live index, point, state-or-None)
+        scratch: List[Tuple[int, object, object]] = []
+        #: new_from index -> [(live index, point, state), ...]
+        survivors: Dict[int, List[Tuple[int, object, object]]] = {}
+        for idx, p in enumerate(pts):
+            st = states.get(p.seq)
+            if st is not None and st.fully_safe:
+                continue
+            if prune is not None:
+                pf_screened += 1
+                if prune[idx]:
+                    # suspect-mask short-circuit: certified points commit
+                    # straight to the fully-safe state the skipped scan
+                    # would have produced (exact mode; fast mode accepts
+                    # the screen's statistical evidence here)
+                    pf_pruned += 1
+                    det._mark_prefilter_safe(p.seq, newest_seq)
+                    continue
+            if st is None or not det.use_least_examination:
+                scratch.append((idx, p, st))
+            else:
+                # live index of the first arrival this survivor has not
+                # scanned yet; searchsorted, not base-offset arithmetic,
+                # because shard streams skip sequence numbers
+                new_from = buf.first_index_at_or_after_seq(
+                    st.last_seen_seq + 1)
+                survivors.setdefault(new_from, []).append((idx, p, st))
+        if screen is not None:
+            screen.observe(pf_screened, pf_pruned)
+
+        def commit_scratch(p, st, result):
+            det._commit_scratch(p, st, result, newest_seq)
+
+        def commit_survivor(p, st, scan):
+            det._commit_survivor(p, st, scan, window_start, newest_seq)
+
+        batch_rows = self._scan(det, mode, scratch, 0, commit_scratch)
+        for new_from, group in survivors.items():
+            batch_rows += self._scan(det, mode, group, new_from,
+                                     commit_survivor)
+
+        pruned, self._pruned = self._pruned, 0
+        cells = 0
+        if self._grid is not None:
+            cells = self._grid.cells_visited - self._cells_seen
+            self._cells_seen = self._grid.cells_visited
+        ns = time.perf_counter_ns() - t0
+        launches = buf.kernel_calls - kernels0
+        # ``python_insert_iters`` is the interpreted iterations the scan
+        # engine actually spent (resolve replays + fallback visits), not
+        # the logical candidate count -- that is ``points_examined``
+        det.profile.record(
+            ns,
+            launches,
+            batch_rows,
+            eng.py_iters - py0,
+            pruned,
+            cells,
+            soa_insert_rows=eng.soa_rows - soa0,
+            prefilter_screened=pf_screened,
+            prefilter_suspects=pf_screened - pf_pruned,
+            prefilter_pruned=pf_pruned,
+        )
+        return (ns, det.stats["ksky_runs"] - runs0, pruned, batch_rows,
+                launches)
+
+    # ---------------------------------------------------------------- scans
+
+    def _point_scanner(self, det):
+        """Who runs ``scan_new_arrivals`` for per-point rows (the hook
+        ``repro.testing.ReferenceRefresh`` overrides)."""
+        return det.skyband_engine
+
+    def _scan(self, det, mode: str, rows, lo: int, commit) -> int:
+        """Scan one row group over live indexes ``[lo, end)`` and commit
+        each result; returns how many rows went through batched kernels.
+
+        ``rows`` is ``[(live index, point, state), ...]``; ``lo`` is 0 for
+        from-scratch rows and the group's shared first-unseen index for
+        survivors (least examination: only arrivals the group has not
+        scanned yet are candidates).
+        """
+        buf = det.buffer
+        n_live = len(buf)
+        if (mode == "per-point" or len(rows) < self.batch_min_rows
+                or n_live <= lo):
+            scanner = self._point_scanner(det)
+            for _, p, st in rows:
+                commit(p, st,
+                       scanner.scan_new_arrivals(p.values, p.seq, buf, lo))
+            return 0
+        det.stats["batched_scans"] += len(rows)
+        idxs = [idx for idx, _, _ in rows]
+        if mode == "grid":
+            groups = self._cell_groups(det, idxs)
+        else:
+            groups = [(None, range(len(rows)))]
+        for cand, members in groups:
+            if cand is not None:
+                cand = cand[int(np.searchsorted(cand, lo, side="left")):]
+                self._pruned += (n_live - lo - len(cand)) * len(members)
+            results = det.skyband_engine.scan_batched(
+                [idxs[i] for i in members],
+                [rows[i][1].seq for i in members], buf, lo, cand_idx=cand)
+            for i, result in zip(members, results):
+                _, p, st = rows[i]
+                commit(p, st, result)
+        return len(rows)
+
+    # ------------------------------------------- grid-cell candidate groups
+
+    def _cell_groups(self, det, rows: List[int]
+                     ) -> List[Tuple[np.ndarray, List[int]]]:
+        """(candidate array, member positions) per unique query cell."""
+        grid = self._grid
+        if grid is None:
+            # one cell per r_max: the neighborhood is then the 3^dim
+            # Moore neighborhood, the standard grid-pruning cell choice
+            self._r_max = float(det.plan.grid.values[-1])
+            grid = self._grid = GridCandidateIndex(self._r_max)
+        grid.sync(det.buffer)
+        mat = det.buffer.matrix()
+        q_rows = np.asarray(rows, dtype=np.intp)
+        arrays, assign = grid.candidates_within(mat[q_rows], self._r_max)
+        members: Dict[int, List[int]] = {}
+        for i, g in enumerate(assign.tolist()):
+            members.setdefault(g, []).append(i)
+        groups = [(arrays[g], members[g]) for g in sorted(members)]
+        return self._merge_small_groups(groups)
+
+    @classmethod
+    def _merge_small_groups(cls, groups):
+        """Coalesce consecutive sub-``_MERGE_MIN_ROWS`` cell groups."""
+        if len(groups) <= 1:
+            return groups
+        merged = []
+        acc_arrays: List[np.ndarray] = []
+        acc_idxs: List[int] = []
+        for cand, idxs in groups:
+            acc_arrays.append(cand)
+            acc_idxs.extend(idxs)
+            if len(acc_idxs) >= cls._MERGE_MIN_ROWS:
+                merged.append((cls._union(acc_arrays), acc_idxs))
+                acc_arrays, acc_idxs = [], []
+        if acc_idxs:
+            merged.append((cls._union(acc_arrays), acc_idxs))
+        return merged
+
+    @staticmethod
+    def _union(arrays: List[np.ndarray]) -> np.ndarray:
+        if len(arrays) == 1:
+            return arrays[0]
+        return np.unique(np.concatenate(arrays))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"AutoRefresh(chosen={self._chosen!r}, "
+        return (f"RefreshEngine({self.name!r}, "
                 f"batch_min_rows={self.batch_min_rows})")
 
 
-# ----------------------------------------------------- vectorized SoA backend
+# ------------------------------------------------------------ the scan engine
 
 
 class _SoaRow:
@@ -610,8 +474,8 @@ class _SoaRow:
 
     Entries accumulate as bulk array segments (one per contributing
     chunk); the sorted layer multiset and per-layer counts are maintained
-    incrementally so ``_Resolution`` sees exactly the state the object
-    path would give it (its ``on_insert``/``check`` duck-type against
+    incrementally so ``_Resolution`` sees exactly the state an ``LSky``
+    would give it (its ``on_insert``/``check`` duck-type against
     ``_sorted_layers``/``dominator_count``).
     """
 
@@ -643,14 +507,15 @@ class _SoaRow:
 
 
 class VectorizedSkybandEngine:
-    """``KSkyRunner.scan_batched``, rebuilt over the SoA skyband tier.
+    """The K-SKY scan every detector runs, over flat array state.
 
-    The contract is bit-exactness with the object path: same chunk
+    The contract is bit-exactness with the reference per-point
+    :class:`~repro.core.ksky.KSkyRunner` (Alg. 1-2 as written): same chunk
     boundaries (anchored at the buffer top), same insert decisions, same
     termination candidates, same ``examined`` arithmetic, same
-    ``distance_rows`` -- ``tests/test_lsky_soa.py`` drives both engines in
+    ``distance_rows`` -- ``tests/test_lsky_soa.py`` drives both in
     lockstep over the Table 1 grid and asserts entry-for-entry equality.
-    What changes is *how* the per-candidate resolve loop runs:
+    What differs is *how* the per-candidate resolve loop runs:
 
     * per-chunk candidate selection, the zero-candidate fold, and the
       per-row threshold gather are whole-array passes;
@@ -665,12 +530,11 @@ class VectorizedSkybandEngine:
 
     ``py_iters`` counts the interpreted iterations actually spent
     (replays, small-chunk fallback visits, per-row-chunk visits); the
-    profile reports it as ``python_insert_iters`` for SoA detectors, which
-    is the before/after interpreter-work measurement in BENCH_grid.json.
+    profile reports it as ``python_insert_iters``.
     """
 
-    #: below this many selected candidates, a sequential replay of the
-    #: object inner loop beats the argsort/searchsorted passes
+    #: below this many selected candidates, the literal sequential
+    #: insert loop beats the argsort/searchsorted passes
     _SEQ_LIMIT = 16
 
     def __init__(self, plan, chunk_size: int = 256):
@@ -684,7 +548,8 @@ class VectorizedSkybandEngine:
                                      plan.n_layers)
         self._allowed_arr = np.asarray(plan.allowed_layer, dtype=np.int64)
         self._numba = numba_active()
-        #: interpreted resolve iterations (the SoA python_insert_iters)
+        #: interpreted resolve iterations (the profile's
+        #: ``python_insert_iters``)
         self.py_iters = 0
         #: skyband entries committed through bulk array appends
         self.soa_rows = 0
@@ -720,10 +585,9 @@ class VectorizedSkybandEngine:
     ) -> Tuple[bool, bool, int, int, int]:
         """Resolve one evaluated point's selected candidates of one chunk.
 
-        The shared core of every SoA scan: the batched sweep
-        (:meth:`scan_batched`) and the per-point family
-        (:meth:`run_new_point` / :meth:`scan_new_arrivals` /
-        :meth:`run_existing_point` via :meth:`_scan_span`) both land here,
+        The shared core of every scan: the batched sweep
+        (:meth:`scan_batched`) and the per-point scan
+        (:meth:`scan_new_arrivals`) both land here,
         so insert decisions, regime selection (single-layer bulk take /
         small-chunk sequential / vectorized resolve + bounded replay) and
         termination candidates are one implementation.
@@ -750,11 +614,16 @@ class VectorizedSkybandEngine:
         py_iters = 1
         soa_rows = 0
         if single:
-            # fixed-r bulk take: the newest `k_max - n` selected
-            # candidates, terminating at the k_max-th insert (same
-            # collapse, and the same int walk, as the object
-            # engine's single-layer path -- only the commit is a
-            # bulk segment append instead of four list.extends)
+            # fixed-r bulk take.  With one layer and the exact
+            # per-insert resolution regime the scan collapses: every
+            # selected candidate is at layer 0, is always insertable
+            # (``allowed[c] == 0`` for ``c < k_max``), and the scan
+            # terminates exactly at the ``k_max``-th insert (layer 0 is
+            # ``<= min_layer`` for every sub-group, so all of ``pending``
+            # resolves when the dominator count reaches the largest k).
+            # So: take the newest `k_max - n` selected candidates --
+            # same inserts, same termination candidate, same final
+            # ``pending`` as per-insert filtering would have left
             need = k_max - state.n
             take: List[int] = []
             ii = hi_s - 1
@@ -799,8 +668,8 @@ class VectorizedSkybandEngine:
                     terminated = True
                     jt = take[-1] - block_lo
         elif hi_s - lo_s <= self._SEQ_LIMIT:
-            # small chunk: the sequential inner loop is cheaper
-            # than the array passes; it is the object loop verbatim
+            # small chunk: the sequential inner loop (Alg. 2 verbatim)
+            # is cheaper than the array passes
             sl = state._sorted_layers
             counts = state.counts
             on_insert = resolution.on_insert
@@ -896,6 +765,41 @@ class VectorizedSkybandEngine:
         lo: int,
         cand_idx: Optional[np.ndarray] = None,
     ) -> List[KSkyResult]:
+        """Chunk-synchronous batched scans over live indexes ``[lo, end)``.
+
+        ``row_indexes``/``p_seqs`` give the live-buffer index and seq of
+        each evaluated point.  All rows share the same candidate range, so
+        each chunk costs one ``pairwise_block`` kernel over the still-active
+        rows and one vectorized ``layers_of`` hash -- rows that terminate
+        drop out of subsequent chunks, which keeps ``distance_rows``
+        identical to running :meth:`scan_new_arrivals` per row: the
+        per-point scan also pays for a whole chunk before consuming it.
+
+        Only candidates that could change a row's skyband are visited: a
+        candidate at layer ``m`` is inserted only if fewer than ``k_max``
+        stored entries dominate it (Def. 6 condition 2), i.e. only if
+        ``m`` is below the row's ``k_max``-th smallest stored layer, and a
+        rejected candidate never mutates scan state.  The below-threshold
+        positions come from one vectorized comparison per chunk; skipped
+        candidates are folded into ``examined`` arithmetically.
+
+        ``cand_idx``, when given, restricts the pairwise kernels to a
+        candidate *subset*: an ascending, duplicate-free array of live
+        indexes (grid mode passes the cell neighborhoods from
+        ``GridCandidateIndex.candidates_within``).  The scan still walks
+        the full range chunk by chunk -- chunk boundaries stay anchored at
+        the buffer top -- but each chunk's kernel sees only the subset
+        columns falling inside it (views of one per-scan gather,
+        ``pairwise_gathered``), and runs of candidate-free chunks fold
+        into ``examined`` in one step: a boundary resolution check with no
+        intervening insert filters ``pending`` against unchanged state,
+        removes nothing and returns False for every row still active
+        (the one exception, an empty pending template, terminates at the
+        first boundary exactly where the unfolded walk would).  Provided
+        the excluded indexes are all farther than the plan's largest
+        radius, results are bit-identical to the full-range scan; only
+        ``distance_rows`` shrinks.
+        """
         plan = self.plan
         n_layers = plan.n_layers
         chunk = self.chunk_size
@@ -904,8 +808,7 @@ class VectorizedSkybandEngine:
         mat = buffer.matrix()
         seq_arr = buffer.seq_array()
         pos_arr = buffer.pos_array(self.by_time)
-        # python-list twins for the int fast paths (cached on the buffer,
-        # same objects the object engine indexes)
+        # python-list twins for the int fast paths (cached on the buffer)
         seqs_list = buffer.seqs()
         poss_list = buffer.positions(self.by_time)
         row_idx = np.asarray(row_indexes, dtype=np.int64)
@@ -939,8 +842,10 @@ class VectorizedSkybandEngine:
                 c_base = offs[i + 1]
                 n_cols = offs[i] - c_base
                 if n_cols == 0:
-                    # candidate-free run: fold into examined arithmetic,
-                    # exactly like the object engine (see its docstring)
+                    # candidate-free run: no kernel and no state change
+                    # (see the docstring) -- fold the whole run into
+                    # examined arithmetic and jump to the next chunk
+                    # holding a candidate
                     if c_base == 0:
                         nxt_i = n_chunks
                     else:
@@ -979,7 +884,7 @@ class VectorizedSkybandEngine:
                 rows_nz, np.arange(n_act + 1)).tolist()
             js_all = js_nz.tolist()
             ms_all = None if single else lmat[rows_nz, js_nz].tolist()
-            # degenerate empty sub-group template: the object path
+            # degenerate empty sub-group template: the reference walk
             # terminates such rows at the first boundary check, which the
             # zero-selection skip below would elide -- disable the skip
             skip_empty = bool(self._pending)
@@ -1055,33 +960,33 @@ class VectorizedSkybandEngine:
                 resolution.done or resolution.check(state))
         return results
 
-    # ------------------------------------------------------ per-point family
+    # ------------------------------------------------------- per-point scan
 
-    def _scan_span(self, p_values, p_seq: int, buffer, lo: int, hi: int
-                   ) -> Tuple[_SoaRow, int, bool]:
-        """Port of ``KSkyRunner._scan_buffer`` onto canonical SoA state.
+    def scan_new_arrivals(self, p_values, p_seq: int, buffer,
+                          new_from_index: int) -> KSkyResult:
+        """One point's scan of live indexes ``[new_from_index, end)``: the
+        whole window (0) for a new point, the unseen arrivals for a
+        survivor -- ``KSkyRunner.scan_new_arrivals``, bit for bit.
 
-        One ``distances_from`` kernel per chunk (the object per-point
-        path's exact kernel shape and count), candidate selection and the
+        One ``distances_from`` kernel per chunk (the reference walk's
+        exact kernel shape and count), candidate selection and the
         per-chunk resolve through :meth:`_resolve_row_chunk`.  Chunk
-        boundaries anchor at ``hi`` -- identical to the object walk for
-        every per-point entry point (``hi`` is always ``len(buffer)``
-        there).  The evaluated point's own column is located once by seq
-        (seqs are unique and ascending; -1 when ``p`` is not in the
-        buffer), matching the object path's per-candidate seq-equality
-        skip.  Boundary resolution checks run only after chunks that
-        inserted -- a check with no intervening insert filters ``pending``
-        against unchanged state, removes nothing, and returns False
-        whenever ``pending`` is non-empty, so eliding it is
-        state-identical (DESIGN.md section 13); the degenerate empty
-        template instead disables the zero-selection skip and terminates
-        at the first visited chunk exactly like the batched sweep.
-
-        Returns ``(state, examined, terminated_early)``.
+        boundaries anchor at the buffer top, as in the reference walk.
+        The evaluated point's own column is located once by seq (seqs are
+        unique and ascending; -1 when ``p`` is not in the buffer),
+        matching the reference's per-candidate seq-equality skip.
+        Boundary resolution checks run only after chunks that inserted --
+        a check with no intervening insert filters ``pending`` against
+        unchanged state, removes nothing, and returns False whenever
+        ``pending`` is non-empty, so eliding it is state-identical
+        (DESIGN.md section 13); the degenerate empty template instead
+        disables the zero-selection skip and terminates at the first
+        visited chunk exactly like the batched sweep.
         """
         plan = self.plan
         n_layers = plan.n_layers
         chunk = self.chunk_size
+        lo = new_from_index
         state = _SoaRow(_Resolution(plan, self._pending), n_layers)
         resolution = state.resolution
         seq_arr = buffer.seq_array()
@@ -1095,7 +1000,8 @@ class VectorizedSkybandEngine:
                   and len(self._pending) <= _Resolution._EXACT_LIMIT)
         skip_empty = bool(self._pending)
         examined = 0
-        block_hi = hi
+        terminated = False
+        block_hi = len(buffer)
         while block_hi > lo:
             block_lo = max(lo, block_hi - chunk)
             width = block_hi - block_lo
@@ -1124,56 +1030,16 @@ class VectorizedSkybandEngine:
             if terminated:
                 examined += (width - jt) - (
                     1 if self_in and j_self > jt else 0)
-                return state, examined, True
+                break
             examined += width - (1 if self_in else 0)
             if inserted:
-                if resolution.check(state):
-                    return state, examined, True
-            elif not resolution.pending:
-                return state, examined, True
+                terminated = resolution.check(state)
+            else:
+                terminated = not resolution.pending
+            if terminated:
+                break
             block_hi = block_lo
-        return state, examined, False
-
-    def run_new_point(self, p_values, p_seq: int, buffer) -> KSkyResult:
-        """SoA twin of ``KSkyRunner.run_new_point`` (Alg. 1, lines 1-2)."""
-        state, examined, terminated = self._scan_span(
-            p_values, p_seq, buffer, 0, len(buffer))
-        resolution = state.resolution
-        return self._result(
-            state, examined, terminated,
-            resolution.done or resolution.check(state))
-
-    def scan_new_arrivals(self, p_values, p_seq: int, buffer,
-                          new_from_index: int) -> KSkyResult:
-        """SoA twin of ``KSkyRunner.scan_new_arrivals``."""
-        state, examined, terminated = self._scan_span(
-            p_values, p_seq, buffer, new_from_index, len(buffer))
-        return self._result(state, examined, terminated,
-                            state.resolution.done)
-
-    def run_existing_point(self, p_values, p_seq: int, buffer,
-                           old_entries, new_from_index: int) -> KSkyResult:
-        """SoA twin of ``KSkyRunner.run_existing_point`` (Alg. 1, 3-5).
-
-        The detector's survivor path merges old evidence itself
-        (``SOPDetector._merge_survivor``); this entry point exists for the
-        oracle-lockstep suites and API parity with the runner.
-        """
-        state, examined, terminated = self._scan_span(
-            p_values, p_seq, buffer, new_from_index, len(buffer))
-        sky = state.finalize(self.plan.n_layers)
-        if not terminated and old_entries:
-            k_max = self.plan.k_max
-            keep = [e for e in old_entries
-                    if sky.dominator_count(e[2]) < k_max]
-            examined += len(old_entries)
-            sky.extend_older(keep)
-        return KSkyResult(
-            lsky=sky,
-            examined=examined,
-            terminated_early=terminated,
-            resolved_all=state.resolution.check(sky),
-        )
+        return self._result(state, examined, terminated, resolution.done)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"VectorizedSkybandEngine(chunk_size={self.chunk_size}, "

@@ -192,8 +192,8 @@ class GridIndex:
 class GridCandidateIndex:
     """Grid-cell candidate restriction over a ``WindowBuffer`` live region.
 
-    The pruning substrate of the grid-pruned K-SKY refresh engine
-    (``repro.engine.refresh.GridPrunedRefresh``).  Points are binned into
+    The pruning substrate of the refresh engine's grid mode
+    (``repro.engine.refresh.RefreshEngine``).  Points are binned into
     uniform cells of side ``cell_size``; each non-empty cell keeps one
     contiguous, strictly ascending ``int64`` array of *absolute* arrival
     positions (``WindowBuffer.appended_total`` axis), so the structure

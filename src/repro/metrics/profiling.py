@@ -1,6 +1,6 @@
 """Refresh-engine observability: per-boundary timing and work counters.
 
-The batched K-SKY refresh engine (see ``repro.core.sop``) exists to turn
+Batched K-SKY refresh (see ``repro.engine.refresh``) exists to turn
 O(live points) numpy kernel launches per boundary into O(1).  To *prove*
 that -- and to keep it provable as the code evolves --
 :class:`RefreshProfile` records, per processed boundary:
@@ -11,18 +11,14 @@ that -- and to keep it provable as the code evolves --
   pairwise tile);
 * ``batch_rows`` -- evaluated points whose scan went through the batched
   pairwise kernel (0 on the per-point path);
-* ``python_insert_iters`` -- interpreted skyband-scan iterations.  On the
-  object-path engines this is the candidates examined by the scans (the
-  paper's ``L``): the per-point path spends one Python loop iteration per
-  candidate, the batched path prunes provably-rejected candidates
-  vectorized, so there the counter is path-independent while the
-  interpreter work it represents is not.  With ``skyband_impl="soa"`` the
-  vectorized engine resolves candidates in array passes, and the counter
-  reports the interpreted iterations *actually* spent (resolve replays +
-  small-chunk fallback visits) -- the before/after interpreter-work
-  measurement tracked in BENCH_grid.json;
-* ``soa_insert_rows`` -- skyband entries committed through the SoA
-  engine's bulk array appends (0 on the object path);
+* ``python_insert_iters`` -- interpreted skyband-scan iterations the
+  scan engine *actually* spent (bounded resolve replays, small-chunk
+  fallback visits, per-row-chunk visits), counted by the engine itself in
+  every mode.  Candidates are resolved in array passes, so this is far
+  below the logical candidate count (the paper's ``L``), which is
+  ``points_examined``;
+* ``soa_insert_rows`` -- skyband entries committed through the scan
+  engine's bulk array-segment appends;
 * ``candidates_pruned`` -- candidate columns the grid-pruned refresh
   engine kept out of the pairwise kernels entirely (0 on the unpruned
   paths); ``python_insert_iters`` still counts them -- pruning shrinks
@@ -41,8 +37,8 @@ that -- and to keep it provable as the code evolves --
 
 Aggregates are cheap to keep and are surfaced through
 ``SOPDetector.work_stats()`` into ``RunResult.work``;
-``benchmarks/bench_refresh.py`` turns them into the tracked
-``BENCH_refresh.json`` baseline.
+``benchmarks/bench_grid_refresh.py`` turns them into the tracked
+``BENCH_grid.json`` baseline.
 """
 
 from __future__ import annotations

@@ -42,6 +42,18 @@ def line_points(values, start_seq=0, times=None):
     ]
 
 
+def evidence(det):
+    """Frozen per-point evidence arrays (and safety state) of a detector."""
+    out = {}
+    for seq, st in det._states.items():
+        if st.seqs is None:
+            out[seq] = (None, st.fully_safe)
+        else:
+            out[seq] = ((st.seqs.tolist(), st.poss.tolist(),
+                         st.layers.tolist()), st.fully_safe)
+    return out
+
+
 def assert_equivalent(group: QueryGroup, points, detector, oracle_cls=NaiveDetector):
     """Run ``detector`` and the naive oracle; assert identical outputs."""
     expected = oracle_cls(group).run(points)

@@ -7,6 +7,8 @@ the legacy copy-pasted drive loops produced -- same outputs, same boundary
 count, same memory samples, same work counters.
 """
 
+import json
+
 import pytest
 
 from repro import (
@@ -18,6 +20,7 @@ from repro import (
     OutlierQuery,
     QueryGroup,
     RunResult,
+    Runtime,
     SOPDetector,
     StreamExecutor,
     WindowSpec,
@@ -31,9 +34,10 @@ from repro.checkpoint import (
     CheckpointSubscriber,
     CheckpointedRun,
     load_checkpoint,
+    load_sharded_checkpoint,
     save_checkpoint,
+    save_sharded_checkpoint,
 )
-from repro.engine.refresh import BatchedRefresh, PerPointRefresh
 from repro.streams.buffer import WindowBuffer
 from repro.streams.source import batches_by_boundary
 
@@ -279,7 +283,7 @@ def test_checkpoint_resume_mid_stream_roundtrip(tmp_path):
 
 def test_checkpoint_persists_config(tmp_path):
     group = _group("A")
-    cfg = DetectorConfig(use_batched_refresh=False, eager=False,
+    cfg = DetectorConfig(refresh_strategy="per-point", eager=False,
                          batch_min_rows=13)
     det = SOPDetector(group, config=cfg)
     det.run(_stream(n=200))
@@ -287,13 +291,13 @@ def test_checkpoint_persists_config(tmp_path):
     save_checkpoint(det, 200, path)
     restored, _ = load_checkpoint(path)
     assert restored.config == cfg
-    assert isinstance(restored.refresh_engine, PerPointRefresh)
-    assert not isinstance(restored.refresh_engine, BatchedRefresh)
+    assert restored.refresh_engine.name == "per-point"
 
 
 def test_checkpoint_config_mismatch_fails_loudly(tmp_path):
     group = _group("A")
-    det = SOPDetector(group, config=DetectorConfig(use_batched_refresh=False))
+    det = SOPDetector(group, config=DetectorConfig(
+        refresh_strategy="per-point"))
     det.step(50, _stream(n=50))
     path = tmp_path / "ckpt.jsonl"
     save_checkpoint(det, 50, path)
@@ -303,7 +307,7 @@ def test_checkpoint_config_mismatch_fails_loudly(tmp_path):
     # ... unless the reconfiguration is explicit
     restored, _ = load_checkpoint(path, factory=SOPDetector,
                                   allow_config_mismatch=True)
-    assert restored.config.use_batched_refresh
+    assert restored.config.refresh_strategy == "auto"
     # a config-less detector (different algorithm) skips the check
     restored, _ = load_checkpoint(path, factory=MCODDetector)
     assert restored.name == "mcod"
@@ -318,6 +322,89 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
     )
     with pytest.raises(ValueError, match="malformed detector config"):
         load_checkpoint(path)
+
+
+#: a checkpoint header config exactly as written before the object scan
+#: tier was retired: 20 fields, ``skyband_impl`` and ``use_batched_refresh``
+#: among them
+_OLD_HEADER_CONFIG = {
+    "metric": "euclidean", "chunk_size": 256, "eager": True,
+    "use_safe_inliers": True, "use_least_examination": True,
+    "use_batched_refresh": False, "batch_min_rows": 8,
+    "refresh_strategy": "auto", "skyband_impl": "object", "shards": 1,
+    "backend": "serial", "replication_radius": 0.0,
+    "on_shard_failure": "retry", "max_shard_retries": 2,
+    "shard_deadline": 0.0, "retry_backoff": 0.05,
+    "validate_ingest": False, "fault_plan": None, "prefilter": "none",
+    "prefilter_mode": "exact",
+}
+
+
+def _write_old_header(path, **overrides):
+    """Swap a checkpoint file's header config for the old-format literal."""
+    header, _, body = path.read_text().partition("\n")
+    header = json.loads(header)
+    header["config"] = {**_OLD_HEADER_CONFIG, **overrides}
+    path.write_text(json.dumps(header) + "\n" + body)
+
+
+def test_old_format_checkpoint_upgrades_on_read(tmp_path):
+    """Headers written before the object tier was retired still load --
+    classic file and sharded segments alike: ``skyband_impl`` is dropped,
+    ``use_batched_refresh=False`` under "auto" becomes the per-point
+    strategy it resolved to, every other unknown key still fails loudly,
+    and the resumed run is bit-exact against an uninterrupted one."""
+    upgraded = DetectorConfig(refresh_strategy="per-point")
+    assert DetectorConfig.from_dict(_OLD_HEADER_CONFIG) == upgraded
+    # an explicit strategy always won over the retired flag
+    assert DetectorConfig.from_dict(
+        {**_OLD_HEADER_CONFIG, "refresh_strategy": "grid"}
+    ) == DetectorConfig(refresh_strategy="grid")
+    with pytest.raises(ValueError, match="unknown.*bogus"):
+        DetectorConfig.from_dict({**_OLD_HEADER_CONFIG, "bogus": 1})
+
+    group = _group("C")
+    points = _stream(n=600, seed=61)
+    slide, kind = group.swift.slide, group.kind
+    batches = list(batches_by_boundary(points, slide, kind))
+    half = len(batches) // 2
+    cut = batches[half - 1][0]
+    full = SOPDetector(group).run(points)
+    tail = {k: v for k, v in full.outputs.items() if k[1] > cut}
+
+    # classic single-file checkpoint
+    det = SOPDetector(group)
+    for t, batch in batches[:half]:
+        det.step(t, batch)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(det, cut, path)
+    _write_old_header(path)
+    restored, last_t = load_checkpoint(path)
+    assert last_t == cut
+    assert restored.config == upgraded
+    assert restored.refresh_engine.name == "per-point"
+    got = {}
+    for t, batch in batches[half:]:
+        for qi, seqs in restored.step(t, batch).items():
+            got[(qi, t)] = seqs
+    assert got == tail
+
+    # sharded manifest whose segments carry the old header
+    rt = Runtime(group, shards=2)
+    rt.partitioner.ensure_bounds(points)
+    for t, batch in batches[:half]:
+        rt.step(t, batch)
+    manifest = tmp_path / "old_sharded.ckpt"
+    save_sharded_checkpoint(rt, cut, manifest)
+    for name in json.loads(manifest.read_text())["segments"]:
+        _write_old_header(manifest.with_name(name), shards=2)
+    resumed, last_t = load_sharded_checkpoint(manifest)
+    assert last_t == cut
+    assert resumed.config == upgraded.replace(shards=2)
+    for t, batch in batches[half:]:
+        resumed.step(t, batch)
+    assert {k: v for k, v in resumed.finish().outputs.items()
+            if k[1] > cut} == tail
 
 
 def test_checkpoint_subscriber_standalone(tmp_path):
@@ -364,11 +451,10 @@ class TestDetectorConfig:
 
     def test_explicit_config_wins_over_legacy_kwargs(self):
         group = _group("A")
-        cfg = DetectorConfig(use_batched_refresh=False)
-        det = SOPDetector(group, use_batched_refresh=True, config=cfg)
+        cfg = DetectorConfig(refresh_strategy="per-point")
+        det = SOPDetector(group, refresh_strategy="batched", config=cfg)
         assert det.config == cfg
-        assert isinstance(det.refresh_engine, PerPointRefresh)
-        assert not isinstance(det.refresh_engine, BatchedRefresh)
+        assert det.refresh_engine.name == "per-point"
 
     def test_legacy_kwargs_build_equivalent_config(self):
         group = _group("A")
@@ -381,7 +467,7 @@ class TestDetectorConfig:
 
 def test_dynamic_rebuild_preserves_config():
     """Satellite 1: register/withdraw must not reset ablation flags."""
-    cfg = DetectorConfig(use_batched_refresh=False, eager=False,
+    cfg = DetectorConfig(refresh_strategy="per-point", eager=False,
                          use_safe_inliers=False)
     q1 = OutlierQuery(r=300, k=3, window=WindowSpec(win=200, slide=50))
     q2 = OutlierQuery(r=700, k=5, window=WindowSpec(win=100, slide=50))
@@ -393,7 +479,7 @@ def test_dynamic_rebuild_preserves_config():
     handle = dyn.add_query(q2)
     dyn.step(*batches[1])
     assert dyn._inner.config == cfg
-    assert isinstance(dyn._inner.refresh_engine, PerPointRefresh)
+    assert dyn._inner.refresh_engine.name == "per-point"
     dyn.remove_query(handle)
     dyn.step(*batches[2])
     assert dyn._inner.config == cfg

@@ -122,27 +122,6 @@ class TestMCODClusteringSwitch:
         assert_equivalent(g, small_stream, MCODDetector(g))
 
 
-class TestPointStateView:
-    def test_lsky_view_reconstructs_evidence(self):
-        g = QueryGroup([q(1.0, 2, win=20, slide=10)])
-        det = SOPDetector(g, use_safe_inliers=False)
-        det.run(line_points([0.0, 0.1, 5.0, 0.2] * 5))
-        st = det.state_of(18)
-        view = st.as_object_lsky()
-        assert view is not None
-        assert len(view) == st.entry_count()
-        seqs = view.seqs
-        assert all(a > b for a, b in zip(seqs, seqs[1:]))
-
-    def test_safe_state_has_no_view(self):
-        g = QueryGroup([q(1.0, 2, win=20, slide=10)])
-        det = SOPDetector(g)
-        det.run(line_points([0.0] * 40))
-        safe_states = [det.state_of(s) for s in range(20, 30)]
-        assert any(st.fully_safe and st.as_object_lsky() is None
-                   for st in safe_states)
-
-
 class TestDetectorRunUntil:
     def test_until_bounds_boundaries(self, small_stream, small_group):
         res = SOPDetector(small_group).run(small_stream, until=300)

@@ -1,18 +1,21 @@
-"""SoA skyband tier: object-vs-array equivalence gates.
+"""The scan engine against the reference K-SKY: equivalence gates.
 
 Three layers of defense, mirroring the house lockstep style:
 
-* property tests drive :class:`LSky` and :class:`LSkySoA` through random
-  insert/extend_older interleavings and compare every observable;
 * the vectorized resolve (`insert_limits` + `resolve_chunk_inserts`) is
   checked against a literal sequential reference loop;
-* full-detector lockstep runs every Table 1 spec with
-  ``skyband_impl="object"`` and ``"soa"`` side by side, asserting
+* the engine's per-point scan is driven against ``KSkyRunner`` over
+  hypothesis-chosen workloads, buffers, chunk sizes and suffixes;
+* full-detector lockstep runs every Table 1 spec under each refresh
+  strategy side by side with a detector whose scans are the reference
+  runner's (``repro.testing.use_reference_scans``), asserting
   per-boundary output, evidence, and work-stat equality -- including
-  crash+resume through checkpoints that restore the SoA config.
+  crash+resume through checkpoints.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +26,6 @@ from repro import (
     AutoRefresh,
     DetectorConfig,
     KSkyRunner,
-    LSky,
-    LSkySoA,
     SOPDetector,
     VectorizedSkybandEngine,
     make_synthetic_points,
@@ -33,133 +34,33 @@ from repro import (
 from repro.bench import build_workload, default_ranges
 from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.lsky_soa import (
+    LSkySoA,
     insert_limits,
     numba_active,
     resolve_chunk_inserts,
     resolve_chunk_inserts_numba,
 )
 from repro.streams.source import batches_by_boundary
+from repro.testing import ReferenceRefresh, use_reference_scans
 
-# --------------------------------------------------------- structure twins
+from conftest import evidence
 
-
-def _observables(sky, n_layers, probe_seqs, probe_poss):
-    """Every queryable fact about a skyband, python-typed."""
-    return {
-        "len": len(sky),
-        "entries": [tuple(e) for e in sky.entries()],
-        "dominators": [sky.dominator_count(m)
-                       for m in range(-1, n_layers + 2)],
-        "kdist": [sky.k_distance_layer(k) for k in range(1, len(sky) + 2)],
-        "succ": [list(sky.succ_layers(s)) for s in probe_seqs],
-        "within": [sky.count_within(m, p, cap)
-                   for m in range(n_layers)
-                   for p in probe_poss
-                   for cap in (1, 3, 10**9)],
-        "unexpired": [[tuple(e) for e in sky.unexpired_entries(p)]
-                      for p in probe_poss],
-        "buckets": sky.layer_buckets(),
-        "cards": sky.layer_cardinalities(),
-    }
+# ------------------------------------------------------------ array carrier
 
 
-@st.composite
-def _skyband_script(draw):
-    """(n_layers, ops): ops are single inserts or extend_older batches."""
-    n_layers = draw(st.integers(1, 5))
-    n_entries = draw(st.integers(0, 40))
-    seqs = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n_entries,
-                                max_size=n_entries, unique=True)),
-                  reverse=True)
-    ops = []
-    i = 0
-    while i < len(seqs):
-        batch = draw(st.integers(1, 6))
-        chunk = [(s, float(draw(st.integers(0, 500))),
-                  draw(st.integers(0, n_layers - 1)))
-                 for s in seqs[i: i + batch]]
-        kind = draw(st.sampled_from(["insert", "extend"]))
-        if kind == "insert":
-            ops.extend(("insert", e) for e in chunk)
-        else:
-            ops.append(("extend", chunk))
-        i += batch
-    return n_layers, ops
-
-
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_skyband_script())
-def test_soa_matches_object_under_interleavings(script):
-    n_layers, ops = script
-    obj, soa = LSky(n_layers), LSkySoA(n_layers)
-    for kind, payload in ops:
-        if kind == "insert":
-            seq, pos, layer = payload
-            obj.insert(seq, pos, layer)
-            soa.insert(seq, pos, layer)
-        else:
-            obj.extend_older(payload)
-            soa.extend_older(payload)
-        probe_seqs = [-1, 0, 5_000, 10_001] + [e[0] for e in obj.entries()]
-        probe_poss = [-1.0, 0.0, 250.0, 501.0]
-        assert (_observables(obj, n_layers, probe_seqs, probe_poss)
-                == _observables(soa, n_layers, probe_seqs, probe_poss))
-
-
-@pytest.mark.parametrize("cls", [LSky, LSkySoA])
-def test_validation_parity(cls):
-    with pytest.raises(ValueError):
-        cls(0)
-    sky = cls(3)
-    sky.insert(10, 10.0, 1)
-    with pytest.raises(ValueError, match="descending"):
-        sky.insert(10, 10.0, 0)
-    with pytest.raises(ValueError, match="descending"):
-        sky.insert(11, 11.0, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        sky.insert(5, 5.0, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        sky.insert(5, 5.0, -1)
-    with pytest.raises(ValueError, match="strictly older"):
-        sky.extend_older([(10, 10.0, 0)])
-    with pytest.raises(ValueError, match="seq-descending"):
-        sky.extend_older([(8, 8.0, 0), (9, 9.0, 0)])
-    with pytest.raises(ValueError, match="out of range"):
-        sky.extend_older([(8, 8.0, 0), (7, 7.0, 5)])
-    with pytest.raises(ValueError):
-        sky.k_distance_layer(0)
-    sky.extend_older([])  # no-op, no error
-    assert len(sky) == 1
-
-
-def test_from_parts_adopts_arrays():
-    seqs = np.array([9, 7, 4], dtype=np.int64)
-    poss = np.array([9.0, 7.0, 4.0])
-    layers = np.array([1, 0, 1], dtype=np.int64)
-    sky = LSkySoA.from_parts(3, seqs, poss, layers)
-    assert [tuple(e) for e in sky.entries()] == [
-        (9, 9.0, 1), (7, 7.0, 0), (4, 4.0, 1)]
-    assert sky.dominator_count(0) == 1
-    assert sky.dominator_count(1) == 3
-    assert sky.layer_cardinalities() == {0: 1, 1: 2}
-
-
-def test_soa_cache_invalidation_across_mutation():
-    sky = LSkySoA(3)
-    sky.insert(9, 9.0, 0)
-    assert sky.layer_buckets() == {0: [9]}
-    assert sky.layer_cardinalities() == {0: 1}
-    sky.insert(7, 7.0, 1)
-    assert sky.layer_buckets() == {0: [9], 1: [7]}
-    sky.extend_older([(5, 5.0, 1), (3, 3.0, 0)])
-    assert sky.layer_buckets() == {0: [3, 9], 1: [5, 7]}
-    assert sky.layer_cardinalities() == {0: 2, 1: 2}
-    assert sky.dominator_count(0) == 2
-    sky.extend_arrays(np.array([1], dtype=np.int64), np.array([1.0]),
-                      np.array([2], dtype=np.int64))
-    assert sky.layer_cardinalities() == {0: 2, 1: 2, 2: 1}
-    assert sky.k_distance_layer(5) == 2
+def test_soa_carrier_adopts_segments():
+    """Lists and arrays, one segment or many: the carrier exposes the
+    concatenated scan-order entries as the three canonical arrays."""
+    one = LSkySoA.from_segments(3, [[9, 7]], [[9.0, 7.0]], [[1, 0]])
+    many = LSkySoA.from_segments(
+        3, [[9], np.array([7, 4])], [[9.0], np.array([7.0, 4.0])],
+        [[1], np.array([0, 1])])
+    assert list(one.entries()) == [(9, 9.0, 1), (7, 7.0, 0)]
+    assert list(many.entries()) == [(9, 9.0, 1), (7, 7.0, 0), (4, 4.0, 1)]
+    assert len(many) == 3 and len(LSkySoA(3)) == 0
+    seqs, poss, layers = many.as_arrays()
+    assert (seqs.dtype, poss.dtype, layers.dtype) == (
+        np.int64, np.float64, np.int64)
 
 
 # --------------------------------------------------- vectorized resolve
@@ -236,70 +137,71 @@ def _stream(n=1500, seed=9):
     return make_synthetic_points(n, dim=2, outlier_rate=0.04, seed=seed)
 
 
-def _evidence(det):
-    out = {}
-    for seq, st_ in det._states.items():
-        if st_.seqs is None:
-            out[seq] = (None, st_.fully_safe)
-        else:
-            out[seq] = ((st_.seqs.tolist(), st_.poss.tolist(),
-                         st_.layers.tolist()), st_.fully_safe)
-    return out
+#: work counters every refresh strategy must reproduce exactly
+INVARIANT_STATS = ("ksky_runs", "points_examined", "early_terminations",
+                   "fully_safe_marked")
 
 
-def _lockstep_impls(group, points, strategy):
-    dets = {impl: SOPDetector(group, config=DetectorConfig(
-        refresh_strategy=strategy, skyband_impl=impl))
-        for impl in ("object", "soa")}
-    ref = dets["object"]
+def _reference_detector(group, config=None):
+    """A detector whose scans are the paper-literal ``KSkyRunner``'s."""
+    return use_reference_scans(SOPDetector(group, config=config))
+
+
+def _lockstep_reference(group, points, strategy):
+    """Drive ``strategy`` and the reference side by side; returns
+    ``(detector, reference)`` after asserting per-boundary equality."""
+    det = SOPDetector(group, config=DetectorConfig(
+        refresh_strategy=strategy))
+    ref = _reference_detector(group)
+    assert isinstance(ref.refresh_engine, ReferenceRefresh)
     for t, batch in batches_by_boundary(points, group.swift.slide,
                                         group.kind):
-        outs = {impl: d.step(t, batch) for impl, d in dets.items()}
-        assert outs["soa"] == outs["object"], f"outputs diverge at t={t}"
-        assert _evidence(dets["soa"]) == _evidence(ref), (
-            f"LSky contents diverge at t={t}")
-        assert dets["soa"].memory_units() == ref.memory_units()
-    for key in ("ksky_runs", "points_examined", "early_terminations",
-                "fully_safe_marked", "batched_scans"):
-        assert dets["soa"].stats[key] == ref.stats[key], key
-    assert dets["soa"].buffer.distance_rows == ref.buffer.distance_rows
-    assert dets["soa"].buffer.kernel_calls == ref.buffer.kernel_calls
-    return dets
+        assert det.step(t, batch) == ref.step(t, batch), (
+            f"outputs diverge at t={t}")
+        assert evidence(det) == evidence(ref), (
+            f"evidence arrays diverge at t={t}")
+        assert det.memory_units() == ref.memory_units()
+    for key in INVARIANT_STATS:
+        assert det.stats[key] == ref.stats[key], key
+    if strategy == "grid":
+        # pruning is the one thing allowed to move: kernels only shrink
+        assert det.buffer.distance_rows <= ref.buffer.distance_rows
+    else:
+        assert det.buffer.distance_rows == ref.buffer.distance_rows
+    return det, ref
 
 
 @pytest.mark.parametrize("spec", list("ABCDEFG"))
-def test_table1_soa_lockstep_grid(spec):
+def test_table1_reference_lockstep_grid(spec):
     group = build_workload(spec, n_queries=6, seed=17,
                            ranges=default_ranges())
-    dets = _lockstep_impls(group, _stream(), "grid")
-    # the soa engine actually did the work in arrays, not the python loop
-    soa, obj = dets["soa"], dets["object"]
-    assert soa.profile.soa_insert_rows > 0
-    assert obj.profile.soa_insert_rows == 0
-    assert (soa.profile.python_insert_iters
-            < obj.profile.python_insert_iters)
+    det, ref = _lockstep_reference(group, _stream(), "grid")
+    # the engine did the work in arrays, not one interpreted iteration
+    # per candidate; the reference never touches the engine's counters
+    assert det.profile.soa_insert_rows > 0
+    assert 0 < det.profile.python_insert_iters < det.stats["points_examined"]
+    assert ref.profile.soa_insert_rows == 0
+    assert ref.profile.python_insert_iters == 0
 
 
 @pytest.mark.parametrize("strategy", ["batched", "per-point", "auto"])
-def test_soa_lockstep_other_strategies(strategy):
+def test_reference_lockstep_other_strategies(strategy):
     group = build_workload("C", n_queries=5, seed=23,
                            ranges=default_ranges())
-    _lockstep_impls(group, _stream(n=1000), strategy)
+    _lockstep_reference(group, _stream(n=1000), strategy)
 
 
-def test_soa_checkpoint_crash_resume(tmp_path):
-    """Half-run a soa detector, checkpoint, restore, finish: identical to
-    an uninterrupted soa run AND to an uninterrupted object run."""
+def test_checkpoint_crash_resume(tmp_path):
+    """Half-run a detector, checkpoint, restore, finish: identical to an
+    uninterrupted run AND to an uninterrupted reference run."""
     group = build_workload("D", n_queries=5, seed=31,
                            ranges=default_ranges())
     points = _stream(n=1200, seed=13)
-    config = DetectorConfig(refresh_strategy="grid", skyband_impl="soa")
+    config = DetectorConfig(refresh_strategy="grid")
     batches = list(batches_by_boundary(points, group.swift.slide,
                                        group.kind))
     full = SOPDetector(group, config=config).run(points)
-    full_obj = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="grid")).run(points)
-    assert full.outputs == full_obj.outputs
+    assert full.outputs == _reference_detector(group).run(points).outputs
 
     det = SOPDetector(group, config=config)
     outputs = {}
@@ -311,9 +213,9 @@ def test_soa_checkpoint_crash_resume(tmp_path):
     save_checkpoint(det, batches[half - 1][0], path)
     restored, last_t = load_checkpoint(path)
     assert last_t == batches[half - 1][0]
-    # the config (and with it the soa engine) rode the checkpoint header
-    assert restored.config.skyband_impl == "soa"
-    assert restored.skyband_engine is not None
+    # the config rode the checkpoint header
+    assert restored.config == config
+    assert restored.refresh_engine.name == "grid"
     for t, batch in batches[half:]:
         for qi, seqs in restored.step(t, batch).items():
             outputs[(qi, t)] = seqs
@@ -321,7 +223,7 @@ def test_soa_checkpoint_crash_resume(tmp_path):
                        for (qi, t), seqs in full.outputs.items()}
 
 
-# ---------------------------------------- per-point engine entry points
+# ------------------------------------------------ per-point engine scan
 
 
 def _result_facts(res):
@@ -346,21 +248,20 @@ def _perpoint_case(draw):
     # external probe absent from the buffer (j_self == -1 path)
     self_idx = draw(st.one_of(st.none(), st.integers(0, n_points - 1)))
     new_from = draw(st.integers(0, n_points))
-    n_old = draw(st.integers(0, 6))
     return (spec, n_queries, seed, chunk, n_points, stream_seed,
-            self_idx, new_from, n_old)
+            self_idx, new_from)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_perpoint_case())
 def test_perpoint_engine_lockstep(case):
-    """Every per-point entry point of the SoA engine is bit-identical to
-    the ``KSkyRunner`` oracle: same skyband entries, examined counts,
-    termination, and resolution flags, across chunk boundaries, self-skip
-    vs external probes, arbitrary suffixes, and old-evidence merges."""
+    """The engine's per-point scan is bit-identical to the ``KSkyRunner``
+    reference: same skyband entries, examined counts, termination, and
+    resolution flags, across chunk boundaries, self-skip vs external
+    probes, the whole window and arbitrary suffixes."""
     (spec, n_queries, seed, chunk, n_points, stream_seed,
-     self_idx, new_from, n_old) = case
+     self_idx, new_from) = case
     group = build_workload(spec, n_queries=n_queries, seed=seed,
                            ranges=default_ranges())
     plan = parse_workload(group)
@@ -376,25 +277,17 @@ def test_perpoint_engine_lockstep(case):
         p = buf.points[self_idx]
         p_values, p_seq = p.values, p.seq
 
-    a = runner.run_new_point(p_values, p_seq, buf)
-    b = engine.run_new_point(p_values, p_seq, buf)
-    assert _result_facts(a) == _result_facts(b)
+    for lo in (0, new_from):
+        a = runner.scan_new_arrivals(p_values, p_seq, buf, lo)
+        b = engine.scan_new_arrivals(p_values, p_seq, buf, lo)
+        assert _result_facts(a) == _result_facts(b)
 
-    a = runner.scan_new_arrivals(p_values, p_seq, buf, new_from)
-    b = engine.scan_new_arrivals(p_values, p_seq, buf, new_from)
-    assert _result_facts(a) == _result_facts(b)
-
-    # old evidence: strictly arrival-descending, older than every new
-    # arrival in the scanned suffix, layers within the plan
-    first_new_seq = (buf.points[new_from].seq if new_from < len(buf)
-                    else buf.points[-1].seq + 1)
-    old_entries = [(first_new_seq - 1 - i, float(10 + 3 * i),
-                    i % plan.n_layers) for i in range(n_old)]
-    a = runner.run_existing_point(p_values, p_seq, buf, old_entries,
-                                  new_from)
-    b = engine.run_existing_point(p_values, p_seq, buf, old_entries,
-                                  new_from)
-    assert _result_facts(a) == _result_facts(b)
+    # Alg. 1 lines 1-2 (a new point searches the window from scratch) is
+    # the lo=0 scan; only the post-scan resolution flag is computed apart
+    a = _result_facts(runner.run_new_point(p_values, p_seq, buf))
+    b = _result_facts(engine.scan_new_arrivals(p_values, p_seq, buf, 0))
+    del a["resolved_all"], b["resolved_all"]
+    assert a == b
 
 
 @settings(max_examples=12, deadline=None,
@@ -403,98 +296,41 @@ def test_perpoint_engine_lockstep(case):
        stream_seed=st.integers(0, 30))
 def test_perpoint_detector_hypothesis_lockstep(spec, seed, stream_seed):
     """Full-detector lockstep under the per-point strategy: hypothesis
-    picks the workload and stream, ``_lockstep_impls`` asserts identical
-    outputs, evidence, memory, and work stats at every boundary."""
+    picks the workload and stream, ``_lockstep_reference`` asserts
+    identical outputs, evidence, memory, and work stats at every
+    boundary."""
     group = build_workload(spec, n_queries=4, seed=seed,
                            ranges=default_ranges())
-    _lockstep_impls(group, _stream(n=400, seed=stream_seed), "per-point")
+    _lockstep_reference(group, _stream(n=400, seed=stream_seed),
+                        "per-point")
 
 
 @pytest.mark.parametrize("shards,backend",
                          [(2, "serial"), (2, "process")])
-def test_sharded_skyband_impl_equivalence(shards, backend):
-    """skyband_impl flows through the sharded runtime: object and soa
-    shardings produce identical outputs at every boundary."""
-    from functools import partial
-
+def test_sharded_reference_equivalence(shards, backend):
+    """A sharded runtime of production detectors equals a sharded runtime
+    whose every shard scans with the reference runner."""
     from repro import QueryGroup, Runtime, compare_outputs
 
     group = build_workload("C", n_queries=4, seed=5,
                            ranges=default_ranges())
     points = make_synthetic_points(800, dim=2, outlier_rate=0.05, seed=23)
+    config = DetectorConfig(refresh_strategy="grid", shards=shards,
+                            backend=backend)
 
-    def run(impl):
-        config = DetectorConfig(refresh_strategy="grid", skyband_impl=impl,
-                                shards=shards, backend=backend)
-        factory = partial(SOPDetector, config=config)
-        runtime = Runtime(QueryGroup(list(group.queries)), factory=factory,
+    def run(factory):
+        runtime = Runtime(QueryGroup(list(group.queries)),
+                          factory=partial(factory, config=config),
                           config=config)
         return runtime.run(points).outputs
 
     try:
-        got = run("soa")
-        want = run("object")
+        got = run(SOPDetector)
+        want = run(_reference_detector)
     except OSError as exc:  # pragma: no cover - restricted sandboxes
         pytest.skip(f"process pool unavailable: {exc}")
     diffs = compare_outputs(want, got)
     assert not diffs, "\n".join(diffs[:10])
-
-
-def test_legacy_object_checkpoint_resumes_under_soa_default(tmp_path):
-    """A pre-refactor checkpoint (header config pins
-    ``skyband_impl="object"``) restores cleanly now that the default is
-    "soa", and the resumed run is bit-exact however it is restored:
-
-    * no factory -> the saved config rides along (still "object");
-    * factory with the new default -> loud mismatch naming both impls;
-    * factory + ``allow_config_mismatch=True`` -> deliberate upgrade to
-      the canonical SoA tier, same outputs.
-    """
-    group = build_workload("E", n_queries=5, seed=41,
-                           ranges=default_ranges())
-    points = _stream(n=1200, seed=19)
-    legacy = DetectorConfig(refresh_strategy="grid", skyband_impl="object")
-    batches = list(batches_by_boundary(points, group.swift.slide,
-                                       group.kind))
-    full = SOPDetector(group, config=legacy).run(points)
-
-    det = SOPDetector(group, config=legacy)
-    outputs = {}
-    half = len(batches) // 2
-    for t, batch in batches[:half]:
-        for qi, seqs in det.step(t, batch).items():
-            outputs[(qi, t)] = seqs
-    path = tmp_path / "legacy_object.ckpt"
-    save_checkpoint(det, batches[half - 1][0], path)
-
-    # 1. default restore: the saved object config is preserved
-    restored, last_t = load_checkpoint(path)
-    assert last_t == batches[half - 1][0]
-    assert restored.config.skyband_impl == "object"
-    assert restored.skyband_engine is None
-
-    # 2. a factory carrying the new default fails loudly, naming impls
-    with pytest.raises(ValueError, match="skyband_impl.*object.*soa"):
-        load_checkpoint(path, factory=lambda g: SOPDetector(
-            g, config=legacy.replace(skyband_impl="soa")))
-
-    # 3. explicit upgrade to the canonical SoA tier
-    upgraded, _ = load_checkpoint(
-        path,
-        factory=lambda g: SOPDetector(
-            g, config=legacy.replace(skyband_impl="soa")),
-        allow_config_mismatch=True)
-    assert upgraded.config.skyband_impl == "soa"
-    assert upgraded.skyband_engine is not None
-
-    # both resumed runs finish bit-exact vs the uninterrupted legacy run
-    for resumed in (restored, upgraded):
-        got = dict(outputs)
-        for t, batch in batches[half:]:
-            for qi, seqs in resumed.step(t, batch).items():
-                got[(qi, t)] = seqs
-        assert got == {(qi, t): seqs
-                       for (qi, t), seqs in full.outputs.items()}
 
 
 # ------------------------------------------------------------- AutoRefresh
@@ -503,16 +339,8 @@ def test_legacy_object_checkpoint_resumes_under_soa_default(tmp_path):
 class _FakeDet:
     """Just enough detector surface for AutoRefresh._pick/_observe."""
 
-    class _Buf(list):
-        pass
-
     def __init__(self, n):
         self.buffer = [0] * n
-        self.stats = {"ksky_runs": 0}
-
-        class P:
-            candidates_pruned = 0
-        self.profile = P()
 
 
 def test_auto_small_windows_probe_per_point_never_grid():

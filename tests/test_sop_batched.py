@@ -16,18 +16,20 @@ from hypothesis import strategies as st
 
 from repro import (
     DynamicSOPDetector,
+    KSkyRunner,
     OutlierQuery,
     Point,
     QueryGroup,
     SOPDetector,
+    VectorizedSkybandEngine,
     WindowSpec,
     make_synthetic_points,
 )
 from repro.bench import build_workload, default_ranges
-from repro.core.ksky import KSkyRunner
 from repro.core.parser import parse_workload
 from repro.streams.source import batches_by_boundary
 from repro.streams.windows import TIME
+from repro.testing import use_reference_scans
 
 from conftest import line_points
 
@@ -39,8 +41,8 @@ def _stream(n=1500, seed=9):
 def _run_lockstep(group, points, **kwargs):
     """Drive batched and per-point detectors boundary-by-boundary, asserting
     per-boundary equality of outputs and evidence volume."""
-    det_b = SOPDetector(group, use_batched_refresh=True, **kwargs)
-    det_p = SOPDetector(group, use_batched_refresh=False, **kwargs)
+    det_b = SOPDetector(group, refresh_strategy="batched", **kwargs)
+    det_p = SOPDetector(group, refresh_strategy="per-point", **kwargs)
     for t, batch in batches_by_boundary(points, group.swift.slide,
                                         group.kind):
         out_b = det_b.step(t, batch)
@@ -93,21 +95,22 @@ def test_crossover_and_ablation_flags():
     group = build_workload("A", n_queries=4, seed=5)
     stream = _stream(n=800)
     # a crossover above any batch size keeps everything on the per-point path
-    det_hi = SOPDetector(group, use_batched_refresh=True,
+    det_hi = SOPDetector(group, refresh_strategy="batched",
                          batch_min_rows=10 ** 6)
     res_hi = det_hi.run(stream)
     assert det_hi.stats["batched_scans"] == 0
-    det_off = SOPDetector(group, use_batched_refresh=False)
+    det_off = SOPDetector(group, refresh_strategy="per-point")
     res_off = det_off.run(stream)
     assert det_off.stats["batched_scans"] == 0
-    det_on = SOPDetector(group, use_batched_refresh=True, batch_min_rows=1)
+    det_on = SOPDetector(group, refresh_strategy="batched",
+                         batch_min_rows=1)
     res_on = det_on.run(stream)
     assert det_on.stats["batched_scans"] > 0
     assert res_hi.outputs == res_off.outputs == res_on.outputs
 
 
 def test_ablation_interactions():
-    """The batched flag composes with the paper's other ablations."""
+    """Batched mode composes with the paper's other ablations."""
     group = build_workload("C", n_queries=5, seed=31)
     stream = _stream(n=1000)
     for kwargs in (
@@ -130,8 +133,8 @@ def test_dynamic_register_withdraw_equivalence():
         OutlierQuery(r=900, k=7, window=WindowSpec(win=500, slide=100)),
     ]
     extra = OutlierQuery(r=1300, k=5, window=WindowSpec(win=400, slide=200))
-    dets = [DynamicSOPDetector(qs, use_batched_refresh=flag)
-            for flag in (True, False)]
+    dets = [DynamicSOPDetector(qs, refresh_strategy=strategy)
+            for strategy in ("batched", "per-point")]
     handle = {}
     slide = dets[0].swift.slide
     for t, batch in batches_by_boundary(stream, slide, qs[0].kind):
@@ -177,52 +180,27 @@ def test_random_stream_equivalence(data, n_points, seed):
     _run_lockstep(group, points, batch_min_rows=1)
 
 
-# ------------------------------------------------------- runner-level checks
-
-
-def _plan_and_buffer(points, group):
-    from repro.core.point import get_metric
-    from repro.streams.buffer import WindowBuffer
-
-    plan = parse_workload(group)
-    runner = KSkyRunner(plan, chunk_size=16)
-    buf = WindowBuffer(get_metric("euclidean"))
-    buf.extend(points)
-    return plan, runner, buf
-
-
-def test_scan_precomputed_matches_scan_new_arrivals(small_group):
-    points = _stream(n=300)
-    plan, runner, buf = _plan_and_buffer(points, small_group)
-    new_from = 120
-    tail = buf.points[new_from:]
-    cand_seqs = [q.seq for q in tail]
-    cand_poss = [float(q.seq) for q in tail]
-    for p in buf.points[::17]:
-        ref = runner.scan_new_arrivals(p.values, p.seq, buf, new_from)
-        dists = buf.pairwise_block(
-            np.asarray([p.values]), new_from, len(buf))
-        layers = plan.grid.layers_of(dists)[0].tolist()
-        got = runner.scan_precomputed(p.seq, layers, cand_seqs, cand_poss)
-        assert got.examined == ref.examined
-        assert got.terminated_early == ref.terminated_early
-        assert list(got.lsky.entries()) == list(ref.lsky.entries())
+# ------------------------------------------------------- engine-level checks
 
 
 @pytest.mark.parametrize("lo", [0, 75])
 def test_scan_batched_matches_per_point(small_group, lo):
-    points = _stream(n=260)
-    _, runner, buf = _plan_and_buffer(points, small_group)
+    """One batched sweep equals the reference per-point runner row by
+    row: entries, examined counts, termination."""
+    from repro.core.point import get_metric
+    from repro.streams.buffer import WindowBuffer
+
+    plan = parse_workload(small_group)
+    runner = KSkyRunner(plan, chunk_size=16)
+    engine = VectorizedSkybandEngine(plan, chunk_size=16)
+    buf = WindowBuffer(get_metric("euclidean"))
+    buf.extend(_stream(n=260))
     rows = list(range(0, len(buf), 5))
     seqs = [buf.points[i].seq for i in rows]
-    batched = runner.scan_batched(rows, seqs, buf, lo)
-    for i, row in enumerate(rows):
+    batched = engine.scan_batched(rows, seqs, buf, lo)
+    for row, got in zip(rows, batched):
         p = buf.points[row]
-        if lo == 0:
-            ref = runner.run_new_point(p.values, p.seq, buf)
-        else:
-            ref = runner.scan_new_arrivals(p.values, p.seq, buf, lo)
-        got = batched[i]
+        ref = runner.scan_new_arrivals(p.values, p.seq, buf, lo)
         assert got.examined == ref.examined, f"row {row}"
         assert got.terminated_early == ref.terminated_early, f"row {row}"
         assert list(got.lsky.entries()) == list(ref.lsky.entries()), (
@@ -242,18 +220,19 @@ def test_refresh_profile_records_boundaries():
     assert prof.refresh_ns > 0
     assert prof.kernel_launches > 0
     assert prof.batch_rows > 0
-    # SoA default: python_insert_iters is the interpreted work actually
-    # spent (replays + fallback visits), a strict subset of the logical
-    # scan; the bulk of the inserts land as soa_insert_rows instead.
+    # python_insert_iters is the interpreted work actually spent (replays
+    # + fallback visits), a strict subset of the logical scan; the bulk of
+    # the inserts land as soa_insert_rows instead.
     assert 0 < prof.python_insert_iters <= det.stats["points_examined"]
     assert prof.soa_insert_rows > 0
-    # the object oracle keeps the paper's L == points_examined identity
-    obj = SOPDetector(build_workload("A", n_queries=4, seed=2),
-                      skyband_impl="object")
-    obj.run(_stream(n=1000))
-    assert (obj.profile.python_insert_iters
-            == obj.stats["points_examined"])
-    assert obj.profile.soa_insert_rows == 0
+    # the reference scans examine the same L candidates (the paper's
+    # path-independent count) without touching the engine's counters
+    ref = use_reference_scans(
+        SOPDetector(build_workload("A", n_queries=4, seed=2)))
+    ref.run(_stream(n=1000))
+    assert ref.stats["points_examined"] == det.stats["points_examined"]
+    assert ref.profile.python_insert_iters == 0
+    assert ref.profile.soa_insert_rows == 0
     assert len(prof.samples) == prof.boundaries
     work = det.work_stats()
     for key in ("refresh_boundaries", "refresh_ns", "kernel_launches",

@@ -1,10 +1,10 @@
 """Grid-pruned refresh equivalence (the correctness gate of the pruning
 engine).
 
-``GridPrunedRefresh`` must be *indistinguishable* from ``BatchedRefresh``
-and ``PerPointRefresh`` in everything except the kernel volume: same
-outlier sets, same per-boundary ``memory_units()``, same LSky layer
-contents per tracked point, same ``points_examined``.  Only
+Grid mode must be *indistinguishable* from batched and per-point mode in
+everything except the kernel volume: same outlier sets, same per-boundary
+``memory_units()``, same LSky layer contents per tracked point, same
+``points_examined``.  Only
 ``distance_rows``/``kernel_calls`` may (and should) shrink -- pruned
 candidates are precisely the ``layer >= n_layers`` discards, which never
 touch scan state.  Everything here runs the engines side by side and
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import (
     DetectorConfig,
-    GridPrunedRefresh,
     OutlierQuery,
     Point,
     QueryGroup,
@@ -36,7 +35,7 @@ from repro.bench import build_workload, default_ranges
 from repro.streams.source import batches_by_boundary
 from repro.streams.windows import TIME
 
-from conftest import line_points
+from conftest import evidence, line_points
 
 STRATEGIES = ("per-point", "batched", "grid")
 
@@ -50,18 +49,6 @@ def _det(group, strategy, **kwargs):
     return SOPDetector(group, config=config)
 
 
-def _evidence(det):
-    """Frozen LSky layer contents (and safety state) per tracked point."""
-    out = {}
-    for seq, st_ in det._states.items():
-        if st_.seqs is None:
-            out[seq] = (None, st_.fully_safe)
-        else:
-            out[seq] = ((st_.seqs.tolist(), st_.poss.tolist(),
-                         st_.layers.tolist()), st_.fully_safe)
-    return out
-
-
 def _run_lockstep(group, points, **kwargs):
     """Drive all three engines boundary-by-boundary, asserting per-boundary
     equality of outputs, evidence volume, and LSky layer contents."""
@@ -70,13 +57,13 @@ def _run_lockstep(group, points, **kwargs):
     for t, batch in batches_by_boundary(points, group.swift.slide,
                                         group.kind):
         outs = {s: d.step(t, batch) for s, d in dets.items()}
-        ev_ref = _evidence(ref)
+        ev_ref = evidence(ref)
         for s, d in dets.items():
             assert outs[s] == outs["batched"], f"{s} outputs diverge at t={t}"
             assert d.memory_units() == ref.memory_units(), (
                 f"{s} evidence volume diverges at t={t}")
             assert d.tracked_points() == ref.tracked_points()
-            assert _evidence(d) == ev_ref, (
+            assert evidence(d) == ev_ref, (
                 f"{s} LSky contents diverge at t={t}")
     return dets
 
@@ -150,20 +137,18 @@ def test_crossover_falls_back_per_point():
 
 def test_config_strategy_selection():
     group = build_workload("A", n_queries=3, seed=1)
-    assert isinstance(_det(group, "grid").refresh_engine, GridPrunedRefresh)
-    assert _det(group, "batched").refresh_engine.name == "batched"
-    assert _det(group, "per-point").refresh_engine.name == "per-point"
-    # auto names the measured crossover engine unless the legacy ablation
-    # flag asks for per-point
-    auto_on = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="auto", use_batched_refresh=True))
-    auto_off = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="auto", use_batched_refresh=False))
-    assert auto_on.refresh_engine.name == "auto"
-    assert auto_off.refresh_engine.name == "per-point"
+    for strategy in STRATEGIES:
+        engine = _det(group, strategy).refresh_engine
+        assert engine.name == strategy
+        # pinned strategies carry no policy and an empty decision trace
+        assert engine.policy is None and engine.decisions == []
+    # auto (the default) is the measured crossover policy
+    auto = SOPDetector(group).refresh_engine
+    assert auto.name == "auto" and auto.policy is not None
+    assert auto.decisions is auto.policy.decisions
     # legacy kwarg spelling reaches the config too
     legacy = SOPDetector(group, refresh_strategy="grid")
-    assert isinstance(legacy.refresh_engine, GridPrunedRefresh)
+    assert legacy.refresh_engine.name == "grid"
     with pytest.raises(ValueError, match="refresh_strategy"):
         DetectorConfig(refresh_strategy="quantum")
 
@@ -174,8 +159,7 @@ def test_config_roundtrip_preserves_strategy():
     # configs predating the field (old checkpoints) restore unchanged
     old = {k: v for k, v in DetectorConfig().as_dict().items()
            if k != "refresh_strategy"}
-    assert DetectorConfig.from_dict(old).resolved_refresh_strategy() == (
-        "auto")
+    assert DetectorConfig.from_dict(old).refresh_strategy == "auto"
 
 
 # --------------------------------------------------- sharded runtime plumbing
