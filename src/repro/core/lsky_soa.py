@@ -8,16 +8,15 @@ them without a per-entry interpreted loop:
 * :class:`LSkySoA` -- the array carrier a scan result hands to the
   evidence commit (the reference :class:`~repro.core.lsky.LSky` keeps the
   paper's mutation/query API; this one only adopts and exposes arrays);
-* :func:`insert_limits` + :func:`resolve_chunk_inserts` -- the vectorized
-  form of the Alg. 2 ``skyEvaluate`` insert loop over a whole candidate
-  chunk (see the exactness argument below);
-* an optional numba kernel behind the ``REPRO_NUMBA=1`` environment flag
-  (:func:`numba_active`), which compiles the *literal* sequential decision
-  loop; when numba is absent or the flag is off, the pure-numpy path runs.
+* :func:`insert_limits` + :func:`tile_insert_mask` -- the Alg. 2
+  ``skyEvaluate`` insert loop of a whole ``rows x candidates`` kernel
+  tile as one array pass per layer;
+* :func:`tile_stops` -- where each row's scan stops inside that tile, in
+  closed form, so the K-SKY termination rule costs no per-insert work.
 
-Exactness of the vectorized insert resolve (DESIGN.md section 12 carries the
-full argument).  The sequential loop inserts a candidate at layer ``m``
-iff ``c < k_max and m <= allowed_layer[c]`` where ``c`` is the dominator
+Exactness of the tile insert mask (DESIGN.md section 12 carries the full
+argument).  The sequential loop inserts a candidate at layer ``m`` iff
+``c < k_max and m <= allowed_layer[c]`` where ``c`` is the dominator
 count at evaluation time.  Two structural facts make the loop computable
 with array passes:
 
@@ -30,30 +29,34 @@ with array passes:
    layer-``m`` candidates is nondecreasing along the scan (inserts only
    ever add dominators).  Therefore the inserted layer-``m`` candidates
    form a *prefix* of the layer-``m`` candidates in scan order, and the
-   prefix length is one ``searchsorted`` against ``limit(m)`` once the
-   dominator base of each candidate is known.  Processing layers in
-   ascending order makes that base available: a layer-``m`` candidate's
-   dominators are the stored entries at layers ``<= m`` plus the
-   already-resolved chunk inserts at layers ``<= m`` that precede it in
-   scan order -- and inserts at layers ``< m`` never depend on decisions
-   at layers ``>= m``.
+   prefix is one comparison against ``limit(m)`` once the dominator base
+   of each candidate is known.  Processing layers in ascending order
+   makes that base available: a layer-``m`` candidate's dominators are
+   the stored entries at layers ``<= m`` plus the already-resolved tile
+   inserts at layers ``<= m`` that precede it in scan order -- and
+   inserts at layers ``< m`` never depend on decisions at layers
+   ``>= m``.  The argument is row-wise, so every row of a tile takes the
+   same pass at once.
 
-The resolve ignores early termination; the caller replays the (small)
-insert sequence through the real ``_Resolution`` tracker to find the exact
-cut point, so regime transitions and check cadence stay literal.
+Exactness of the stops (DESIGN.md section 12, closed-form stops).  The mask ignores early
+termination; what it fixes is the insert sequence the scan *would* make.
+Sub-group ``(min_layer d, k)`` resolves at the insert that brings the
+count of entries at layers ``<= d`` to ``k`` -- a position read off one
+``cumsum`` -- and ``_Resolution``'s hybrid check cadence is a function of
+those positions alone, so the stop point needs no replay.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from .ksky import _Resolution
 from .lsky import SkybandEntry
 
-__all__ = ["LSkySoA", "insert_limits", "resolve_chunk_inserts",
-           "numba_active"]
+__all__ = ["LSkySoA", "insert_limits", "tile_insert_mask",
+           "tile_stops"]
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -79,19 +82,6 @@ class LSkySoA:
         self.poss = np.asarray(poss, dtype=np.float64)
         self.layers = np.asarray(layers, dtype=np.int64)
 
-    @classmethod
-    def from_segments(cls, n_layers: int, segs_s: List, segs_p: List,
-                      segs_l: List) -> "LSkySoA":
-        """Adopt per-chunk scan-order segments (arrays or plain lists)."""
-        if len(segs_s) == 1:
-            return cls(n_layers, segs_s[0], segs_p[0], segs_l[0])
-        return cls(
-            n_layers,
-            np.concatenate([np.asarray(s, dtype=np.int64) for s in segs_s]),
-            np.concatenate([np.asarray(p, dtype=np.float64) for p in segs_p]),
-            np.concatenate([np.asarray(l, dtype=np.int64) for l in segs_l]),
-        )
-
     def __len__(self) -> int:
         return len(self.seqs)
 
@@ -109,7 +99,7 @@ class LSkySoA:
         return f"LSkySoA({len(self)} entries over {self.n_layers} layers)"
 
 
-# --------------------------------------------------------- vectorized resolve
+# ------------------------------------------------------------- tile resolve
 
 
 def insert_limits(allowed_layer: Sequence[int], k_max: int,
@@ -121,7 +111,7 @@ def insert_limits(allowed_layer: Sequence[int], k_max: int,
     ``c < k_max and m <= allowed_layer[c]`` is exactly ``c < limit[m]``.
     Built once per plan; O(n_layers * k_max).
     """
-    limits = np.empty(n_layers, dtype=np.int64)
+    limits = np.empty(n_layers, dtype=np.int32)
     for m in range(n_layers):
         lim = k_max
         for c in range(k_max):
@@ -132,112 +122,101 @@ def insert_limits(allowed_layer: Sequence[int], k_max: int,
     return limits
 
 
-def resolve_chunk_inserts(
-    m_scan: np.ndarray, layer_counts: np.ndarray, limits: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions (in scan order) the sequential insert loop would insert.
+def tile_insert_mask(L: np.ndarray, csum: np.ndarray,
+                     limits: np.ndarray) -> np.ndarray:
+    """Which candidates of a ``rows x candidates`` tile the sequential
+    insert loop would insert, early termination ignored.
 
-    ``m_scan`` holds candidate layers in scan (newest-first) order, all
-    ``< n_layers``; ``layer_counts`` the stored per-layer entry counts
-    (not mutated); ``limits`` comes from :func:`insert_limits`.  Early
-    termination is ignored -- the caller replays the returned sequence
-    through ``_Resolution`` and truncates at the exact stop point.
-
-    Returns ``(positions, layers)`` with positions strictly ascending.
+    ``L[R, W]`` holds candidate layers in scan (newest-first) order, with
+    ``n_layers`` (or anything above) in every column a row must not
+    consider -- beyond-``r_max`` candidates and the row's own point;
+    ``csum[R, n_layers]`` is each row's cumulative stored layer count
+    (``csum[:, m]`` = entries at layers ``<= m``); ``limits`` comes from
+    :func:`insert_limits`.  One pass per layer some row still has room
+    in, ascending: a layer-``m`` candidate is inserted iff its rank among
+    the row's layer-``m`` candidates plus the lower-layer inserts scanned
+    before it fits in ``limits[m] - csum[:, m]`` (the prefix argument of
+    the module docstring, all rows at once).  Returns the boolean mask.
     """
-    n = m_scan.shape[0]
-    if not n:
-        return _EMPTY_I, _EMPTY_I
-    order = np.argsort(m_scan, kind="stable")
-    m_sorted = m_scan[order]
-    csum = np.cumsum(layer_counts)
-    uniq, starts = np.unique(m_sorted, return_index=True)
-    bounds = np.append(starts, n)
-    ins_pos: Optional[np.ndarray] = None
-    out_pos: List[np.ndarray] = []
-    out_m: List[np.ndarray] = []
-    for ui in range(uniq.shape[0]):
-        m = int(uniq[ui])
-        # scan positions of the layer-m candidates, ascending (stable sort)
-        pos_m = order[starts[ui]: bounds[ui + 1]]
-        base = int(csum[m])
-        if ins_pos is not None:
-            # + already-resolved lower-layer inserts preceding each one
-            vals = (base + np.searchsorted(ins_pos, pos_m)
-                    + np.arange(pos_m.shape[0]))
-        else:
-            vals = base + np.arange(pos_m.shape[0])
-        # dominator counts along the would-be insert prefix are strictly
-        # increasing, so the prefix ends at one searchsorted
-        t = int(np.searchsorted(vals, int(limits[m]), side="left"))
-        if t:
-            take = pos_m[:t]
-            out_pos.append(take)
-            out_m.append(np.full(t, m, dtype=np.int64))
-            ins_pos = (take if ins_pos is None
-                       else np.sort(np.concatenate((ins_pos, take))))
-    if not out_pos:
-        return _EMPTY_I, _EMPTY_I
-    pos_all = np.concatenate(out_pos)
-    m_all = np.concatenate(out_m)
-    o = np.argsort(pos_all)
-    return pos_all[o], m_all[o]
+    room = limits - csum
+    passes = (room > 0).any(axis=0).nonzero()[0].tolist()
+    ins = None
+    #: lower-layer inserts scanned up to each position
+    prior = None
+    for m in passes:
+        is_m = L == m
+        rank = np.cumsum(is_m, axis=1, dtype=np.int32)
+        take = is_m & ((rank if prior is None else rank + prior)
+                       <= room[:, m, None])
+        ins = take if ins is None else ins | take
+        if m != passes[-1]:
+            # the taken ones are a prefix of the layer's candidates, so
+            # their running count is the rank capped at the prefix length
+            np.minimum(rank, take.sum(axis=1, dtype=np.int32)[:, None],
+                       out=rank)
+            prior = rank if prior is None else prior + rank
+    return np.zeros(L.shape, dtype=bool) if ins is None else ins
 
 
-# ------------------------------------------------------------- numba (gated)
+def tile_stops(L: np.ndarray, ins: np.ndarray, csum: np.ndarray,
+               alive: np.ndarray, sub_layers: np.ndarray, sub_ks: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each row's scan terminates inside the tile, and what stays
+    pending where it does not -- ``_Resolution`` in closed form.
 
-#: feature flag: compile the sequential resolve with numba when available
-_NUMBA_FLAG = os.environ.get("REPRO_NUMBA", "") == "1"
-_NUMBA_KERNEL = None
-_NUMBA_TRIED = False
+    ``L``/``ins``/``csum`` as in :func:`tile_insert_mask`; ``alive[R, G]``
+    marks each row's pending sub-groups of the template
+    ``(sub_layers[g], sub_ks[g])``, all unresolved under ``csum`` (every
+    chunk that inserts ends in ``check()``, so that -- and a zero
+    ``_since_check`` -- is what a scan holds at chunk start).
 
-
-def _load_numba_kernel():
-    """Compile the literal sequential insert loop; None when unavailable."""
-    global _NUMBA_KERNEL, _NUMBA_TRIED
-    if _NUMBA_TRIED:
-        return _NUMBA_KERNEL
-    _NUMBA_TRIED = True
-    try:  # pragma: no cover - exercised only on numba-equipped CI
-        import numba
-
-        @numba.njit(cache=False)
-        def _resolve(m_scan, layer_counts, allowed, k_max):
-            counts = layer_counts.copy()
-            n = m_scan.shape[0]
-            out = np.empty(n, np.int64)
-            w = 0
-            for s in range(n):
-                m = m_scan[s]
-                dc = 0
-                for layer in range(m + 1):
-                    dc += counts[layer]
-                if dc < k_max and m <= allowed[dc]:
-                    counts[m] += 1
-                    out[w] = s
-                    w += 1
-            return out[:w]
-
-        # warm the compile outside the hot path
-        _resolve(np.zeros(1, np.int64), np.zeros(1, np.int64),
-                 np.zeros(1, np.int64), 1)
-        _NUMBA_KERNEL = _resolve
-    except Exception:
-        _NUMBA_KERNEL = None
-    return _NUMBA_KERNEL
-
-
-def numba_active() -> bool:
-    """True iff ``REPRO_NUMBA=1`` and numba imported and compiled."""
-    return _NUMBA_FLAG and _load_numba_kernel() is not None
-
-
-def resolve_chunk_inserts_numba(
-    m_scan: np.ndarray, layer_counts: np.ndarray, allowed: np.ndarray,
-    k_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Numba-compiled sequential resolve; same contract as
-    :func:`resolve_chunk_inserts` (positions ascending, layers aligned)."""
-    kernel = _load_numba_kernel()
-    pos = kernel(m_scan, layer_counts, allowed, k_max)
-    return pos, m_scan[pos]
+    ``tau[r, g]`` is the scan position of the insert that resolves
+    sub-group ``g`` (``W`` = not in this tile): the ``k - csum[d]``-th
+    insert at layers ``<= d``.  A row with at most ``_EXACT_LIMIT``
+    pending sub-groups is checked after every insert and stops at its
+    largest pending ``tau``; a row with none stops at its first insert;
+    a row with more replays the ``_CHECK_EVERY`` cadence over ``tau``
+    converted to insert counts (the one per-row loop, for that regime
+    only).  Returns ``(stop[R], pending[R, G])``: the terminating scan
+    position (``W`` = the row runs the tile out; truncate ``ins`` after
+    it) and the sub-groups still pending after the chunk-end ``check()``
+    (none for a row that stopped).
+    """
+    width = L.shape[1]
+    tau = np.full(alive.shape, width, dtype=np.int32)
+    layers = sub_layers.tolist()
+    cum_layer = -1
+    for g in sorted(alive.any(axis=0).nonzero()[0].tolist(),
+                    key=layers.__getitem__):
+        d = layers[g]
+        if d != cum_layer:
+            cum_layer = d
+            cum = np.cumsum(ins & (L <= d), axis=1, dtype=np.int32)
+        tau[:, g] = (cum < (sub_ks[g] - csum[:, d])[:, None]).sum(axis=1)
+    n_pending = alive.sum(axis=1)
+    stop = np.max(tau, axis=1, initial=-1, where=alive)
+    if not n_pending.all():
+        idle = n_pending == 0
+        stop[idle] = np.where(ins[idle].any(axis=1),
+                              ins[idle].argmax(axis=1), width)
+    if alive.shape[1] > _Resolution._EXACT_LIMIT:
+        every = _Resolution._CHECK_EVERY
+        for r in (n_pending > _Resolution._EXACT_LIMIT).nonzero()[0].tolist():
+            at = ins[r].nonzero()[0]
+            n_ins = len(at)
+            # insert count at which each pending sub-group resolves
+            t = tau[r, alive[r]]
+            t = np.where(t < width, np.searchsorted(at, t, side="right"),
+                         n_ins + 1)
+            stop[r] = width
+            for check in range(every, n_ins + 1, every):
+                t = t[t > check]
+                if len(t) <= _Resolution._EXACT_LIMIT:
+                    # all resolved at this check, or the exact rule from
+                    # here on
+                    last = int(t.max()) if len(t) else check
+                    if last <= n_ins:
+                        stop[r] = at[last - 1]
+                    break
+    pending = alive & (tau == width) & (stop == width)[:, None]
+    return stop, pending

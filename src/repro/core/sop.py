@@ -166,6 +166,9 @@ class SOPDetector(Detector):
         #: safe-for-all component (see repro.engine.safety)
         self.safety = SafetyTracker(self.plan)
         self._states: Dict[int, _PointState] = {}
+        #: skyband entries held across ``_states``, kept current by every
+        #: writer of it (``expire``, ``_store``, ``_mark_prefilter_safe``)
+        self._memory_units = 0
         #: counters for ablation studies and optimality tests
         self.stats = {
             "ksky_runs": 0,
@@ -215,7 +218,9 @@ class SOPDetector(Detector):
         if evicted:
             self._gen += 1
             for p in evicted:
-                self._states.pop(p.seq, None)
+                st = self._states.pop(p.seq, None)
+                if st is not None:
+                    self._memory_units -= st.entry_count()
         return evicted
 
     def _refresh(self, window_start: float) -> None:
@@ -291,20 +296,24 @@ class SOPDetector(Detector):
         stats["points_examined"] += examined
         if terminated:
             stats["early_terminations"] += 1
+        held = 0 if st is None else st.entry_count()
         if self.use_safe_inliers and self.safety.is_fully_safe(p.seq, seqs,
                                                                layers):
             stats["fully_safe_marked"] += 1
             self._states[p.seq] = _PointState(None, None, None, newest_seq,
                                               True)
+            self._memory_units -= held
             self._gen += 1
         elif st is None:
             self._states[p.seq] = _PointState(seqs, poss, layers, newest_seq,
                                               False)
+            self._memory_units += len(seqs)
             self._gen += 1
         else:
             if (st.seqs is not seqs or st.poss is not poss
                     or st.layers is not layers):
                 st.seqs, st.poss, st.layers = seqs, poss, layers
+                self._memory_units += len(seqs) - held
                 self._gen += 1
             st.last_seen_seq = newest_seq
 
@@ -318,6 +327,9 @@ class SOPDetector(Detector):
         have reached the same state at this very boundary.
         """
         self.stats["fully_safe_marked"] += 1
+        st = self._states.get(p_seq)
+        if st is not None:
+            self._memory_units -= st.entry_count()
         self._states[p_seq] = _PointState(None, None, None, newest_seq,
                                           True)
         self._gen += 1
@@ -330,8 +342,9 @@ class SOPDetector(Detector):
     # -------------------------------------------------------------- metrics
 
     def memory_units(self) -> int:
-        """Skyband entries currently stored (the paper's MEM metric)."""
-        return sum(st.entry_count() for st in self._states.values())
+        """Skyband entries currently stored (the paper's MEM metric): a
+        running total, so metering a boundary does not walk the window."""
+        return self._memory_units
 
     def tracked_points(self) -> int:
         return len(self._states)

@@ -43,7 +43,7 @@ mutation generation.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,9 +52,8 @@ from ..core.ksky import KSkyResult, _Resolution
 from ..core.lsky_soa import (
     LSkySoA,
     insert_limits,
-    numba_active,
-    resolve_chunk_inserts,
-    resolve_chunk_inserts_numba,
+    tile_insert_mask,
+    tile_stops,
 )
 from ..index import GridCandidateIndex
 
@@ -77,12 +76,13 @@ class AutoRefresh:
     Two regimes, split at ``_MIN_WINDOW`` live points:
 
     * **large** -- batched vs. grid.  Grid eligibility additionally
-      requires the probe to show real pruning work
-      (``candidates_pruned / batch_rows`` from the boundary's
-      :class:`~repro.metrics.profiling.RefreshProfile` sample): a probe
-      that pruned next to nothing can still come out ahead on noise, and
-      the recorded r=200 regressions are exactly the regime where pruning
-      volume per row is low relative to window size.
+      requires the probe to show real pruning work: the boundary's
+      ``candidates_pruned`` divided by its ``ksky_runs`` (every scan the
+      boundary ran, sub-crossover per-point rows included -- not
+      ``batch_rows``) must reach ``_MIN_PRUNE_PER_ROW``.  A probe that
+      pruned next to nothing can still come out ahead on noise, and the
+      recorded r=200 regressions are exactly the regime where pruning
+      volume per scan is low relative to window size.
     * **small** -- batched vs. per-point.  Grid is never probed there (no
       recorded win under ~8k windows).  Unlike the large regime, the
       small-regime *choice* is counter-only: per-point is eligible exactly
@@ -116,7 +116,7 @@ class AutoRefresh:
     #: regime split: below this live-window size the alternative mode
     #: is per-point, at or above it the alternative is grid
     _MIN_WINDOW = 4096
-    #: minimum pruned candidates per scanned row for grid to be eligible
+    #: minimum pruned candidates per K-SKY run for grid to be eligible
     _MIN_PRUNE_PER_ROW = 64.0
     #: batched rows per kernel launch below which per-point is eligible
     #: (the batch tier is pure overhead: no launch amortizes anything)
@@ -355,9 +355,9 @@ class RefreshEngine:
             self._cells_seen = self._grid.cells_visited
         ns = time.perf_counter_ns() - t0
         launches = buf.kernel_calls - kernels0
-        # ``python_insert_iters`` is the interpreted iterations the scan
-        # engine actually spent (resolve replays + fallback visits), not
-        # the logical candidate count -- that is ``points_examined``
+        # ``python_insert_iters`` is the interpreted steps the scan engine
+        # actually spent (tiles resolved + literal-loop visits), not the
+        # logical candidate count -- that is ``points_examined``
         det.profile.record(
             ns,
             launches,
@@ -469,41 +469,18 @@ class RefreshEngine:
 # ------------------------------------------------------------ the scan engine
 
 
-class _SoaRow:
-    """Per-evaluated-point scan state for :class:`VectorizedSkybandEngine`.
+class _ScanRow:
+    """One per-point scan's stored layers, shaped for the real
+    ``_Resolution`` (its ``on_insert``/``check`` duck-type against
+    ``_sorted_layers``/``dominator_count``, as an ``LSky`` gives them)."""
 
-    Entries accumulate as bulk array segments (one per contributing
-    chunk); the sorted layer multiset and per-layer counts are maintained
-    incrementally so ``_Resolution`` sees exactly the state an ``LSky``
-    would give it (its ``on_insert``/``check`` duck-type against
-    ``_sorted_layers``/``dominator_count``).
-    """
+    __slots__ = ("_sorted_layers",)
 
-    __slots__ = ("resolution", "_sorted_layers", "counts",
-                 "segs_s", "segs_p", "segs_l", "n", "thresh")
-
-    def __init__(self, resolution: _Resolution, n_layers: int):
-        self.resolution = resolution
+    def __init__(self):
         self._sorted_layers: List[int] = []
-        self.counts = [0] * n_layers
-        self.segs_s: List = []
-        self.segs_p: List = []
-        self.segs_l: List = []
-        self.n = 0
-        #: cached per-chunk insert threshold (k_max-th smallest layer)
-        self.thresh = n_layers
 
     def dominator_count(self, layer: int) -> int:
         return bisect_right(self._sorted_layers, layer)
-
-    def finalize(self, n_layers: int) -> LSkySoA:
-        # segments may be numpy arrays (vectorized chunks) or plain lists
-        # (the int fast paths); eager adoption is the right trade because
-        # every result is consumed exactly once by the evidence commit
-        if not self.segs_s:
-            return LSkySoA(n_layers)
-        return LSkySoA.from_segments(n_layers, self.segs_s, self.segs_p,
-                                     self.segs_l)
 
 
 class VectorizedSkybandEngine:
@@ -515,26 +492,29 @@ class VectorizedSkybandEngine:
     termination candidates, same ``examined`` arithmetic, same
     ``distance_rows`` -- ``tests/test_lsky_soa.py`` drives both in
     lockstep over the Table 1 grid and asserts entry-for-entry equality.
-    What differs is *how* the per-candidate resolve loop runs:
+    What differs is *how* the per-candidate loop runs.  There is one
+    resolve (:meth:`_resolve_tile`): the insert decisions of a whole
+    ``rows x candidates`` kernel tile in one array pass per layer
+    (:func:`~repro.core.lsky_soa.tile_insert_mask`) and every row's
+    termination point in closed form
+    (:func:`~repro.core.lsky_soa.tile_stops`) -- no insert is replayed.
+    :meth:`scan_batched` feeds it each chunk's tile with the row state
+    (stored layer counts, exit index) held in arrays and splits the
+    inserted ``(row, live index, layer)`` triples into per-row results
+    once at the end; :meth:`scan_new_arrivals` feeds it one-row tiles and
+    keeps the literal Alg. 2 loop for selections of at most
+    ``_SEQ_LIMIT`` candidates, where array passes cost more than they
+    save.
 
-    * per-chunk candidate selection, the zero-candidate fold, and the
-      per-row threshold gather are whole-array passes;
-    * multi-layer insert sets come from
-      :func:`~repro.core.lsky_soa.resolve_chunk_inserts` (the per-layer
-      prefix argument; see that module's docstring) -- or, behind
-      ``REPRO_NUMBA=1``, from a compiled sequential kernel -- and only the
-      (small, bounded by ``k_max * n_layers``) insert sequence is replayed
-      through the real ``_Resolution`` to find the exact termination cut;
-    * inserted entries land in the skyband as bulk array segments
-      (``soa_rows`` counts them), not per-entry appends.
-
-    ``py_iters`` counts the interpreted iterations actually spent
-    (replays, small-chunk fallback visits, per-row-chunk visits); the
-    profile reports it as ``python_insert_iters``.
+    ``py_iters`` (the profile's ``python_insert_iters``) counts the
+    interpreted steps left: one per resolved tile, one per row in the
+    ``_CHECK_EVERY`` cadence regime, one per per-point chunk visited and
+    one per candidate of the literal loop.  ``soa_rows`` counts the
+    skyband entries committed.
     """
 
-    #: below this many selected candidates, the literal sequential
-    #: insert loop beats the argsort/searchsorted passes
+    #: at or below this many selected candidates, a per-point chunk runs
+    #: the literal sequential insert loop instead of a one-row tile
     _SEQ_LIMIT = 16
 
     def __init__(self, plan, chunk_size: int = 256):
@@ -543,219 +523,47 @@ class VectorizedSkybandEngine:
         self.plan = plan
         self.chunk_size = chunk_size
         self.by_time = plan.kind == "time"
+        #: the sub-group template ``(min_layer, k)``, as ``_Resolution``
+        #: takes it and as the two columns ``tile_stops`` takes
         self._pending = [(sg.min_layer, sg.k) for sg in plan.subgroups]
+        self._sub_layers = plan.subgroup_min_layers
+        self._sub_ks = plan.subgroup_ks.astype(np.int32)
         self._limits = insert_limits(plan.allowed_layer, plan.k_max,
                                      plan.n_layers)
-        self._allowed_arr = np.asarray(plan.allowed_layer, dtype=np.int64)
-        self._numba = numba_active()
-        #: interpreted resolve iterations (the profile's
+        self._layer_dtype = np.min_scalar_type(plan.n_layers)
+        #: interpreted resolve steps (the profile's
         #: ``python_insert_iters``)
         self.py_iters = 0
-        #: skyband entries committed through bulk array appends
+        #: skyband entries committed
         self.soa_rows = 0
 
-    def _result(self, state: _SoaRow, examined: int, terminated: bool,
-                resolved: bool) -> KSkyResult:
-        return KSkyResult(
-            lsky=state.finalize(self.plan.n_layers),
-            examined=examined,
-            terminated_early=terminated,
-            resolved_all=resolved,
-        )
+    def _resolve_tile(self, L: np.ndarray, csum: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+        """Resolve one tile: ``L[R, W]`` candidate layers in scan order
+        (``n_layers`` where a row has no candidate), ``csum[R, n_layers]``
+        the rows' cumulative stored layer counts at chunk start.
 
-    def _resolve_row_chunk(
-        self,
-        state: _SoaRow,
-        j_self: int,
-        block_lo: int,
-        lo_s: int,
-        hi_s: int,
-        js_nz,
-        js_all: List[int],
-        ms_all: Optional[List[int]],
-        lmat_row,
-        cand_list: Optional[List[int]],
-        cand_arr: Optional[np.ndarray],
-        c_base: int,
-        seq_arr: np.ndarray,
-        pos_arr: np.ndarray,
-        seqs_list: List[int],
-        poss_list: List[float],
-        single: bool,
-    ) -> Tuple[bool, bool, int, int, int]:
-        """Resolve one evaluated point's selected candidates of one chunk.
-
-        The shared core of every scan: the batched sweep
-        (:meth:`scan_batched`) and the per-point scan
-        (:meth:`scan_new_arrivals`) both land here,
-        so insert decisions, regime selection (single-layer bulk take /
-        small-chunk sequential / vectorized resolve + bounded replay) and
-        termination candidates are one implementation.
-
-        ``js_all``/``ms_all`` are flat python lists of selected column
-        indexes/layers with this row's span at ``[lo_s, hi_s)``; ``js_nz``
-        and ``lmat_row`` are their array twins for the vectorized branch.
-        ``cand_list``/``cand_arr`` map columns to live buffer indexes when
-        the kernel saw a candidate subset (``None`` -> ``block_lo + j``).
-        ``j_self`` is the evaluated point's own column in this chunk (-1
-        when absent).  Returns ``(inserted, terminated, jt, py_iters,
-        soa_rows)`` with ``jt`` the terminating candidate's chunk-relative
-        index; the row's cached insert threshold is refreshed before
-        returning.
+        A row's pending sub-groups are exactly the ones unresolved under
+        ``csum``: every chunk that inserts ends in ``check()``, and a
+        chunk that does not leaves both sides unchanged.  Returns
+        ``(ins, stop, stopped, pending)``: the inserted candidates up to
+        and including each row's terminating one, its scan position,
+        whether it has one (``stop < W``; otherwise the row consumes the
+        whole tile), and what is still pending after the chunk-end check.
         """
-        plan = self.plan
-        n_layers = plan.n_layers
-        k_max = plan.k_max
-        allowed = plan.allowed_layer
-        resolution = state.resolution
-        terminated = False
-        inserted = False
-        jt = 0
-        py_iters = 1
-        soa_rows = 0
-        if single:
-            # fixed-r bulk take.  With one layer and the exact
-            # per-insert resolution regime the scan collapses: every
-            # selected candidate is at layer 0, is always insertable
-            # (``allowed[c] == 0`` for ``c < k_max``), and the scan
-            # terminates exactly at the ``k_max``-th insert (layer 0 is
-            # ``<= min_layer`` for every sub-group, so all of ``pending``
-            # resolves when the dominator count reaches the largest k).
-            # So: take the newest `k_max - n` selected candidates --
-            # same inserts, same termination candidate, same final
-            # ``pending`` as per-insert filtering would have left
-            need = k_max - state.n
-            take: List[int] = []
-            ii = hi_s - 1
-            while ii >= lo_s and len(take) < need:
-                j = js_all[ii]
-                if j != j_self:
-                    take.append(block_lo + j if cand_list is None
-                                else cand_list[c_base + j])
-                ii -= 1
-            if take:
-                t = len(take)
-                segs_s = state.segs_s
-                if t > 32:
-                    live = np.asarray(take, dtype=np.int64)
-                    segs_s.append(seq_arr[live])
-                    state.segs_p.append(pos_arr[live])
-                    state.segs_l.append(
-                        np.zeros(t, dtype=np.int64))
-                elif segs_s and type(segs_s[-1]) is list:
-                    # coalesce into the trailing list segment:
-                    # rows that collect entries a few per chunk
-                    # (small-r regimes) stay single-segment, so
-                    # adoption is one asarray, not a concat chain
-                    segs_s[-1].extend(
-                        [seqs_list[x] for x in take])
-                    state.segs_p[-1].extend(
-                        [poss_list[x] for x in take])
-                    state.segs_l[-1].extend([0] * t)
-                else:
-                    segs_s.append(
-                        [seqs_list[x] for x in take])
-                    state.segs_p.append(
-                        [poss_list[x] for x in take])
-                    state.segs_l.append([0] * t)
-                state.n += t
-                state._sorted_layers.extend([0] * t)
-                state.counts[0] += t
-                inserted = True
-                soa_rows += t
-                if t == need:
-                    resolution.pending = []
-                    terminated = True
-                    jt = take[-1] - block_lo
-        elif hi_s - lo_s <= self._SEQ_LIMIT:
-            # small chunk: the sequential inner loop (Alg. 2 verbatim)
-            # is cheaper than the array passes
-            sl = state._sorted_layers
-            counts = state.counts
-            on_insert = resolution.on_insert
-            app_idx: List[int] = []
-            app_m: List[int] = []
-            for ii in range(hi_s - 1, lo_s - 1, -1):
-                j = js_all[ii]
-                if j == j_self:
-                    continue
-                idx = (block_lo + j if cand_list is None
-                       else cand_list[c_base + j])
-                py_iters += 1
-                m = ms_all[ii]
-                c = bisect_right(sl, m)
-                if c < k_max and m <= allowed[c]:
-                    app_idx.append(idx)
-                    app_m.append(m)
-                    insort(sl, m)
-                    counts[m] += 1
-                    inserted = True
-                    if on_insert(state, m):
-                        terminated = True
-                        jt = idx - block_lo
-                        break
-            if app_idx:
-                segs_s = state.segs_s
-                if segs_s and type(segs_s[-1]) is list:
-                    segs_s[-1].extend(
-                        [seqs_list[x] for x in app_idx])
-                    state.segs_p[-1].extend(
-                        [poss_list[x] for x in app_idx])
-                    state.segs_l[-1].extend(app_m)
-                else:
-                    segs_s.append(
-                        [seqs_list[x] for x in app_idx])
-                    state.segs_p.append(
-                        [poss_list[x] for x in app_idx])
-                    state.segs_l.append(app_m)
-                state.n += len(app_idx)
-                soa_rows += len(app_idx)
-        else:
-            # vectorized resolve: compute the untruncated insert
-            # set with array passes, then replay it through the
-            # real _Resolution to find the exact termination cut
-            js = js_nz[lo_s:hi_s]
-            if j_self >= 0:
-                js = js[js != j_self]
-            js_desc = js[::-1]
-            m_scan = lmat_row[js_desc]
-            counts_arr = np.asarray(state.counts, dtype=np.int64)
-            if self._numba:
-                pos, ins_m = resolve_chunk_inserts_numba(
-                    m_scan, counts_arr, self._allowed_arr, k_max)
-            else:
-                pos, ins_m = resolve_chunk_inserts(
-                    m_scan, counts_arr, self._limits)
-            if len(pos):
-                cols = js_desc[pos]
-                live = (block_lo + cols if cand_arr is None
-                        else cand_arr[c_base + cols])
-                sl = state._sorted_layers
-                counts = state.counts
-                on_insert = resolution.on_insert
-                cut = len(pos)
-                for t_i in range(cut):
-                    m = int(ins_m[t_i])
-                    insort(sl, m)
-                    counts[m] += 1
-                    inserted = True
-                    py_iters += 1
-                    if on_insert(state, m):
-                        terminated = True
-                        cut = t_i + 1
-                        jt = int(live[t_i]) - block_lo
-                        break
-                live = live[:cut]
-                state.segs_s.append(seq_arr[live])
-                state.segs_p.append(pos_arr[live])
-                state.segs_l.append(
-                    np.ascontiguousarray(ins_m[:cut]))
-                state.n += cut
-                soa_rows += cut
-        sl = state._sorted_layers
-        state.thresh = (sl[k_max - 1] if k_max <= len(sl)
-                        else n_layers)
-        return inserted, terminated, jt, py_iters, soa_rows
+        alive = csum[:, self._sub_layers] < self._sub_ks
+        ins = tile_insert_mask(L, csum, self._limits)
+        stop, pending = tile_stops(L, ins, csum, alive, self._sub_layers,
+                                   self._sub_ks)
+        stopped = stop < L.shape[1]
+        if stopped.any():
+            ins &= np.arange(L.shape[1]) <= stop[:, None]
+        self.py_iters += 1
+        if len(self._pending) > _Resolution._EXACT_LIMIT:
+            self.py_iters += int(np.count_nonzero(
+                alive.sum(axis=1) > _Resolution._EXACT_LIMIT))
+        return ins, stop, stopped, pending
 
     def scan_batched(
         self,
@@ -770,18 +578,22 @@ class VectorizedSkybandEngine:
         ``row_indexes``/``p_seqs`` give the live-buffer index and seq of
         each evaluated point.  All rows share the same candidate range, so
         each chunk costs one ``pairwise_block`` kernel over the still-active
-        rows and one vectorized ``layers_of`` hash -- rows that terminate
-        drop out of subsequent chunks, which keeps ``distance_rows``
-        identical to running :meth:`scan_new_arrivals` per row: the
-        per-point scan also pays for a whole chunk before consuming it.
+        rows, one vectorized ``layers_of`` hash and one
+        :meth:`_resolve_tile` -- rows that terminate drop out of
+        subsequent chunks, which keeps ``distance_rows`` identical to
+        running :meth:`scan_new_arrivals` per row: the per-point scan also
+        pays for a whole chunk before consuming it.
 
-        Only candidates that could change a row's skyband are visited: a
-        candidate at layer ``m`` is inserted only if fewer than ``k_max``
-        stored entries dominate it (Def. 6 condition 2), i.e. only if
-        ``m`` is below the row's ``k_max``-th smallest stored layer, and a
-        rejected candidate never mutates scan state.  The below-threshold
-        positions come from one vectorized comparison per chunk; skipped
-        candidates are folded into ``examined`` arithmetically.
+        Only rows with a candidate that could change their skyband enter
+        the resolve: a candidate at layer ``m`` is inserted only if fewer
+        than ``k_max`` stored entries dominate it (Def. 6 condition 2),
+        i.e. only if ``m`` is below the row's ``k_max``-th smallest stored
+        layer, and a rejected candidate never mutates scan state.  A row
+        with none sits the chunk out; without an insert its boundary
+        resolution check is a no-op.  ``examined`` needs no running
+        tally: a scan examines everything newer than the live index it
+        exits at (its terminating candidate, the bottom of the chunk
+        whose boundary check ended it, or ``lo``), bar the point itself.
 
         ``cand_idx``, when given, restricts the pairwise kernels to a
         candidate *subset*: an ascending, duplicate-free array of live
@@ -790,8 +602,8 @@ class VectorizedSkybandEngine:
         the full range chunk by chunk -- chunk boundaries stay anchored at
         the buffer top -- but each chunk's kernel sees only the subset
         columns falling inside it (views of one per-scan gather,
-        ``pairwise_gathered``), and runs of candidate-free chunks fold
-        into ``examined`` in one step: a boundary resolution check with no
+        ``pairwise_gathered``), and runs of candidate-free chunks are
+        jumped in one step: a boundary resolution check with no
         intervening insert filters ``pending`` against unchanged state,
         removes nothing and returns False for every row still active
         (the one exception, an empty pending template, terminates at the
@@ -802,162 +614,141 @@ class VectorizedSkybandEngine:
         """
         plan = self.plan
         n_layers = plan.n_layers
+        k_max = plan.k_max
         chunk = self.chunk_size
         hi = len(buffer)
         n = len(p_seqs)
         mat = buffer.matrix()
-        seq_arr = buffer.seq_array()
-        pos_arr = buffer.pos_array(self.by_time)
-        # python-list twins for the int fast paths (cached on the buffer)
-        seqs_list = buffer.seqs()
-        poss_list = buffer.positions(self.by_time)
-        row_idx = np.asarray(row_indexes, dtype=np.int64)
+        self_idx = np.asarray(row_indexes, dtype=np.intp)
+        # degenerate empty sub-group template: the reference walk
+        # terminates such rows at the first boundary check, which the
+        # zero-selection and candidate-free folds would elide
+        has_template = bool(self._pending)
 
-        rows = [_SoaRow(_Resolution(plan, self._pending), n_layers)
-                for _ in range(n)]
-        examined = [0] * n
-        results: List[Optional[KSkyResult]] = [None] * n
-        active = list(range(n))
-        single = (n_layers == 1 and bool(self._pending)
-                  and len(self._pending) <= _Resolution._EXACT_LIMIT)
+        counts = np.zeros((n, n_layers), dtype=np.int32)
+        #: live index each scan stopped at: its terminating candidate, the
+        #: bottom of the chunk whose boundary check ended it, or ``lo``
+        exit_at = np.full(n, min(lo, hi), dtype=np.intp)
+        terminated = np.zeros(n, dtype=bool)
+        act = np.arange(n)
+        #: inserted entries per tile: owning row, live index, layer
+        owners = [np.empty(0, dtype=np.intp)]
+        lives = [np.empty(0, dtype=np.intp)]
+        layers = [np.empty(0, dtype=self._layer_dtype)]
         n_chunks = -(-(hi - lo) // chunk) if hi > lo else 0
         if cand_idx is None:
-            offs = cand_arr = cand_mat = cand_list = None
+            offs = cand_mat = None
         else:
             edges = np.maximum(hi - chunk * np.arange(n_chunks + 1), lo)
             offs = np.searchsorted(cand_idx, edges, side="left").tolist()
-            cand_arr = cand_idx
-            cand_list = cand_idx.tolist()
-            cand_mat = mat[cand_idx] if cand_list else None
+            cand_mat = mat[cand_idx] if len(cand_idx) else None
         q_mat: Optional[np.ndarray] = None
         i = 0
-        while i < n_chunks and active:
+        while i < n_chunks and len(act):
             block_hi = hi - i * chunk
             block_lo = max(lo, block_hi - chunk)
-            width = block_hi - block_lo
-            c_base = 0
             if offs is None:
-                n_cols = width
+                n_cols = block_hi - block_lo
             else:
                 c_base = offs[i + 1]
                 n_cols = offs[i] - c_base
                 if n_cols == 0:
                     # candidate-free run: no kernel and no state change
-                    # (see the docstring) -- fold the whole run into
-                    # examined arithmetic and jump to the next chunk
+                    # (see the docstring) -- jump to the next chunk
                     # holding a candidate
+                    if not has_template:
+                        exit_at[act] = block_lo
+                        terminated[act] = True
+                        break
                     if c_base == 0:
-                        nxt_i = n_chunks
-                    else:
-                        nxt_i = (hi - 1 - int(cand_arr[c_base - 1])) // chunk
-                    run_lo = max(lo, hi - nxt_i * chunk)
-                    still = []
-                    for row in active:
-                        self_idx = row_indexes[row]
-                        if rows[row].resolution.pending:
-                            examined[row] += (block_hi - run_lo) - (
-                                1 if run_lo <= self_idx < block_hi else 0)
-                            still.append(row)
-                            continue
-                        examined[row] += width - (
-                            1 if block_lo <= self_idx < block_hi else 0)
-                        results[row] = self._result(
-                            rows[row], examined[row], True, True)
-                    if len(still) != len(active):
-                        q_mat = None
-                    active = still
-                    i = nxt_i
+                        break
+                    i = (hi - 1 - int(cand_idx[c_base - 1])) // chunk
                     continue
+            own = self_idx[act]
             if q_mat is None:
-                q_mat = mat[row_idx[active]]
+                q_mat = mat[own]
             if offs is None:
                 dists = buffer.pairwise_block(q_mat, block_lo, block_hi)
             else:
                 dists = buffer.pairwise_gathered(
                     q_mat, cand_mat[c_base:c_base + n_cols])
             lmat = plan.grid.layers_of(dists)
-            n_act = len(active)
-            thresh = np.fromiter((rows[r].thresh for r in active),
-                                 dtype=np.int64, count=n_act)
-            rows_nz, js_nz = np.nonzero(lmat < thresh[:, None])
-            seg_list = np.searchsorted(
-                rows_nz, np.arange(n_act + 1)).tolist()
-            js_all = js_nz.tolist()
-            ms_all = None if single else lmat[rows_nz, js_nz].tolist()
-            # degenerate empty sub-group template: the reference walk
-            # terminates such rows at the first boundary check, which the
-            # zero-selection skip below would elide -- disable the skip
-            skip_empty = bool(self._pending)
-            py_iters = 0
-            soa_rows = 0
-            still = []
-            for a, row in enumerate(active):
-                lo_s = seg_list[a]
-                hi_s = seg_list[a + 1]
-                self_idx = row_indexes[row]
-                if lo_s == hi_s and skip_empty:
-                    # no below-threshold candidate: rejections never
-                    # mutate scan state, and without an insert the
-                    # boundary resolution check is elided -- the whole
-                    # chunk folds into examined arithmetic
-                    examined[row] += width - (
-                        1 if block_lo <= self_idx < block_hi else 0)
-                    still.append(row)
-                    continue
-                state = rows[row]
-                resolution = state.resolution
-                if offs is None:
-                    j_self = self_idx - block_lo
-                    if not 0 <= j_self < width:
-                        j_self = -1
-                elif block_lo <= self_idx < block_hi:
-                    p = bisect_left(cand_list, self_idx, c_base,
-                                    c_base + n_cols)
-                    j_self = (p - c_base if p < c_base + n_cols
-                              and cand_list[p] == self_idx else -1)
-                else:
-                    j_self = -1
-                inserted, terminated, jt, d_py, d_soa = (
-                    self._resolve_row_chunk(
-                        state, j_self, block_lo, lo_s, hi_s, js_nz,
-                        js_all, ms_all, lmat[a], cand_list, cand_arr,
-                        c_base, seq_arr, pos_arr, seqs_list, poss_list,
-                        single))
-                py_iters += d_py
-                soa_rows += d_soa
-                self_rel = self_idx - block_lo
-                self_in = 0 <= self_rel < width
-                if terminated:
-                    examined[row] += (width - jt) - (
-                        1 if self_in and self_rel > jt else 0)
-                    results[row] = self._result(
-                        state, examined[row], True,
-                        resolution.done or resolution.check(state))
-                    continue
-                examined[row] += width - (1 if self_in else 0)
-                if inserted:
-                    if resolution.check(state):
-                        results[row] = self._result(
-                            state, examined[row], True,
-                            resolution.done)
-                        continue
-                elif not resolution.pending:
-                    results[row] = self._result(
-                        state, examined[row], True, True)
-                    continue
-                still.append(row)
-            self.py_iters += py_iters
-            self.soa_rows += soa_rows
-            if len(still) != len(active):
-                q_mat = None
-            active = still
+            # a point is no candidate of its own scan (Def. 5 ranges over
+            # D_W - p): lift its column out of every layer
+            at = ((own >= block_lo) & (own < block_hi)).nonzero()[0]
+            if len(at):
+                cols = own[at] - block_lo
+                if offs is not None:
+                    seg = cand_idx[c_base:c_base + n_cols]
+                    cols = np.minimum(np.searchsorted(seg, own[at]),
+                                      n_cols - 1)
+                    hit = seg[cols] == own[at]
+                    at, cols = at[hit], cols[hit]
+                lmat[at, cols] = n_layers
+            csum = np.cumsum(counts[act], axis=1, dtype=np.int32)
             i += 1
-        for row in active:
-            state = rows[row]
-            resolution = state.resolution
-            results[row] = self._result(
-                state, examined[row], False,
-                resolution.done or resolution.check(state))
+            rows = act
+            if has_template:
+                thresh = (csum < k_max).sum(axis=1)
+                sub = (lmat.min(axis=1) < thresh).nonzero()[0]
+                if not len(sub):
+                    continue
+                if len(sub) < len(act):
+                    lmat, csum, rows = lmat[sub], csum[sub], act[sub]
+            L = lmat[:, ::-1].astype(self._layer_dtype)
+            ins, stop, stopped, pending = self._resolve_tile(L, csum)
+            r_nz, s_nz = ins.nonzero()
+            ins_layers = L[r_nz, s_nz]
+            cols = (n_cols - 1) - s_nz
+            owners.append(rows[r_nz])
+            lives.append(block_lo + cols if offs is None
+                         else cand_idx[c_base + cols])
+            layers.append(ins_layers)
+            counts[rows] += np.bincount(
+                r_nz * n_layers + ins_layers,
+                minlength=len(rows) * n_layers).reshape(len(rows), n_layers)
+            done = (stopped | ~pending.any(axis=1)).nonzero()[0]
+            if len(done):
+                # a row its terminating candidate stopped exits there; one
+                # the boundary check ended (stop == n_cols) at the chunk
+                # bottom
+                cols = np.maximum((n_cols - 1) - stop[done], 0)
+                exit_at[rows[done]] = np.where(
+                    stopped[done],
+                    block_lo + cols if offs is None
+                    else cand_idx[c_base + cols],
+                    block_lo)
+                terminated[rows[done]] = True
+                act = act[~terminated[act]]
+                q_mat = None
+
+        # everything newer than the exit point was examined, bar the
+        # evaluated point itself
+        examined = (hi - exit_at) - (exit_at <= self_idx)
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        live = np.concatenate(lives)[order]
+        lays = np.concatenate(layers)[order]
+        seq_arr = buffer.seq_array()
+        pos_arr = buffer.pos_array(self.by_time)
+        self.soa_rows += len(live)
+        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+        results = []
+        a = 0
+        for b, n_examined, term in zip(ends, examined.tolist(),
+                                       terminated.tolist()):
+            # per-row gathers, so every result owns its arrays: a slice of
+            # one per-scan array would pin all of it for as long as any
+            # row's evidence lives
+            idx = live[a:b]
+            results.append(KSkyResult(
+                lsky=LSkySoA(n_layers, seq_arr[idx], pos_arr[idx],
+                             lays[a:b].astype(np.int64)),
+                examined=n_examined,
+                terminated_early=term,
+                resolved_all=term or not has_template,
+            ))
+            a = b
         return results
 
     # ------------------------------------------------------- per-point scan
@@ -969,12 +760,15 @@ class VectorizedSkybandEngine:
         survivor -- ``KSkyRunner.scan_new_arrivals``, bit for bit.
 
         One ``distances_from`` kernel per chunk (the reference walk's
-        exact kernel shape and count), candidate selection and the
-        per-chunk resolve through :meth:`_resolve_row_chunk`.  Chunk
-        boundaries anchor at the buffer top, as in the reference walk.
-        The evaluated point's own column is located once by seq (seqs are
-        unique and ascending; -1 when ``p`` is not in the buffer),
-        matching the reference's per-candidate seq-equality skip.
+        exact kernel shape and count); chunk boundaries anchor at the
+        buffer top, as in the reference walk.  A chunk's selected
+        candidates (below the ``k_max``-th smallest stored layer, as in
+        :meth:`scan_batched`) run the literal Alg. 2 loop against the
+        real ``_Resolution`` when there are at most ``_SEQ_LIMIT`` of
+        them, and go through :meth:`_resolve_tile` as a one-row tile
+        otherwise.  The evaluated point's own column is located once by
+        seq (seqs are unique and ascending; -1 when ``p`` is not in the
+        buffer), matching the reference's per-candidate seq-equality skip.
         Boundary resolution checks run only after chunks that inserted --
         a check with no intervening insert filters ``pending`` against
         unchanged state, removes nothing, and returns False whenever
@@ -985,62 +779,85 @@ class VectorizedSkybandEngine:
         """
         plan = self.plan
         n_layers = plan.n_layers
+        k_max = plan.k_max
+        allowed = plan.allowed_layer
         chunk = self.chunk_size
         lo = new_from_index
-        state = _SoaRow(_Resolution(plan, self._pending), n_layers)
-        resolution = state.resolution
+        state = _ScanRow()
+        sl = state._sorted_layers
+        resolution = _Resolution(plan, self._pending)
         seq_arr = buffer.seq_array()
-        pos_arr = buffer.pos_array(self.by_time)
-        seqs_list = buffer.seqs()
-        poss_list = buffer.positions(self.by_time)
         si = buffer.first_index_at_or_after_seq(p_seq)
-        self_idx = (si if si < len(seqs_list) and seqs_list[si] == p_seq
-                    else -1)
-        single = (n_layers == 1 and bool(self._pending)
-                  and len(self._pending) <= _Resolution._EXACT_LIMIT)
+        self_idx = si if si < len(seq_arr) and seq_arr[si] == p_seq else -1
         skip_empty = bool(self._pending)
-        examined = 0
+        #: inserted entries in scan order: live index, layer
+        found: List[int] = []
+        found_layers: List[int] = []
+        #: live index the scan stops at (see :meth:`scan_batched`)
+        hi = len(buffer)
+        exit_at = min(lo, hi)
         terminated = False
-        block_hi = len(buffer)
+        block_hi = hi
         while block_hi > lo:
             block_lo = max(lo, block_hi - chunk)
-            width = block_hi - block_lo
             dists = buffer.distances_from(p_values, block_lo, block_hi)
             lvec = plan.grid.layers_of(dists)
-            js = np.nonzero(lvec < state.thresh)[0]
-            j_self = self_idx - block_lo
-            if not 0 <= j_self < width:
-                j_self = -1
-            self_in = j_self >= 0
+            if block_lo <= self_idx < block_hi:
+                lvec[self_idx - block_lo] = n_layers
+            thresh = sl[k_max - 1] if k_max <= len(sl) else n_layers
+            js = np.flatnonzero(lvec < thresh)[::-1]
+            block_hi = block_lo
             if not len(js) and skip_empty:
-                # no below-threshold candidate: the whole chunk folds
-                # into examined arithmetic, as in the batched sweep
-                examined += width - (1 if self_in else 0)
-                block_hi = block_lo
+                # no below-threshold candidate: nothing to resolve and no
+                # boundary check to run, as in the batched sweep
                 continue
-            js_all = js.tolist()
-            ms_all = None if single else lvec[js].tolist()
-            inserted, terminated, jt, d_py, d_soa = (
-                self._resolve_row_chunk(
-                    state, j_self, block_lo, 0, len(js_all), js, js_all,
-                    ms_all, lvec, None, None, 0, seq_arr, pos_arr,
-                    seqs_list, poss_list, single))
-            self.py_iters += d_py
-            self.soa_rows += d_soa
+            self.py_iters += 1
+            n_before = len(found)
+            if len(js) <= self._SEQ_LIMIT:
+                # small selection: the sequential inner loop (Alg. 2
+                # verbatim) is cheaper than the array passes
+                for j, m in zip(js.tolist(), lvec[js].tolist()):
+                    self.py_iters += 1
+                    c = bisect_right(sl, m)
+                    if c < k_max and m <= allowed[c]:
+                        found.append(block_lo + j)
+                        found_layers.append(m)
+                        insort(sl, m)
+                        if resolution.on_insert(state, m):
+                            terminated = True
+                            break
+            else:
+                L = lvec[js].astype(self._layer_dtype)[None, :]
+                csum = np.searchsorted(sl, np.arange(n_layers), side="right")
+                ins, _, stopped, _ = self._resolve_tile(L, csum[None, :])
+                pos = ins[0].nonzero()[0]
+                taken = L[0, pos].tolist()
+                found.extend((block_lo + js[pos]).tolist())
+                found_layers.extend(taken)
+                sl.extend(taken)
+                sl.sort()
+                if stopped[0]:
+                    resolution.pending = []
+                    terminated = True
             if terminated:
-                examined += (width - jt) - (
-                    1 if self_in and j_self > jt else 0)
+                exit_at = found[-1]
                 break
-            examined += width - (1 if self_in else 0)
-            if inserted:
+            if len(found) > n_before:
                 terminated = resolution.check(state)
             else:
                 terminated = not resolution.pending
             if terminated:
+                exit_at = block_lo
                 break
-            block_hi = block_lo
-        return self._result(state, examined, terminated, resolution.done)
+        live = np.asarray(found, dtype=np.intp)
+        self.soa_rows += len(found)
+        return KSkyResult(
+            lsky=LSkySoA(n_layers, seq_arr[live],
+                         buffer.pos_array(self.by_time)[live], found_layers),
+            examined=(hi - exit_at) - (exit_at <= self_idx),
+            terminated_early=terminated,
+            resolved_all=resolution.done,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"VectorizedSkybandEngine(chunk_size={self.chunk_size}, "
-                f"numba={self._numba})")
+        return f"VectorizedSkybandEngine(chunk_size={self.chunk_size})"

@@ -11,17 +11,17 @@ that -- and to keep it provable as the code evolves --
   pairwise tile);
 * ``batch_rows`` -- evaluated points whose scan went through the batched
   pairwise kernel (0 on the per-point path);
-* ``python_insert_iters`` -- interpreted skyband-scan iterations the
-  scan engine *actually* spent (bounded resolve replays, small-chunk
-  fallback visits, per-row-chunk visits), counted by the engine itself in
-  every mode.  Candidates are resolved in array passes, so this is far
-  below the logical candidate count (the paper's ``L``), which is
-  ``points_examined``;
-* ``soa_insert_rows`` -- skyband entries committed through the scan
-  engine's bulk array-segment appends;
+* ``python_insert_iters`` -- interpreted steps the scan engine
+  *actually* spent (one per resolved tile, one per row in the
+  ``_CHECK_EVERY`` cadence regime, one per per-point chunk visited, one
+  per candidate of the literal small-selection loop), counted by the
+  engine itself in every mode.  Candidates are resolved in array passes,
+  so this is far below the logical candidate count (the paper's ``L``),
+  which is ``points_examined``;
+* ``soa_insert_rows`` -- skyband entries the scan engine committed;
 * ``candidates_pruned`` -- candidate columns the grid-pruned refresh
   engine kept out of the pairwise kernels entirely (0 on the unpruned
-  paths); ``python_insert_iters`` still counts them -- pruning shrinks
+  paths); ``points_examined`` still counts them -- pruning shrinks
   ``distance_rows``, not the logical scan;
 * ``kernel_cells_visited`` -- grid-cell probes served by
   ``GridCandidateIndex.candidates_within`` while assembling those

@@ -2,8 +2,9 @@
 
 Three layers of defense, mirroring the house lockstep style:
 
-* the vectorized resolve (`insert_limits` + `resolve_chunk_inserts`) is
-  checked against a literal sequential reference loop;
+* the tile resolve (`insert_limits` + `tile_insert_mask` + `tile_stops`)
+  is checked against the literal sequential loop driving the real
+  ``_Resolution``;
 * the engine's per-point scan is driven against ``KSkyRunner`` over
   hypothesis-chosen workloads, buffers, chunk sizes and suffixes;
 * full-detector lockstep runs every Table 1 spec under each refresh
@@ -15,6 +16,7 @@ Three layers of defense, mirroring the house lockstep style:
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from functools import partial
 
 import numpy as np
@@ -33,12 +35,12 @@ from repro import (
 )
 from repro.bench import build_workload, default_ranges
 from repro.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.ksky import _Resolution
 from repro.core.lsky_soa import (
     LSkySoA,
     insert_limits,
-    numba_active,
-    resolve_chunk_inserts,
-    resolve_chunk_inserts_numba,
+    tile_insert_mask,
+    tile_stops,
 )
 from repro.streams.source import batches_by_boundary
 from repro.testing import ReferenceRefresh, use_reference_scans
@@ -48,44 +50,75 @@ from conftest import evidence
 # ------------------------------------------------------------ array carrier
 
 
-def test_soa_carrier_adopts_segments():
-    """Lists and arrays, one segment or many: the carrier exposes the
-    concatenated scan-order entries as the three canonical arrays."""
-    one = LSkySoA.from_segments(3, [[9, 7]], [[9.0, 7.0]], [[1, 0]])
-    many = LSkySoA.from_segments(
-        3, [[9], np.array([7, 4])], [[9.0], np.array([7.0, 4.0])],
-        [[1], np.array([0, 1])])
+def test_soa_carrier_adopts_lists_and_arrays():
+    """Lists or arrays per column: the carrier exposes the scan-order
+    entries as the three canonical arrays."""
+    one = LSkySoA(3, [9, 7], [9.0, 7.0], [1, 0])
+    other = LSkySoA(3, np.array([9, 7, 4]), np.array([9.0, 7.0, 4.0]),
+                    np.array([1, 0, 1], dtype=np.uint8))
     assert list(one.entries()) == [(9, 9.0, 1), (7, 7.0, 0)]
-    assert list(many.entries()) == [(9, 9.0, 1), (7, 7.0, 0), (4, 4.0, 1)]
-    assert len(many) == 3 and len(LSkySoA(3)) == 0
-    seqs, poss, layers = many.as_arrays()
+    assert list(other.entries()) == [(9, 9.0, 1), (7, 7.0, 0), (4, 4.0, 1)]
+    assert len(other) == 3 and len(LSkySoA(3)) == 0
+    seqs, poss, layers = other.as_arrays()
     assert (seqs.dtype, poss.dtype, layers.dtype) == (
         np.int64, np.float64, np.int64)
 
 
-# --------------------------------------------------- vectorized resolve
+# ------------------------------------------------------------- tile resolve
 
 
-def _sequential_resolve(m_scan, layer_counts, allowed, k_max):
-    """The literal Alg. 2 insert loop -- the oracle for the resolve."""
-    counts = list(layer_counts)
-    out = []
-    for s, m in enumerate(m_scan):
-        dc = sum(counts[: m + 1])
-        if dc < k_max and m <= allowed[dc]:
-            counts[m] += 1
-            out.append(s)
-    return out
+class _Layers:
+    """What ``_Resolution`` reads of a skyband: the sorted layer multiset."""
+
+    def __init__(self, counts):
+        self._sorted_layers = [m for m, c in enumerate(counts)
+                               for _ in range(c)]
+
+    def dominator_count(self, layer):
+        return bisect_right(self._sorted_layers, layer)
+
+
+def _sequential_row(row, counts, pending, allowed, k_max):
+    """One row of one chunk, literally: Alg. 2's insert test, ``insort``,
+    ``_Resolution.on_insert`` per insert, ``check()`` at the chunk end.
+    Returns ``(inserted columns, terminating column or None, pending)``."""
+    state = _Layers(counts)
+    sl = state._sorted_layers
+    resolution = _Resolution(None, pending)
+    inserted = []
+    for s, m in enumerate(row):
+        if m >= len(counts):
+            continue  # beyond r_max, or the row's own column
+        c = bisect_right(sl, m)
+        if c < k_max and m <= allowed[c]:
+            insort(sl, m)
+            inserted.append(s)
+            if resolution.on_insert(state, m):
+                return inserted, s, resolution.pending
+    resolution.check(state)
+    return inserted, None, resolution.pending
+
+
+@st.composite
+def _plan_shape(draw, max_k):
+    """``(n_layers, k_max, allowed)`` as a ``SkybandPlan`` would hold
+    them: ``allowed_layer`` is a suffix max over sub-groups, i.e. any
+    nonincreasing step function of the dominator count -- drawn here
+    through its per-layer limits."""
+    n_layers = draw(st.integers(1, 5))
+    k_max = draw(st.integers(1, max_k))
+    limits = [k_max] + sorted(
+        draw(st.lists(st.integers(0, k_max), min_size=n_layers - 1,
+                      max_size=n_layers - 1)), reverse=True)
+    allowed = [max(m for m in range(n_layers) if limits[m] > c)
+               for c in range(k_max)]
+    assert insert_limits(allowed, k_max, n_layers).tolist() == limits
+    return n_layers, k_max, allowed
 
 
 @st.composite
 def _resolve_case(draw):
-    n_layers = draw(st.integers(1, 6))
-    k_max = draw(st.integers(1, 8))
-    # allowed_layer is a suffix max in the plan => nonincreasing
-    allowed = sorted(
-        draw(st.lists(st.integers(0, n_layers - 1), min_size=k_max,
-                      max_size=k_max)), reverse=True)
+    n_layers, k_max, allowed = draw(_plan_shape(max_k=8))
     m_scan = draw(st.lists(st.integers(0, n_layers - 1), max_size=60))
     counts = draw(st.lists(st.integers(0, 4), min_size=n_layers,
                            max_size=n_layers))
@@ -95,14 +128,18 @@ def _resolve_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(_resolve_case())
 def test_resolve_matches_sequential_loop(case):
+    """The insert mask of a one-row tile is the sequential loop's insert
+    set when nothing terminates it (no sub-group pending -> never
+    consulted)."""
     n_layers, k_max, allowed, m_scan, counts = case
     limits = insert_limits(allowed, k_max, n_layers)
-    m_arr = np.asarray(m_scan, dtype=np.int64)
+    L = np.asarray(m_scan, dtype=np.uint8)[None, :]
     c_arr = np.asarray(counts, dtype=np.int64)
-    pos, layers = resolve_chunk_inserts(m_arr, c_arr, limits)
-    expect = _sequential_resolve(m_scan, counts, allowed, k_max)
-    assert pos.tolist() == expect
-    assert layers.tolist() == [m_scan[p] for p in expect]
+    ins = tile_insert_mask(L, np.cumsum(c_arr)[None, :], limits)
+    assert ins.shape == L.shape
+    expect, _, _ = _sequential_row(m_scan, counts, [(0, 10 ** 6)], allowed,
+                                   k_max)
+    assert np.flatnonzero(ins[0]).tolist() == expect
     # the input counts must not be mutated by the resolve
     assert c_arr.tolist() == counts
 
@@ -114,20 +151,110 @@ def test_insert_limits_closed_form():
     assert limits.tolist() == [4, 3, 2, 0]
 
 
-@pytest.mark.skipif(not numba_active(),
-                    reason="numba unavailable or REPRO_NUMBA!=1")
-@settings(max_examples=50, deadline=None)
-@given(_resolve_case())
-def test_numba_resolve_matches_numpy(case):  # pragma: no cover
-    n_layers, k_max, allowed, m_scan, counts = case
+@st.composite
+def _tile_case(draw):
+    """A reachable chunk-start state for every row of one tile: stored
+    layer counts, a pending subset whose members are all unresolved under
+    them, candidate layers (``n_layers`` = beyond ``r_max``) and an
+    optional own column.  Half the cases are *hot* -- wide rows of
+    near-certain inserts under nine or more pending sub-groups -- so the
+    ``_CHECK_EVERY`` cadence is crossed, not just entered."""
+    hot = draw(st.booleans())
+    if hot:
+        n_layers = draw(st.integers(1, 2))
+        k_max = draw(st.integers(40, 90))
+        allowed = [n_layers - 1] * k_max
+    else:
+        n_layers, k_max, allowed = draw(_plan_shape(max_k=80))
+    # sub-groups have distinct k; up to 20 of them so both the exact and
+    # the cadence regime are hit -- or none, the degenerate template
+    ks = draw(st.sets(st.integers(1, k_max), min_size=9 if hot else 0,
+                      max_size=20))
+    template = [(draw(st.integers(0, n_layers - 1)), k)
+                for k in sorted(ks)]
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(64 if hot else 1, 96))
+    rows = []
+    for _ in range(n_rows):
+        counts = draw(st.lists(st.integers(0, 1 if hot else 3),
+                               min_size=n_layers, max_size=n_layers))
+        csum = np.cumsum(counts)
+        alive = [g for g, (d, k) in enumerate(template) if csum[d] < k]
+        if not hot and draw(st.booleans()):
+            alive = [g for g in alive if draw(st.booleans())]
+        layers = draw(st.lists(
+            st.integers(0, n_layers - 1 if hot else n_layers),
+            min_size=width, max_size=width))
+        own = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+        if own is not None:
+            layers[own] = n_layers
+        rows.append((counts, alive, layers))
+    return n_layers, k_max, allowed, template, rows
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_tile_case())
+def test_tile_resolve_matches_literal_loop(case):
+    """Tile mask + closed-form stops == the literal loop, row by row: same
+    inserted columns, same terminating column, same final ``pending``
+    (template order preserved)."""
+    n_layers, k_max, allowed, template, rows = case
     limits = insert_limits(allowed, k_max, n_layers)
-    m_arr = np.asarray(m_scan, dtype=np.int64)
-    c_arr = np.asarray(counts, dtype=np.int64)
-    a_arr = np.asarray(allowed, dtype=np.int64)
-    pos_np, lay_np = resolve_chunk_inserts(m_arr, c_arr, limits)
-    pos_nb, lay_nb = resolve_chunk_inserts_numba(m_arr, c_arr, a_arr, k_max)
-    assert pos_np.tolist() == pos_nb.tolist()
-    assert lay_np.tolist() == lay_nb.tolist()
+    sub_layers = np.asarray([d for d, _ in template], dtype=np.int64)
+    sub_ks = np.asarray([k for _, k in template], dtype=np.int64)
+    L = np.asarray([layers for _, _, layers in rows], dtype=np.uint8)
+    csum = np.cumsum([counts for counts, _, _ in rows], axis=1)
+    alive = np.zeros((len(rows), len(template)), dtype=bool)
+    for r, (_, members, _) in enumerate(rows):
+        alive[r, members] = True
+    width = L.shape[1]
+
+    ins = tile_insert_mask(L, csum, limits)
+    stop, pending = tile_stops(L, ins, csum, alive, sub_layers, sub_ks)
+    assert ins.shape == L.shape and pending.shape == alive.shape
+
+    for r, (counts, members, layers) in enumerate(rows):
+        want_ins, want_stop, want_pending = _sequential_row(
+            layers, counts, [template[g] for g in members], allowed, k_max)
+        cut = int(stop[r])
+        assert (cut if cut < width else None) == want_stop
+        assert np.flatnonzero(ins[r, :cut + 1]).tolist() == want_ins
+        assert [template[g] for g in np.flatnonzero(pending[r])] == (
+            want_pending)
+
+
+@pytest.mark.parametrize("ks,want_stop,want_left", [
+    # 12 pending at insert 32, only k=70 at insert 64: the exact rule takes
+    # over there and stops at the 70th insert
+    (list(range(33, 44)) + [70], 69, 0),
+    # all 12 resolve between the checks at 32 and 64: nobody looks until
+    # the check at insert 64, so the scan runs on to it
+    (list(range(33, 45)), 63, 0),
+    # the 60 candidates end before the second check; the chunk-end check
+    # finds k=70 still pending
+    (list(range(33, 44)) + [70], None, 1),
+])
+def test_tile_stops_follow_the_check_cadence(ks, want_stop, want_left):
+    """More than ``_EXACT_LIMIT`` pending sub-groups are only looked at
+    every ``_CHECK_EVERY`` inserts."""
+    assert len(ks) > _Resolution._EXACT_LIMIT
+    assert _Resolution._CHECK_EVERY == 32
+    k_max, width = 70, (96 if want_stop is not None else 60)
+    template = [(0, k) for k in ks]
+    limits = insert_limits([0] * k_max, k_max, 1)
+    L = np.zeros((1, width), dtype=np.uint8)
+    csum = np.zeros((1, 1), dtype=np.int64)
+    ins = tile_insert_mask(L, csum, limits)
+    stop, pending = tile_stops(
+        L, ins, csum, np.ones((1, len(ks)), dtype=bool),
+        np.zeros(len(ks), dtype=np.int64), np.asarray(ks, dtype=np.int64))
+    assert (int(stop[0]) if stop[0] < width else None) == want_stop
+    assert int(pending.sum()) == want_left
+    _, lit_stop, lit_pending = _sequential_row(
+        [0] * width, [0], template, [0] * k_max, k_max)
+    assert lit_stop == want_stop and len(lit_pending) == want_left
 
 
 # --------------------------------------------- full-detector lockstep

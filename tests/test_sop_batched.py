@@ -9,12 +9,15 @@ work accounting (``examined``, terminations, safe markings,
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    DetectorConfig,
     DynamicSOPDetector,
     KSkyRunner,
     OutlierQuery,
@@ -28,7 +31,7 @@ from repro import (
 from repro.bench import build_workload, default_ranges
 from repro.core.parser import parse_workload
 from repro.streams.source import batches_by_boundary
-from repro.streams.windows import TIME
+from repro.streams.windows import COUNT, TIME
 from repro.testing import use_reference_scans
 
 from conftest import line_points
@@ -79,6 +82,31 @@ def test_time_window_equivalence(spec):
     group = build_workload(spec, n_queries=5, seed=23,
                            ranges=default_ranges(kind=TIME))
     _run_lockstep(group, _stream())
+
+
+@pytest.mark.parametrize("prefilter", ["none", "qn"])
+@pytest.mark.parametrize("kind", [COUNT, TIME])
+@pytest.mark.parametrize("spec", list("ABCDEFG"))
+def test_memory_units_running_total_equals_recount(spec, kind, prefilter):
+    """``memory_units()`` is a running total adjusted by every writer of
+    the state table; after each boundary it must equal a recount.  (The
+    lockstep suites cannot see a drift: the reference detector shares the
+    same bookkeeping.)"""
+    # windows short enough that points holding evidence expire
+    ranges = replace(default_ranges(kind=kind), win=(300, 800),
+                     fixed_win=500)
+    group = build_workload(spec, n_queries=5, seed=17, ranges=ranges)
+    det = SOPDetector(group, config=DetectorConfig(prefilter=prefilter))
+    peak = 0
+    for t, batch in batches_by_boundary(_stream(n=1500), group.swift.slide,
+                                        group.kind):
+        det.step(t, batch)
+        recount = sum(st.entry_count() for st in det._states.values())
+        assert det.memory_units() == recount, f"drift at t={t}"
+        peak = max(peak, recount)
+    assert peak > 0
+    if prefilter != "none":
+        assert det.profile.prefilter_pruned > 0
 
 
 def test_warmup_partial_windows():
@@ -183,10 +211,11 @@ def test_random_stream_equivalence(data, n_points, seed):
 # ------------------------------------------------------- engine-level checks
 
 
-@pytest.mark.parametrize("lo", [0, 75])
+@pytest.mark.parametrize("lo", [0, 75, 260])
 def test_scan_batched_matches_per_point(small_group, lo):
     """One batched sweep equals the reference per-point runner row by
-    row: entries, examined counts, termination."""
+    row: entries, examined counts, termination (``lo=260`` is the empty
+    range past the buffer top)."""
     from repro.core.point import get_metric
     from repro.streams.buffer import WindowBuffer
 
@@ -206,6 +235,50 @@ def test_scan_batched_matches_per_point(small_group, lo):
         assert list(got.lsky.entries()) == list(ref.lsky.entries()), (
             f"row {row}"
         )
+
+
+def test_empty_template_terminates_at_first_boundary(small_group):
+    """The degenerate empty sub-group template: the reference walk stops
+    at its first insert, or at the first boundary check if the chunk has
+    none.  The engine's folds (zero-selection rows, candidate-free runs)
+    must not elide that check -- batched, grid-style subset and per-point
+    scans alike."""
+    from repro.core.point import get_metric
+    from repro.streams.buffer import WindowBuffer
+
+    plan = parse_workload(small_group)
+    runner = KSkyRunner(plan, chunk_size=16)
+    engine = VectorizedSkybandEngine(plan, chunk_size=16)
+    runner._pending = engine._pending = []
+    engine._sub_layers = engine._sub_ks = np.empty(0, dtype=np.int64)
+    buf = WindowBuffer(get_metric("euclidean"))
+    buf.extend(_stream(n=260))
+    r_max = plan.grid.values[-1]
+
+    def facts(res):
+        return (list(res.lsky.entries()), res.examined,
+                res.terminated_early, res.resolved_all)
+
+    folded_runs = 0
+    for lo in (0, 75):
+        rows = list(range(0, len(buf), 5))
+        want = [facts(runner.scan_new_arrivals(
+            buf.points[i].values, buf.points[i].seq, buf, lo)) for i in rows]
+        seqs = [buf.points[i].seq for i in rows]
+        assert [facts(r) for r in engine.scan_batched(rows, seqs, buf, lo)
+                ] == want
+        assert [facts(engine.scan_new_arrivals(
+            buf.points[i].values, buf.points[i].seq, buf, lo))
+            for i in rows] == want
+        for i, expect in zip(rows, want):
+            near = np.flatnonzero(
+                buf.distances_from(buf.points[i].values) <= r_max)
+            near = near[near >= lo]
+            folded_runs += not (near >= len(buf) - 16).any()
+            got, = engine.scan_batched([i], [buf.points[i].seq], buf, lo,
+                                       cand_idx=near)
+            assert facts(got) == expect, f"row {i}"
+    assert folded_runs  # some scan met a candidate-free first chunk
 
 
 # ------------------------------------------------------------- observability
