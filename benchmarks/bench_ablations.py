@@ -11,10 +11,6 @@ benchmarks quantify what each buys:
 * **eager refresh** (Sec. 4.2 swift query): lazy mode refreshes evidence
   only at boundaries where a member query is due -- cheaper per tick but
   discovers safe inliers later;
-* **batched refresh** (an engine choice of this reproduction): without it
-  (``refresh_strategy="per-point"``), every refreshed point launches its
-  own numpy distance kernels instead of sharing one pairwise kernel per
-  chunk (``benchmarks/bench_grid_refresh.py`` is the dedicated benchmark);
 * **chunk size**: the vectorized-scan block size (an implementation knob
   of this reproduction, not of the paper).
 """
@@ -38,7 +34,6 @@ VARIANTS = {
     "no-safe-inliers": {"use_safe_inliers": False},
     "no-least-exam": {"use_least_examination": False},
     "lazy-refresh": {"eager": False},
-    "no-batched": {"refresh_strategy": "per-point"},
 }
 
 

@@ -23,9 +23,7 @@ certification needs same-batch successors), clustered inlier mass
 outlier rate (outlier deep scans are irreducible work no sound screen
 can remove).  A second, adversarial slide (win/20) is included so the
 report also shows the screen's backoff floor rather than only its best
-case.  ``refresh_strategy`` is pinned to ``batched``: the auto
-controller's probe timing is nondeterministic and would blur the
-A/B comparison.
+case.
 
 Usage::
 
@@ -86,8 +84,7 @@ def _group(window: int, slide: int) -> QueryGroup:
 
 
 def _measure(group, stream, prefilter: str, mode: str) -> dict:
-    cfg = DetectorConfig(prefilter=prefilter, prefilter_mode=mode,
-                         refresh_strategy="batched")
+    cfg = DetectorConfig(prefilter=prefilter, prefilter_mode=mode)
     det = SOPDetector(group, config=cfg)
     t0 = time.perf_counter()
     result = det.run(stream)
@@ -206,7 +203,6 @@ def run_grid(windows, slide_divs) -> dict:
             "cpu_count": os.cpu_count(),
         },
         "settings": {
-            "refresh_strategy": "batched",
             "fixed_r": FIXED_R,
             "k_values": list(K_VALUES),
             "win_divisors": list(WIN_DIVS),

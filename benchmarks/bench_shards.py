@@ -78,7 +78,7 @@ WINDOWS_PER_STREAM = 2
 
 
 def _ranges(window: int):
-    """Benchmark ranges pinned to one swift-window size (cf. bench_grid_refresh)."""
+    """Benchmark ranges pinned to one swift-window size."""
     slide = max(50, window // SLIDE_DIV)
     return replace(
         default_ranges(fixed_r=FIXED_R),

@@ -36,7 +36,6 @@ from .checkpoint import (
     save_sharded_checkpoint,
 )
 from .engine import (
-    AutoRefresh,
     DetectorConfig,
     DueQueryEvaluator,
     ExecutorSubscriber,
@@ -75,12 +74,6 @@ from .core.point import (
     register_metric,
 )
 from .core.queries import OutlierQuery, QueryGroup
-from .index import (
-    GridCandidateIndex,
-    GridIndex,
-    IndexedWindow,
-    cells_of_block,
-)
 from .core.dynamic import DynamicSOPDetector
 from .core.sop import SOPDetector
 from .metrics.meters import CpuMeter, MemoryMeter
@@ -187,7 +180,6 @@ __all__ = [
     "AlertRouter",
     "AlertSink",
     "AlertSubscriber",
-    "AutoRefresh",
     "Backend",
     "CallbackSink",
     "CheckpointSubscriber",
@@ -198,9 +190,6 @@ __all__ = [
     "DueQueryEvaluator",
     "DynamicSOPDetector",
     "ExecutorSubscriber",
-    "GridCandidateIndex",
-    "GridIndex",
-    "IndexedWindow",
     "IngestionServer",
     "Merger",
     "ProcessPoolBackend",
@@ -220,7 +209,6 @@ __all__ = [
     "batches_by_boundary",
     "brute_force_outliers",
     "build_service",
-    "cells_of_block",
     "chebyshev",
     "compare_outputs",
     "detect_outliers",

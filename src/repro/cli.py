@@ -105,16 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out", default=None, help="results JSONL path")
     det.add_argument("--until", type=int, default=None,
                      help="stop at this boundary")
-    det.add_argument("--batch-min-rows", type=int, default=8,
-                     help="batched-refresh crossover: below this many rows "
-                          "per boundary, fall back to per-point (SOP only)")
-    det.add_argument("--refresh-strategy",
-                     choices=DetectorConfig._REFRESH_STRATEGIES,
-                     default="auto",
-                     help="how K-SKY refresh launches its scans: per-point, "
-                          "batched, or grid (batched + grid-cell candidate "
-                          "pruning); auto measures and picks per boundary "
-                          "(SOP only)")
     det.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
                      default="none",
                      help="first-tier inlier screen ahead of the exact "
@@ -189,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="value-partition across N detector shards")
     srv.add_argument("--replication-radius", type=float, default=0.0,
                      help="border replication radius (0: derive from r)")
-    srv.add_argument("--refresh-strategy",
-                     choices=DetectorConfig._REFRESH_STRATEGIES,
-                     default="auto")
     srv.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
                      default="none")
     srv.add_argument("--prefilter-mode", choices=("exact", "fast"),
@@ -264,8 +251,6 @@ def _cmd_detect(args) -> int:
     base = _ALGORITHMS[args.algorithm]
     config = DetectorConfig(
         eager=not args.lazy,
-        batch_min_rows=args.batch_min_rows,
-        refresh_strategy=args.refresh_strategy,
         prefilter=args.prefilter,
         prefilter_mode=args.prefilter_mode,
         shards=args.shards,
@@ -332,7 +317,6 @@ def _cmd_serve(args) -> int:
     config = DetectorConfig(
         shards=args.shards,
         replication_radius=args.replication_radius,
-        refresh_strategy=args.refresh_strategy,
         prefilter=args.prefilter,
         prefilter_mode=args.prefilter_mode,
     )

@@ -79,14 +79,14 @@ oracle.
 
 Screens are stateful but deterministic (counters only, no wall clock):
 when several consecutive screened boundaries certify almost nothing, the
-screen backs off for a stretch of boundaries and re-probes -- the same
-measured-adaptivity shape as :class:`~repro.engine.AutoRefresh`, so
-streams in the no-pay regime stop paying the anchor kernels.
+screen backs off for a stretch of boundaries and re-probes, so streams
+in the no-pay regime stop paying the anchor kernels.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,6 +107,11 @@ TRIANGLE_METRICS = ("euclidean", "manhattan", "chebyshev")
 #: float rounding of ``r_min - t`` can never push ``t + reach`` past
 #: ``r_min`` (the certified pair distance must stay at layer 0)
 _REACH_SHAVE = 1e-9
+
+#: newest entries :attr:`InlierScreen.decisions` keeps; the trace is
+#: observability only (the backoff runs on its own counters), and a
+#: long-lived ``repro serve`` screens a boundary per slide forever
+_DECISION_LOG_CAP = 1024
 
 #: lag-quartile -> sigma consistency constant for :func:`windowed_qn_scale`
 #: (median sorted-sample gap at lag n/4 of a normal sample is
@@ -190,8 +195,10 @@ class InlierScreen:
         #: newest live seq at each of the last two non-tiny calls --
         #: defines the screened suffix (arrivals since two calls ago)
         self._seq_horizon: List[int] = []
-        #: (boundary, "screened"|"skipped"|"backoff", prune_rate) trace
-        self.decisions: List[Tuple[int, str, float]] = []
+        #: (boundary, "screened"|"backoff", prune_rate) trace, newest
+        #: ``_DECISION_LOG_CAP`` entries
+        self.decisions: Deque[Tuple[int, str, float]] = deque(
+            maxlen=_DECISION_LOG_CAP)
 
     # ------------------------------------------------------------- interface
 

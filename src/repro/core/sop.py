@@ -18,11 +18,9 @@ Since the staged-runtime refactor, that pipeline is explicit: the stages
 live in :meth:`SOPDetector.run_boundary` (driven by
 :class:`~repro.engine.StreamExecutor`, which fires lifecycle hooks after
 each stage), the refresh stage delegates to the
-:class:`~repro.engine.RefreshEngine` (its launch mode -- per-point,
-batched, grid or auto -- comes from
-:class:`~repro.engine.DetectorConfig`), the safe-for-all
-test lives in :class:`~repro.engine.SafetyTracker`, and due-query
-classification in :class:`~repro.engine.DueQueryEvaluator`.  This module
+:class:`~repro.engine.RefreshEngine`, the safe-for-all test lives in
+:class:`~repro.engine.SafetyTracker`, and due-query classification in
+:class:`~repro.engine.DueQueryEvaluator`.  This module
 keeps what is irreducibly SOP's: the evidence arrays, their commitment
 rules, and the least-examination merge.
 
@@ -35,18 +33,14 @@ the new-arrival entries in front.  Safety and due-query evaluation are
 likewise vectorized.
 
 **One scan path.**  Every scan a detector runs is
-:class:`~repro.engine.VectorizedSkybandEngine`'s, whatever the launch
-mode: per-point rows get one ``distances_from`` kernel per chunk, batched
-rows share one ``WindowBuffer.pairwise_block`` kernel and one
-``RGrid.layers_of`` hash per chunk, grid mode restricts those kernels to
-grid-cell candidate neighborhoods.  All modes replicate the reference
-per-point scan's candidate order, chunk boundaries, and termination
-cadence exactly, so outputs, evidence arrays and ``memory_units()`` are
-identical (``tests/test_sop_batched.py``, ``tests/test_sop_grid.py`` and
+:class:`~repro.engine.VectorizedSkybandEngine`'s ``scan_batched``: the
+rows of a group share one ``WindowBuffer.pairwise_block`` kernel and one
+``RGrid.layers_of`` hash per chunk, whatever the group's size.  It
+replicates the reference per-point scan's candidate order, chunk
+boundaries, and termination cadence exactly, so outputs, evidence arrays
+and ``memory_units()`` are identical (``tests/test_sop_batched.py`` and
 ``tests/test_lsky_soa.py`` assert this across the Table 1 grid against
-``repro.testing.ReferenceRefresh``, Alg. 1-2 as written).  Row groups
-below the ``batch_min_rows`` crossover always run per-point: one kernel
-launch amortizes nothing over so few rows.
+``repro.testing.ReferenceRefresh``, Alg. 1-2 as written).
 
 Ablation switches (fields of :class:`~repro.engine.DetectorConfig`, used
 by ``benchmarks/bench_ablations.py``):
@@ -55,11 +49,7 @@ by ``benchmarks/bench_ablations.py``):
   query is due, instead of at every swift boundary;
 * ``use_safe_inliers=False`` -- never prune fully safe points;
 * ``use_least_examination=False`` -- surviving points rescan the whole
-  window instead of (new arrivals + old skyband);
-* ``refresh_strategy`` -- "per-point" (one distance kernel per evaluated
-  point, the pre-batching engine), "batched", "grid" (batched + grid-cell
-  candidate pruning) pin the launch mode; "auto" (default) lets the
-  measured crossover policy (``AutoRefresh``) pick it per boundary.
+  window instead of (new arrivals + old skyband).
 
 All switches preserve output equality; they only trade CPU/memory.
 """
@@ -114,8 +104,7 @@ class SOPDetector(Detector):
     (``config=``); the individual keyword arguments are the legacy
     spelling and remain supported -- an explicit ``config`` wins over
     them.  The ablation switches are mirrored as attributes for
-    introspection; the refresh strategy is selected once at construction
-    (assign :attr:`refresh_engine` directly to change it afterwards).
+    introspection.
     """
 
     name = "sop"
@@ -128,8 +117,6 @@ class SOPDetector(Detector):
         eager: bool = True,
         use_safe_inliers: bool = True,
         use_least_examination: bool = True,
-        batch_min_rows: int = 8,
-        refresh_strategy: str = "auto",
         config: Optional[DetectorConfig] = None,
     ):
         if config is None:
@@ -139,8 +126,6 @@ class SOPDetector(Detector):
                 eager=eager,
                 use_safe_inliers=use_safe_inliers,
                 use_least_examination=use_least_examination,
-                batch_min_rows=batch_min_rows,
-                refresh_strategy=refresh_strategy,
             )
         super().__init__(group, config.metric)
         #: the single source of truth for every switch and knob; persisted
@@ -151,13 +136,11 @@ class SOPDetector(Detector):
         self.eager = config.eager
         self.use_safe_inliers = config.use_safe_inliers
         self.use_least_examination = config.use_least_examination
-        self.batch_min_rows = max(1, config.batch_min_rows)
         #: the one K-SKY scan implementation (see repro.engine.refresh)
         self.skyband_engine = VectorizedSkybandEngine(self.plan,
                                                       config.chunk_size)
-        #: launches the boundary's scans in the configured strategy's mode
-        self.refresh_engine = RefreshEngine(config.refresh_strategy,
-                                            self.batch_min_rows)
+        #: partitions the boundary's rows, launches their scans, commits
+        self.refresh_engine = RefreshEngine()
         #: first-tier inlier screen (see repro.core.prefilter); None for
         #: prefilter="none".  The refresh engine consults it per boundary
         #: and routes certified points to :meth:`_mark_prefilter_safe`

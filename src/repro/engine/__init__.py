@@ -14,17 +14,15 @@ explicit architecture instead of an implementation detail of one class:
   ``on_boundary_end``) that metering, checkpointing, and alert routing
   subscribe to instead of re-implementing their own loops;
 * :class:`RefreshEngine` -- the K-SKY refresh stage: partition the live
-  points, launch their scans per-point, batched (one pairwise kernel per
-  boundary chunk) or grid-pruned (batched kernels restricted to grid-cell
-  candidate neighborhoods), commit, profile.  ``refresh_strategy`` pins
-  the launch mode or lets the :class:`AutoRefresh` policy measure and
-  pick it per boundary; every scan is :class:`VectorizedSkybandEngine`'s;
+  points into row groups, run one :class:`VectorizedSkybandEngine`
+  ``scan_batched`` sweep per group (one pairwise kernel per chunk),
+  commit, profile;
 * :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) as a
   separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification
   (inlier rule + Lemma 3) with its generation-keyed flatten cache.
 
-Every strategy and subscriber combination preserves output equality; the
+Every switch and subscriber combination preserves output equality; the
 layers only organize *where* work happens (``docs/architecture.md`` maps
 each layer back to the paper).
 """
@@ -32,11 +30,10 @@ each layer back to the paper).
 from .config import DetectorConfig
 from .evaluator import DueQueryEvaluator
 from .executor import ExecutorSubscriber, NULL_HOOKS, StreamExecutor
-from .refresh import AutoRefresh, RefreshEngine, VectorizedSkybandEngine
+from .refresh import RefreshEngine, VectorizedSkybandEngine
 from .safety import SafetyTracker
 
 __all__ = [
-    "AutoRefresh",
     "DetectorConfig",
     "DueQueryEvaluator",
     "ExecutorSubscriber",

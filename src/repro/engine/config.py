@@ -1,11 +1,11 @@
 """DetectorConfig: one record for every ablation switch and tuning knob.
 
 Before this existed, the ablation flags (``eager``, ``use_safe_inliers``,
-``use_least_examination``, ``batch_min_rows``) and the metric/chunking knobs were loose keyword arguments that each layer
-of the system re-spelled: the API hard-coded defaults, the CLI exposed
-none of them, dynamic rebuilds forwarded an opaque kwargs dict, and
-checkpoints dropped them entirely -- a restored detector silently ran with
-default switches.  :class:`DetectorConfig` is the single source of truth
+``use_least_examination``) and the metric/chunking knobs were loose
+keyword arguments that each layer of the system re-spelled: the API
+hard-coded defaults, the CLI exposed none of them, dynamic rebuilds
+forwarded an opaque kwargs dict, and checkpoints dropped them entirely --
+a restored detector silently ran with default switches.  :class:`DetectorConfig` is the single source of truth
 those layers now share; it is JSON-serializable so checkpoints can persist
 it and fail loudly on mismatch at restore.
 """
@@ -37,14 +37,6 @@ class DetectorConfig:
     eager: bool = True
     use_safe_inliers: bool = True
     use_least_examination: bool = True
-    #: crossover heuristic: batches smaller than this run per-point
-    batch_min_rows: int = 8
-    #: how the refresh engine launches the boundary's K-SKY scans:
-    #: "per-point", "batched", "grid" (batched + grid-cell candidate
-    #: pruning), or "auto" -- the measured crossover policy
-    #: (:class:`~repro.engine.AutoRefresh`) picks the mode per boundary
-    #: and never settles on grid in regimes where probing shows it losing
-    refresh_strategy: str = "auto"
     #: number of value-partitioned shards the runtime drives (1 = the
     #: classic single-executor path, byte-identical to pre-shard runs)
     shards: int = 1
@@ -91,7 +83,6 @@ class DetectorConfig:
     prefilter_mode: str = "exact"
 
     _BACKENDS = ("serial", "process", "supervised")
-    _REFRESH_STRATEGIES = ("auto", "per-point", "batched", "grid")
     _FAILURE_POLICIES = ("fail", "retry", "drop-and-flag")
     _PREFILTERS = ("none", "qn", "sensitivity")
     _PREFILTER_MODES = ("exact", "fast")
@@ -106,8 +97,6 @@ class DetectorConfig:
             object.__setattr__(self, "metric", self.metric.name)
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.batch_min_rows < 1:
-            raise ValueError("batch_min_rows must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.backend not in self._BACKENDS:
@@ -117,12 +106,6 @@ class DetectorConfig:
             )
         if self.replication_radius < 0:
             raise ValueError("replication_radius must be >= 0")
-        if self.refresh_strategy not in self._REFRESH_STRATEGIES:
-            raise ValueError(
-                f"refresh_strategy must be one of "
-                f"{self._REFRESH_STRATEGIES}, "
-                f"got {self.refresh_strategy!r}"
-            )
         if self.on_shard_failure not in self._FAILURE_POLICIES:
             raise ValueError(
                 f"on_shard_failure must be one of {self._FAILURE_POLICIES}, "
@@ -167,17 +150,17 @@ class DetectorConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "DetectorConfig":
         """Inverse of :meth:`as_dict`; unknown keys fail loudly.
 
-        Upgrade on read: headers written while the object scan tier was
-        selectable carry two retired keys.  ``skyband_impl`` only ever
-        chose between output-identical implementations and is dropped;
-        ``use_batched_refresh=False`` made ``refresh_strategy="auto"``
-        resolve to per-point, so it maps onto that strategy.
+        Upgrade on read: older headers carry four retired keys
+        (``skyband_impl``, ``use_batched_refresh``, ``refresh_strategy``,
+        ``batch_min_rows``).  Each only ever chose how the K-SKY scans
+        were launched, every value of each was output-identical, and
+        there is one launch shape now -- so they are dropped and the
+        checkpoint resumes bit-exact.
         """
         data = dict(data)
-        data.pop("skyband_impl", None)
-        if (not data.pop("use_batched_refresh", True)
-                and data.get("refresh_strategy", "auto") == "auto"):
-            data["refresh_strategy"] = "per-point"
+        for retired in ("skyband_impl", "use_batched_refresh",
+                        "refresh_strategy", "batch_min_rows"):
+            data.pop(retired, None)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -1,31 +1,25 @@
 """Refresh-engine observability: per-boundary timing and work counters.
 
-Batched K-SKY refresh (see ``repro.engine.refresh``) exists to turn
-O(live points) numpy kernel launches per boundary into O(1).  To *prove*
-that -- and to keep it provable as the code evolves --
-:class:`RefreshProfile` records, per processed boundary:
+The refresh stage (see ``repro.engine.refresh``) runs every K-SKY scan
+as a ``scan_batched`` tile sweep, turning O(live points) numpy kernel
+launches per boundary into O(chunks).  To *prove* that -- and to keep it
+provable as the code evolves -- :class:`RefreshProfile` records, per
+processed boundary:
 
 * ``refresh_ns`` -- wall time spent inside ``SOPDetector._refresh``;
 * ``kernel_launches`` -- numpy distance-kernel launches during the refresh
-  (``WindowBuffer.kernel_calls`` delta: one per ``distances_from`` call or
-  pairwise tile);
+  (``WindowBuffer.kernel_calls`` delta: one per pairwise tile, plus the
+  prefilter's anchor kernels);
 * ``batch_rows`` -- evaluated points whose scan went through the batched
-  pairwise kernel (0 on the per-point path);
+  pairwise kernel: every scan, so it equals ``batched_scans`` and
+  ``ksky_runs`` (0 only under ``repro.testing.ReferenceRefresh``);
 * ``python_insert_iters`` -- interpreted steps the scan engine
   *actually* spent (one per resolved tile, one per row in the
-  ``_CHECK_EVERY`` cadence regime, one per per-point chunk visited, one
-  per candidate of the literal small-selection loop), counted by the
-  engine itself in every mode.  Candidates are resolved in array passes,
-  so this is far below the logical candidate count (the paper's ``L``),
-  which is ``points_examined``;
+  ``_CHECK_EVERY`` cadence regime), counted by the engine itself.
+  Candidates are resolved in array passes, so this is far below the
+  logical candidate count (the paper's ``L``), which is
+  ``points_examined``;
 * ``soa_insert_rows`` -- skyband entries the scan engine committed;
-* ``candidates_pruned`` -- candidate columns the grid-pruned refresh
-  engine kept out of the pairwise kernels entirely (0 on the unpruned
-  paths); ``points_examined`` still counts them -- pruning shrinks
-  ``distance_rows``, not the logical scan;
-* ``kernel_cells_visited`` -- grid-cell probes served by
-  ``GridCandidateIndex.candidates_within`` while assembling those
-  candidate sets (the pruning overhead's own cost driver);
 * ``prefilter_screened`` / ``prefilter_suspects`` / ``prefilter_pruned``
   -- the tiered pre-filter's per-boundary tallies (see
   ``repro.core.prefilter``): candidate points the first-tier screen
@@ -36,9 +30,9 @@ that -- and to keep it provable as the code evolves --
   tier's own cost stays visible in the same sample.
 
 Aggregates are cheap to keep and are surfaced through
-``SOPDetector.work_stats()`` into ``RunResult.work``;
-``benchmarks/bench_grid_refresh.py`` turns them into the tracked
-``BENCH_grid.json`` baseline.
+``SOPDetector.work_stats()`` into ``RunResult.work``.  No decision in the
+refresh stage reads a clock, so every key but ``refresh_ns`` repeats
+exactly across runs.
 """
 
 from __future__ import annotations
@@ -48,18 +42,16 @@ from typing import Dict, List, Tuple
 __all__ = ["RefreshProfile"]
 
 #: one per-boundary sample: (refresh_ns, kernel_launches, batch_rows,
-#: python_insert_iters, candidates_pruned, kernel_cells_visited,
-#: soa_insert_rows, prefilter_screened, prefilter_suspects,
-#: prefilter_pruned)
-BoundarySample = Tuple[int, int, int, int, int, int, int, int, int, int]
+#: python_insert_iters, soa_insert_rows, prefilter_screened,
+#: prefilter_suspects, prefilter_pruned)
+BoundarySample = Tuple[int, int, int, int, int, int, int, int]
 
 
 class RefreshProfile:
     """Accumulates per-boundary refresh samples plus running totals."""
 
     __slots__ = ("boundaries", "refresh_ns", "kernel_launches", "batch_rows",
-                 "python_insert_iters", "candidates_pruned",
-                 "kernel_cells_visited", "soa_insert_rows",
+                 "python_insert_iters", "soa_insert_rows",
                  "prefilter_screened", "prefilter_suspects",
                  "prefilter_pruned", "samples", "keep_samples")
 
@@ -69,8 +61,6 @@ class RefreshProfile:
         self.kernel_launches: int = 0
         self.batch_rows: int = 0
         self.python_insert_iters: int = 0
-        self.candidates_pruned: int = 0
-        self.kernel_cells_visited: int = 0
         self.soa_insert_rows: int = 0
         self.prefilter_screened: int = 0
         self.prefilter_suspects: int = 0
@@ -80,9 +70,7 @@ class RefreshProfile:
         self.samples: List[BoundarySample] = []
 
     def record(self, refresh_ns: int, kernel_launches: int, batch_rows: int,
-               python_insert_iters: int, candidates_pruned: int = 0,
-               kernel_cells_visited: int = 0,
-               soa_insert_rows: int = 0,
+               python_insert_iters: int, soa_insert_rows: int = 0,
                prefilter_screened: int = 0,
                prefilter_suspects: int = 0,
                prefilter_pruned: int = 0) -> None:
@@ -92,8 +80,6 @@ class RefreshProfile:
         self.kernel_launches += kernel_launches
         self.batch_rows += batch_rows
         self.python_insert_iters += python_insert_iters
-        self.candidates_pruned += candidates_pruned
-        self.kernel_cells_visited += kernel_cells_visited
         self.soa_insert_rows += soa_insert_rows
         self.prefilter_screened += prefilter_screened
         self.prefilter_suspects += prefilter_suspects
@@ -101,8 +87,7 @@ class RefreshProfile:
         if self.keep_samples:
             self.samples.append(
                 (refresh_ns, kernel_launches, batch_rows,
-                 python_insert_iters, candidates_pruned,
-                 kernel_cells_visited, soa_insert_rows,
+                 python_insert_iters, soa_insert_rows,
                  prefilter_screened, prefilter_suspects, prefilter_pruned)
             )
 
@@ -130,8 +115,6 @@ class RefreshProfile:
             "kernel_launches": self.kernel_launches,
             "batch_rows": self.batch_rows,
             "python_insert_iters": self.python_insert_iters,
-            "candidates_pruned": self.candidates_pruned,
-            "kernel_cells_visited": self.kernel_cells_visited,
             "soa_insert_rows": self.soa_insert_rows,
             "prefilter_screened": self.prefilter_screened,
             "prefilter_suspects": self.prefilter_suspects,

@@ -10,11 +10,10 @@ shard then holds every stream point within ``r_max`` of every point it
 owns, so local neighbor counts -- and therefore local outlier verdicts
 for owned points -- equal the global ones.
 
-:class:`StreamPartitioner` implements that recipe.  Cell hashing is the
-uniform-grid math of :class:`~repro.index.GridIndex` (one cell per
-shard: ``cell_size`` = range width), reused rather than re-derived:
-``shard_of`` is a clamped ``GridIndex.cell_of`` call and the replica
-span is the pair of cells covering ``[v - radius, v + radius]``.
+:class:`StreamPartitioner` implements that recipe.  Cell hashing is
+uniform-grid math, one cell per shard (cell width = range width /
+shards): ``shard_of`` is the clamped ``floor((v - lo) / width)`` and the
+replica span is the pair of cells covering ``[v - radius, v + radius]``.
 
 Exactness argument (see DESIGN.md §9)
 -------------------------------------
@@ -39,10 +38,10 @@ above is clamp-invariant.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.point import Point
-from ..index import GridIndex
 
 __all__ = ["StreamPartitioner"]
 
@@ -69,7 +68,8 @@ class StreamPartitioner:
         self.radius = float(replication_radius)
         self.axis = int(axis)
         self._lo: Optional[float] = None
-        self._grid: Optional[GridIndex] = None
+        #: cell (= owned range) width; 0.0 for a degenerate value range
+        self._width = 0.0
         if bounds is not None:
             self._set_bounds(*bounds)
 
@@ -84,18 +84,16 @@ class StreamPartitioner:
         """The learned/configured value range, or None before first data."""
         if self._lo is None:
             return None
-        width = self._grid.cell_size if self._grid is not None else 0.0
-        return (self._lo, self._lo + width * self.n_shards)
+        return (self._lo, self._lo + self._width * self.n_shards)
 
     def _set_bounds(self, lo: float, hi: float) -> None:
         lo, hi = float(lo), float(hi)
         if hi < lo:
             raise ValueError(f"bounds must satisfy lo <= hi, got ({lo}, {hi})")
         self._lo = lo
-        width = (hi - lo) / self.n_shards
-        # degenerate range (all values equal): everything owns to shard 0,
-        # represented by a missing grid
-        self._grid = GridIndex(cell_size=width) if width > 0 else None
+        # a degenerate range (all values equal) has width 0: everything
+        # owns to shard 0
+        self._width = (hi - lo) / self.n_shards
 
     #: bounds learning clips this tail fraction off each side so a few
     #: extreme values (e.g. the stream's uniform outliers) cannot stretch
@@ -126,9 +124,9 @@ class StreamPartitioner:
 
     def _cell(self, v: float) -> int:
         """Clamped grid cell of an axis value (== its shard id)."""
-        if self._grid is None:
+        if not self._width > 0:
             return 0
-        cell = self._grid.cell_of((v - self._lo,))[0]
+        cell = int(math.floor((v - self._lo) / self._width))
         return min(max(cell, 0), self.n_shards - 1)
 
     def shard_of(self, values: Sequence[float]) -> int:

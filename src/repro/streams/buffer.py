@@ -64,10 +64,6 @@ class WindowBuffer:
         # cached float64 positions of the live region (count-based
         # windows); the vectorized skyband engine gathers from it
         self._pos_seq_arr: Optional[np.ndarray] = None
-        #: total points ever appended (monotone; never reset) -- attached
-        #: grid indexes use it as an absolute position axis that survives
-        #: eviction and compaction
-        self._appended = 0
         #: total point-to-point distance evaluations served by this buffer
         #: (the substrate-independent work metric; see repro.bench)
         self.distance_rows: int = 0
@@ -98,16 +94,6 @@ class WindowBuffer:
         if not 0 <= i < len(self):
             raise IndexError(i)
         return self._pts[self._start + i]
-
-    @property
-    def appended_total(self) -> int:
-        """Total points ever appended (monotone across eviction/compaction).
-
-        ``appended_total - len(self)`` is the number of evicted points;
-        live index ``i`` corresponds to absolute position
-        ``appended_total - len(self) + i``.
-        """
-        return self._appended
 
     def seqs(self) -> List[int]:
         """Live-region sequence numbers as a cached list of Python ints.
@@ -201,7 +187,6 @@ class WindowBuffer:
         self._times[self._len : end] = [p.time for p in new]
         self._len = end
         self._pts.extend(new)
-        self._appended += len(new)
         self._invalidate_views()
 
     def _ensure_capacity(self, needed: int) -> None:
@@ -265,11 +250,7 @@ class WindowBuffer:
         self._invalidate_views()
 
     def clear(self) -> None:
-        """Drop everything (used when a detector is reset).
-
-        ``appended_total`` is *not* reset: it is an absolute position axis
-        and attached grid indexes rely on its monotonicity.
-        """
+        """Drop everything (used when a detector is reset)."""
         self._pts = []
         self._len = 0
         self._start = 0
@@ -372,51 +353,9 @@ class WindowBuffer:
         self.distance_rows += n_rows * n_cols
         if n_rows == 0 or n_cols == 0:
             return np.empty((n_rows, n_cols), dtype=np.float64)
-        return self._pairwise_tiled(queries, block[lo:hi])
-
-    def pairwise_rows(
-        self, queries: np.ndarray, col_idx: np.ndarray
-    ) -> np.ndarray:
-        """Distance matrix from ``queries`` rows to the live points at the
-        given live indexes (``col_idx``, any order, duplicates allowed).
-
-        This is the grid-pruned refresh kernel: instead of a contiguous
-        ``[lo, hi)`` slice it gathers only the spatially plausible
-        candidate columns, so the kernel shrinks from O(rows x window) to
-        O(rows x neighborhood).  Each element is bit-identical to the
-        corresponding column of :meth:`pairwise_block` (same elementwise
-        arithmetic on the same float64 values), which the pruned/unpruned
-        output-equality gates depend on.  ``distance_rows`` counts only
-        the distances actually computed -- the pruning saving is visible
-        in the counter, unlike the batched engine's folding.
-        """
-        return self.pairwise_gathered(queries, self.matrix()[col_idx])
-
-    def pairwise_gathered(
-        self, queries: np.ndarray, sub: np.ndarray
-    ) -> np.ndarray:
-        """Distance matrix from ``queries`` rows to a pre-gathered
-        candidate sub-matrix (rows of :meth:`matrix`, gathered by the
-        caller).
-
-        Splitting the gather from the kernel lets a chunked scan gather
-        its whole candidate span once and pass per-chunk *views* here,
-        instead of paying one fancy-index copy per chunk
-        (:meth:`pairwise_rows` is the gather-included convenience form).
-        Arithmetic and ``distance_rows`` accounting are identical.
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        n_rows, n_cols = queries.shape[0], sub.shape[0]
-        self.distance_rows += n_rows * n_cols
-        if n_rows == 0 or n_cols == 0:
-            return np.empty((n_rows, n_cols), dtype=np.float64)
-        return self._pairwise_tiled(queries, sub)
-
-    def _pairwise_tiled(self, queries: np.ndarray,
-                        sub: np.ndarray) -> np.ndarray:
-        """Shared tiling for the batched pairwise kernels (bounds transient
-        memory; one ``kernel_calls`` increment per tile)."""
-        n_rows, n_cols = queries.shape[0], sub.shape[0]
+        # tiled over query rows: bounds transient memory; one
+        # ``kernel_calls`` increment per tile
+        sub = block[lo:hi]
         per_tile = max(
             1, self._PAIRWISE_TILE_ELEMS // max(n_cols * sub.shape[1], 1)
         )

@@ -13,10 +13,13 @@ from repro import (
     OutlierQuery,
     Point,
     QueryGroup,
+    SOPDetector,
     WindowSpec,
     compare_outputs,
     make_synthetic_points,
 )
+from repro.streams.source import batches_by_boundary
+from repro.testing import use_reference_scans
 
 
 def pytest_collection_modifyitems(items):
@@ -52,6 +55,36 @@ def evidence(det):
             out[seq] = ((st.seqs.tolist(), st.poss.tolist(),
                          st.layers.tolist()), st.fully_safe)
     return out
+
+
+#: work counters the scan engine must reproduce exactly
+INVARIANT_STATS = ("ksky_runs", "points_examined", "early_terminations",
+                   "fully_safe_marked")
+
+
+def lockstep_reference(group, batches, **kwargs):
+    """Drive a detector and its reference-scan twin (``KSkyRunner`` per
+    row) boundary-by-boundary over ``batches`` -- ``(t, batch)`` pairs, or
+    a point list to cut at the swift boundaries -- asserting per-boundary
+    equality of outputs, evidence arrays and evidence volume, and equal
+    work accounting at the end.  Returns ``(detector, reference)``."""
+    if not isinstance(batches[0], tuple):
+        batches = list(batches_by_boundary(batches, group.swift.slide,
+                                           group.kind))
+    det = SOPDetector(group, **kwargs)
+    ref = use_reference_scans(SOPDetector(group, **kwargs))
+    for t, batch in batches:
+        assert det.step(t, batch) == ref.step(t, batch), (
+            f"outputs diverge at t={t}")
+        assert evidence(det) == evidence(ref), (
+            f"evidence arrays diverge at t={t}")
+        assert det.memory_units() == ref.memory_units(), (
+            f"evidence volume diverges at t={t}")
+        assert det.tracked_points() == ref.tracked_points()
+    for key in INVARIANT_STATS:
+        assert det.stats[key] == ref.stats[key], key
+    assert det.buffer.distance_rows == ref.buffer.distance_rows
+    return det, ref
 
 
 def assert_equivalent(group: QueryGroup, points, detector, oracle_cls=NaiveDetector):

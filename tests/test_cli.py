@@ -4,7 +4,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro import (
-    DetectorConfig,
     load_points_csv,
     load_results_jsonl,
     load_workload,
@@ -120,14 +119,14 @@ class TestDetect:
     def test_detect_tuning_flags_keep_outputs_identical(self, tmp_path,
                                                         stream_csv,
                                                         workload_json):
-        """--refresh-strategy / --batch-min-rows / --lazy change the
-        execution strategy, never the answers."""
+        """--lazy / --prefilter / --shards change the execution
+        strategy, never the answers."""
         base = tmp_path / "base.jsonl"
         main(["detect", "--stream", str(stream_csv), "--workload",
               str(workload_json), "--out", str(base)])
-        for flags in (["--refresh-strategy", "per-point"],
-                      ["--batch-min-rows", "100"],
-                      ["--lazy"]):
+        for flags in (["--lazy"],
+                      ["--prefilter", "qn"],
+                      ["--shards", "2"]):
             out = tmp_path / "variant.jsonl"
             assert main(["detect", "--stream", str(stream_csv),
                          "--workload", str(workload_json),
@@ -155,29 +154,17 @@ class TestDetect:
 
 
 class TestParser:
-    @pytest.mark.parametrize("argv", [
-        ["detect", "--stream", "s.csv", "--workload", "w.json"],
-        ["serve"],
-    ])
-    def test_refresh_strategy_choices_are_the_configs(self, argv):
-        """Every --refresh-strategy choice of detect and serve is a value
-        DetectorConfig accepts, and every strategy is reachable."""
-        parser = build_parser()
-        sub = parser._subparsers._group_actions[0].choices[argv[0]]
-        action = next(a for a in sub._actions
-                      if "--refresh-strategy" in a.option_strings)
-        assert tuple(action.choices) == DetectorConfig._REFRESH_STRATEGIES
-        for choice in action.choices:
-            args = parser.parse_args(argv + ["--refresh-strategy", choice])
-            config = DetectorConfig(refresh_strategy=args.refresh_strategy)
-            assert config.refresh_strategy == choice
-
     def test_retired_flags_are_gone(self):
         for argv in (["detect", "--stream", "s", "--workload", "w",
                       "--skyband-impl", "soa"],
                      ["detect", "--stream", "s", "--workload", "w",
                       "--no-batched-refresh"],
-                     ["serve", "--skyband-impl", "soa"]):
+                     ["detect", "--stream", "s", "--workload", "w",
+                      "--refresh-strategy", "batched"],
+                     ["detect", "--stream", "s", "--workload", "w",
+                      "--batch-min-rows", "8"],
+                     ["serve", "--skyband-impl", "soa"],
+                     ["serve", "--refresh-strategy", "batched"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

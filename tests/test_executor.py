@@ -40,6 +40,7 @@ from repro.checkpoint import (
 )
 from repro.streams.buffer import WindowBuffer
 from repro.streams.source import batches_by_boundary
+from repro.testing import use_reference_scans
 
 #: compact windows so a short stream still exercises expiry
 _RANGES = ScaledRanges(
@@ -133,6 +134,14 @@ def test_detector_run_is_executor_run():
     via_executor = StreamExecutor(SOPDetector(group)).run(points)
     assert not compare_outputs(via_run.outputs, via_executor.outputs)
     assert via_run.boundaries == via_executor.boundaries
+    # ... and both equal the paper-literal reference scans, evidence
+    # volume and distance work included
+    reference = StreamExecutor(
+        use_reference_scans(SOPDetector(group))).run(points)
+    assert not compare_outputs(reference.outputs, via_executor.outputs)
+    assert reference.peak_memory_units == via_executor.peak_memory_units
+    assert (reference.work["distance_rows"]
+            == via_executor.work["distance_rows"])
 
 
 def test_until_bounds_the_run():
@@ -283,21 +292,21 @@ def test_checkpoint_resume_mid_stream_roundtrip(tmp_path):
 
 def test_checkpoint_persists_config(tmp_path):
     group = _group("A")
-    cfg = DetectorConfig(refresh_strategy="per-point", eager=False,
-                         batch_min_rows=13)
+    cfg = DetectorConfig(use_least_examination=False, eager=False,
+                         chunk_size=13)
     det = SOPDetector(group, config=cfg)
     det.run(_stream(n=200))
     path = tmp_path / "ckpt.jsonl"
     save_checkpoint(det, 200, path)
     restored, _ = load_checkpoint(path)
     assert restored.config == cfg
-    assert restored.refresh_engine.name == "per-point"
+    assert restored.skyband_engine.chunk_size == 13
 
 
 def test_checkpoint_config_mismatch_fails_loudly(tmp_path):
     group = _group("A")
     det = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="per-point"))
+        use_least_examination=False))
     det.step(50, _stream(n=50))
     path = tmp_path / "ckpt.jsonl"
     save_checkpoint(det, 50, path)
@@ -307,7 +316,7 @@ def test_checkpoint_config_mismatch_fails_loudly(tmp_path):
     # ... unless the reconfiguration is explicit
     restored, _ = load_checkpoint(path, factory=SOPDetector,
                                   allow_config_mismatch=True)
-    assert restored.config.refresh_strategy == "auto"
+    assert restored.config.use_least_examination
     # a config-less detector (different algorithm) skips the check
     restored, _ = load_checkpoint(path, factory=MCODDetector)
     assert restored.name == "mcod"
@@ -325,8 +334,9 @@ def test_checkpoint_malformed_config_rejected(tmp_path):
 
 
 #: a checkpoint header config exactly as written before the object scan
-#: tier was retired: 20 fields, ``skyband_impl`` and ``use_batched_refresh``
-#: among them
+#: tier was retired: 20 fields, the four since-retired launch keys
+#: (``skyband_impl``, ``use_batched_refresh``, ``refresh_strategy``,
+#: ``batch_min_rows``) among them
 _OLD_HEADER_CONFIG = {
     "metric": "euclidean", "chunk_size": 256, "eager": True,
     "use_safe_inliers": True, "use_least_examination": True,
@@ -348,21 +358,10 @@ def _write_old_header(path, **overrides):
     path.write_text(json.dumps(header) + "\n" + body)
 
 
-def test_old_format_checkpoint_upgrades_on_read(tmp_path):
-    """Headers written before the object tier was retired still load --
-    classic file and sharded segments alike: ``skyband_impl`` is dropped,
-    ``use_batched_refresh=False`` under "auto" becomes the per-point
-    strategy it resolved to, every other unknown key still fails loudly,
-    and the resumed run is bit-exact against an uninterrupted one."""
-    upgraded = DetectorConfig(refresh_strategy="per-point")
-    assert DetectorConfig.from_dict(_OLD_HEADER_CONFIG) == upgraded
-    # an explicit strategy always won over the retired flag
-    assert DetectorConfig.from_dict(
-        {**_OLD_HEADER_CONFIG, "refresh_strategy": "grid"}
-    ) == DetectorConfig(refresh_strategy="grid")
-    with pytest.raises(ValueError, match="unknown.*bogus"):
-        DetectorConfig.from_dict({**_OLD_HEADER_CONFIG, "bogus": 1})
-
+def _resume_old_headers(tmp_path, **overrides):
+    """Checkpoint a classic detector and a 2-shard runtime mid-stream,
+    rewrite every header to the old-format literal (+ ``overrides``),
+    restore, and assert the upgraded config and a bit-exact resume."""
     group = _group("C")
     points = _stream(n=600, seed=61)
     slide, kind = group.swift.slide, group.kind
@@ -378,11 +377,10 @@ def test_old_format_checkpoint_upgrades_on_read(tmp_path):
         det.step(t, batch)
     path = tmp_path / "old.ckpt"
     save_checkpoint(det, cut, path)
-    _write_old_header(path)
+    _write_old_header(path, **overrides)
     restored, last_t = load_checkpoint(path)
     assert last_t == cut
-    assert restored.config == upgraded
-    assert restored.refresh_engine.name == "per-point"
+    assert restored.config == DetectorConfig()
     got = {}
     for t, batch in batches[half:]:
         for qi, seqs in restored.step(t, batch).items():
@@ -397,14 +395,46 @@ def test_old_format_checkpoint_upgrades_on_read(tmp_path):
     manifest = tmp_path / "old_sharded.ckpt"
     save_sharded_checkpoint(rt, cut, manifest)
     for name in json.loads(manifest.read_text())["segments"]:
-        _write_old_header(manifest.with_name(name), shards=2)
+        _write_old_header(manifest.with_name(name), shards=2, **overrides)
     resumed, last_t = load_sharded_checkpoint(manifest)
     assert last_t == cut
-    assert resumed.config == upgraded.replace(shards=2)
+    assert resumed.config == DetectorConfig(shards=2)
     for t, batch in batches[half:]:
         resumed.step(t, batch)
     assert {k: v for k, v in resumed.finish().outputs.items()
             if k[1] > cut} == tail
+
+
+def test_old_format_checkpoint_upgrades_on_read(tmp_path):
+    """Headers written before the object tier was retired still load --
+    classic file and sharded segments alike: the four retired launch keys
+    (``skyband_impl``, ``use_batched_refresh``, ``refresh_strategy``,
+    ``batch_min_rows``) are dropped, every other unknown key still fails
+    loudly, and the resumed run is bit-exact against an uninterrupted
+    one."""
+    assert DetectorConfig.from_dict(_OLD_HEADER_CONFIG) == DetectorConfig()
+    with pytest.raises(ValueError, match="unknown.*bogus"):
+        DetectorConfig.from_dict({**_OLD_HEADER_CONFIG, "bogus": 1})
+    _resume_old_headers(tmp_path)
+
+
+@pytest.mark.parametrize("retired", [
+    {"refresh_strategy": "auto"},
+    {"refresh_strategy": "per-point"},
+    {"refresh_strategy": "batched"},
+    {"refresh_strategy": "grid"},
+    {"batch_min_rows": 1},
+    {"batch_min_rows": 10 ** 6},
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_retired_launch_keys_upgrade_on_read(tmp_path, retired):
+    """Every value the two launch knobs ever took was output-identical:
+    a header carrying any of them restores to the default config and
+    resumes bit-exact, classic and sharded."""
+    header = {k: v for k, v in _OLD_HEADER_CONFIG.items()
+              if k not in ("skyband_impl", "use_batched_refresh")}
+    assert DetectorConfig.from_dict({**header, **retired}) == (
+        DetectorConfig())
+    _resume_old_headers(tmp_path, **retired)
 
 
 def test_checkpoint_subscriber_standalone(tmp_path):
@@ -424,7 +454,7 @@ def test_checkpoint_subscriber_standalone(tmp_path):
 class TestDetectorConfig:
     def test_roundtrip(self):
         cfg = DetectorConfig(metric="manhattan", eager=False,
-                             batch_min_rows=5)
+                             chunk_size=5)
         assert DetectorConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -435,13 +465,13 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(chunk_size=0)
         with pytest.raises(ValueError):
-            DetectorConfig(batch_min_rows=0)
+            DetectorConfig(shards=0)
 
     def test_diff(self):
         a = DetectorConfig()
-        b = DetectorConfig(eager=False, batch_min_rows=5)
+        b = DetectorConfig(eager=False, chunk_size=5)
         d = a.diff(b)
-        assert d == {"eager": (True, False), "batch_min_rows": (8, 5)}
+        assert d == {"eager": (True, False), "chunk_size": (256, 5)}
         assert a.diff(a) == {}
 
     def test_replace(self):
@@ -451,15 +481,20 @@ class TestDetectorConfig:
 
     def test_explicit_config_wins_over_legacy_kwargs(self):
         group = _group("A")
-        cfg = DetectorConfig(refresh_strategy="per-point")
-        det = SOPDetector(group, refresh_strategy="batched", config=cfg)
+        cfg = DetectorConfig(chunk_size=32)
+        det = SOPDetector(group, chunk_size=64, config=cfg)
         assert det.config == cfg
-        assert det.refresh_engine.name == "per-point"
+        assert det.skyband_engine.chunk_size == 32
 
     def test_legacy_kwargs_build_equivalent_config(self):
         group = _group("A")
-        det = SOPDetector(group, eager=False, batch_min_rows=11)
-        assert det.config == DetectorConfig(eager=False, batch_min_rows=11)
+        det = SOPDetector(group, eager=False, chunk_size=11)
+        assert det.config == DetectorConfig(eager=False, chunk_size=11)
+        # the launch-mode kwargs are retired, not silently accepted
+        with pytest.raises(TypeError):
+            SOPDetector(group, refresh_strategy="batched")
+        with pytest.raises(TypeError):
+            DetectorConfig(batch_min_rows=8)
 
 
 # -------------------------------------------------------- dynamic workloads
@@ -467,7 +502,7 @@ class TestDetectorConfig:
 
 def test_dynamic_rebuild_preserves_config():
     """Satellite 1: register/withdraw must not reset ablation flags."""
-    cfg = DetectorConfig(refresh_strategy="per-point", eager=False,
+    cfg = DetectorConfig(chunk_size=48, eager=False,
                          use_safe_inliers=False)
     q1 = OutlierQuery(r=300, k=3, window=WindowSpec(win=200, slide=50))
     q2 = OutlierQuery(r=700, k=5, window=WindowSpec(win=100, slide=50))
@@ -479,7 +514,7 @@ def test_dynamic_rebuild_preserves_config():
     handle = dyn.add_query(q2)
     dyn.step(*batches[1])
     assert dyn._inner.config == cfg
-    assert dyn._inner.refresh_engine.name == "per-point"
+    assert dyn._inner.skyband_engine.chunk_size == 48
     dyn.remove_query(handle)
     dyn.step(*batches[2])
     assert dyn._inner.config == cfg

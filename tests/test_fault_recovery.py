@@ -3,8 +3,9 @@
 The recovery contract (DESIGN.md §11): kill the runtime mid-stream, come
 back from the last atomic sharded checkpoint, replay the remainder --
 the union of pre-crash outputs and resumed outputs equals the fault-free
-run *exactly*, for every shard index, every refresh strategy, and both
-window kinds.
+run *exactly*, for every shard index and both window kinds.  The
+fault-free run it is held to scans by the paper-literal reference
+(``repro.testing.use_reference_scans``).
 
 The crash is deterministic: a :class:`~repro.testing.FaultInjector`
 attached as a runtime subscriber raises :class:`InjectedCrash` at a
@@ -12,6 +13,8 @@ plan-pinned boundary, after the periodic checkpoint subscriber for that
 boundary has (or has not) fired -- exactly the ordering a real worker
 loss would see.
 """
+
+from functools import partial
 
 import pytest
 
@@ -24,18 +27,20 @@ from repro import (
     OutlierQuery,
     QueryGroup,
     Runtime,
+    SOPDetector,
     ShardedCheckpointSubscriber,
     WindowSpec,
     compare_outputs,
     load_sharded_checkpoint,
     make_synthetic_points,
 )
+from repro.testing import use_reference_scans
 
 pytestmark = pytest.mark.chaos
 
 N_SHARDS = 4
 INTERVAL = 3           # checkpoint every 3 boundaries: t = 120, 240, 360...
-STRATEGIES = ("per-point", "batched", "grid")
+CONFIG = DetectorConfig(shards=N_SHARDS)
 
 
 def group(kind="count"):
@@ -47,8 +52,15 @@ def group(kind="count"):
     ])
 
 
-def config(strategy):
-    return DetectorConfig(shards=N_SHARDS, refresh_strategy=strategy)
+def _reference_detector(group, config):
+    return use_reference_scans(SOPDetector(group, config=config))
+
+
+def reference_run(kind, stream):
+    """The fault-free answer, every shard scanning by reference."""
+    return Runtime(group(kind), config=CONFIG,
+                   factory=partial(_reference_detector, config=CONFIG)
+                   ).run(stream)
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +69,9 @@ def stream():
 
 
 @pytest.fixture(scope="module")
-def references(stream):
-    """Fault-free answers, one per refresh strategy (computed once)."""
-    return {s: Runtime(group(), config=config(s)).run(stream)
-            for s in STRATEGIES}
+def reference(stream):
+    """The fault-free reference answer (computed once)."""
+    return reference_run("count", stream)
 
 
 class Collector:
@@ -81,11 +92,11 @@ class Collector:
         pass
 
 
-def crash_and_resume(stream, kind, strategy, shard, crash_t, ck_path,
+def crash_and_resume(stream, kind, shard, crash_t, ck_path,
                      chaos_report=None):
     """Kill a checkpointing run at ``crash_t``; resume; return the union
     of pre-crash and post-resume outputs plus the resume boundary."""
-    runtime = Runtime(group(kind), config=config(strategy))
+    runtime = Runtime(group(kind), config=CONFIG)
     collector = runtime.subscribe(Collector())
     ck = runtime.subscribe(ShardedCheckpointSubscriber(ck_path,
                                                        interval=INTERVAL))
@@ -105,24 +116,22 @@ def crash_and_resume(stream, kind, strategy, shard, crash_t, ck_path,
     combined = {k: v for k, v in collector.outputs.items() if k[1] <= t_ck}
     combined.update(tail.outputs)
     if chaos_report is not None:
-        chaos_report(test="crash_resume", strategy=strategy, kind=kind,
+        chaos_report(test="crash_resume", kind=kind,
                      plan=plan.as_dict(), checkpoint_boundary=t_ck,
                      resumed_boundaries=sorted({t for _, t in tail.outputs}))
     return combined, tail
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("shard", range(N_SHARDS))
-def test_crash_resume_bitexact(tmp_path, stream, references, strategy,
-                               shard, chaos_report):
-    """For every (shard, strategy): crash at a shard-specific boundary,
-    resume from the last checkpoint, and match the fault-free run."""
+def test_crash_resume_bitexact(tmp_path, stream, reference, shard,
+                               chaos_report):
+    """For every shard: crash at a shard-specific boundary, resume from
+    the last checkpoint, and match the fault-free run."""
     crash_t = 200 + 40 * shard  # t=200..320: between/on checkpoint writes
     combined, tail = crash_and_resume(
-        stream, "count", strategy, shard, crash_t,
-        tmp_path / "ck.jsonl", chaos_report)
-    ref = references[strategy]
-    diffs = compare_outputs(ref.outputs, combined)
+        stream, "count", shard, crash_t, tmp_path / "ck.jsonl",
+        chaos_report)
+    diffs = compare_outputs(reference.outputs, combined)
     assert not diffs, "\n".join(diffs)
     assert not tail.partial
 
@@ -130,8 +139,8 @@ def test_crash_resume_bitexact(tmp_path, stream, references, strategy,
 def test_crash_resume_time_windows(tmp_path, stream, chaos_report):
     """The same contract holds for TIME windows (positions from
     timestamps, not sequence numbers)."""
-    ref = Runtime(group("time"), config=config("grid")).run(stream)
-    combined, _ = crash_and_resume(stream, "time", "grid", 2, 280,
+    ref = reference_run("time", stream)
+    combined, _ = crash_and_resume(stream, "time", 2, 280,
                                    tmp_path / "ck.jsonl", chaos_report)
     diffs = compare_outputs(ref.outputs, combined)
     assert not diffs, "\n".join(diffs)
@@ -140,7 +149,7 @@ def test_crash_resume_time_windows(tmp_path, stream, chaos_report):
 def test_resume_covers_only_post_checkpoint_boundaries(tmp_path, stream):
     """The resumed result is exactly the tail: no boundary at or before
     the checkpoint is re-reported (no double alerts on recovery)."""
-    runtime = Runtime(group(), config=config("batched"))
+    runtime = Runtime(group(), config=CONFIG)
     ck = runtime.subscribe(ShardedCheckpointSubscriber(
         tmp_path / "ck.jsonl", interval=INTERVAL))
     plan = FaultPlan((Fault("crash", shard=1, boundary=320),))
@@ -157,7 +166,8 @@ def test_resume_covers_only_post_checkpoint_boundaries(tmp_path, stream):
 def test_resume_from_checkpoint_roundtrips_config(tmp_path, stream):
     """The restored runtime carries the checkpointed detector config, so
     the resumed boundaries run under the same ablation switches."""
-    runtime = Runtime(group(), config=config("grid"))
+    config = CONFIG.replace(eager=False, chunk_size=64)
+    runtime = Runtime(group(), config=config)
     runtime.subscribe(ShardedCheckpointSubscriber(tmp_path / "ck.jsonl",
                                                   interval=INTERVAL))
     plan = FaultPlan((Fault("crash", shard=0, boundary=280),))
@@ -166,5 +176,5 @@ def test_resume_from_checkpoint_roundtrips_config(tmp_path, stream):
         runtime.run(stream)
     restored, _ = Runtime.resume_from_checkpoint(tmp_path / "ck.jsonl",
                                                  stream)
-    assert restored.config.refresh_strategy == "grid"
+    assert restored.config == config
     assert restored.n_shards == N_SHARDS

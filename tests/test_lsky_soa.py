@@ -5,13 +5,14 @@ Three layers of defense, mirroring the house lockstep style:
 * the tile resolve (`insert_limits` + `tile_insert_mask` + `tile_stops`)
   is checked against the literal sequential loop driving the real
   ``_Resolution``;
-* the engine's per-point scan is driven against ``KSkyRunner`` over
-  hypothesis-chosen workloads, buffers, chunk sizes and suffixes;
-* full-detector lockstep runs every Table 1 spec under each refresh
-  strategy side by side with a detector whose scans are the reference
-  runner's (``repro.testing.use_reference_scans``), asserting
-  per-boundary output, evidence, and work-stat equality -- including
-  crash+resume through checkpoints.
+* the engine's ``scan_batched`` is driven against ``KSkyRunner`` over
+  hypothesis-chosen workloads, buffers, chunk sizes, row groups (one-row
+  groups included) and suffixes (the empty one included);
+* full-detector lockstep runs every Table 1 spec side by side with a
+  detector whose scans are the reference runner's
+  (``repro.testing.use_reference_scans``), asserting per-boundary
+  output, evidence, and work-stat equality -- including crash+resume
+  through checkpoints.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    AutoRefresh,
     DetectorConfig,
     KSkyRunner,
     SOPDetector,
@@ -43,9 +43,10 @@ from repro.core.lsky_soa import (
     tile_stops,
 )
 from repro.streams.source import batches_by_boundary
+from repro.streams.windows import COUNT, TIME
 from repro.testing import ReferenceRefresh, use_reference_scans
 
-from conftest import evidence
+from conftest import lockstep_reference
 
 # ------------------------------------------------------------ array carrier
 
@@ -264,58 +265,32 @@ def _stream(n=1500, seed=9):
     return make_synthetic_points(n, dim=2, outlier_rate=0.04, seed=seed)
 
 
-#: work counters every refresh strategy must reproduce exactly
-INVARIANT_STATS = ("ksky_runs", "points_examined", "early_terminations",
-                   "fully_safe_marked")
-
-
 def _reference_detector(group, config=None):
     """A detector whose scans are the paper-literal ``KSkyRunner``'s."""
     return use_reference_scans(SOPDetector(group, config=config))
-
-
-def _lockstep_reference(group, points, strategy):
-    """Drive ``strategy`` and the reference side by side; returns
-    ``(detector, reference)`` after asserting per-boundary equality."""
-    det = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy=strategy))
-    ref = _reference_detector(group)
-    assert isinstance(ref.refresh_engine, ReferenceRefresh)
-    for t, batch in batches_by_boundary(points, group.swift.slide,
-                                        group.kind):
-        assert det.step(t, batch) == ref.step(t, batch), (
-            f"outputs diverge at t={t}")
-        assert evidence(det) == evidence(ref), (
-            f"evidence arrays diverge at t={t}")
-        assert det.memory_units() == ref.memory_units()
-    for key in INVARIANT_STATS:
-        assert det.stats[key] == ref.stats[key], key
-    if strategy == "grid":
-        # pruning is the one thing allowed to move: kernels only shrink
-        assert det.buffer.distance_rows <= ref.buffer.distance_rows
-    else:
-        assert det.buffer.distance_rows == ref.buffer.distance_rows
-    return det, ref
 
 
 @pytest.mark.parametrize("spec", list("ABCDEFG"))
 def test_table1_reference_lockstep_grid(spec):
     group = build_workload(spec, n_queries=6, seed=17,
                            ranges=default_ranges())
-    det, ref = _lockstep_reference(group, _stream(), "grid")
+    # small chunks: every scan crosses many tile boundaries
+    det, ref = lockstep_reference(group, _stream(), chunk_size=64)
+    assert isinstance(ref.refresh_engine, ReferenceRefresh)
     # the engine did the work in arrays, not one interpreted iteration
     # per candidate; the reference never touches the engine's counters
     assert det.profile.soa_insert_rows > 0
     assert 0 < det.profile.python_insert_iters < det.stats["points_examined"]
+    assert det.profile.batch_rows == det.stats["ksky_runs"]
     assert ref.profile.soa_insert_rows == 0
     assert ref.profile.python_insert_iters == 0
 
 
-@pytest.mark.parametrize("strategy", ["batched", "per-point", "auto"])
-def test_reference_lockstep_other_strategies(strategy):
-    group = build_workload("C", n_queries=5, seed=23,
-                           ranges=default_ranges())
-    _lockstep_reference(group, _stream(n=1000), strategy)
+@pytest.mark.parametrize("spec", ["B", "E"])
+def test_reference_lockstep_time_windows(spec):
+    group = build_workload(spec, n_queries=5, seed=23,
+                           ranges=default_ranges(kind=TIME))
+    lockstep_reference(group, _stream(n=1000))
 
 
 def test_checkpoint_crash_resume(tmp_path):
@@ -324,11 +299,12 @@ def test_checkpoint_crash_resume(tmp_path):
     group = build_workload("D", n_queries=5, seed=31,
                            ranges=default_ranges())
     points = _stream(n=1200, seed=13)
-    config = DetectorConfig(refresh_strategy="grid")
+    config = DetectorConfig(chunk_size=64)
     batches = list(batches_by_boundary(points, group.swift.slide,
                                        group.kind))
     full = SOPDetector(group, config=config).run(points)
-    assert full.outputs == _reference_detector(group).run(points).outputs
+    assert full.outputs == _reference_detector(
+        group, config).run(points).outputs
 
     det = SOPDetector(group, config=config)
     outputs = {}
@@ -342,7 +318,6 @@ def test_checkpoint_crash_resume(tmp_path):
     assert last_t == batches[half - 1][0]
     # the config rode the checkpoint header
     assert restored.config == config
-    assert restored.refresh_engine.name == "grid"
     for t, batch in batches[half:]:
         for qi, seqs in restored.step(t, batch).items():
             outputs[(qi, t)] = seqs
@@ -350,7 +325,7 @@ def test_checkpoint_crash_resume(tmp_path):
                        for (qi, t), seqs in full.outputs.items()}
 
 
-# ------------------------------------------------ per-point engine scan
+# ------------------------------------------------------ engine-level scan
 
 
 def _result_facts(res):
@@ -364,33 +339,39 @@ def _result_facts(res):
 
 
 @st.composite
-def _perpoint_case(draw):
+def _scan_case(draw):
     spec = draw(st.sampled_from("ABC"))
+    kind = draw(st.sampled_from([COUNT, TIME]))
     n_queries = draw(st.integers(2, 5))
     seed = draw(st.integers(0, 50))
     chunk = draw(st.sampled_from([3, 7, 16, 64, 256]))
     n_points = draw(st.integers(2, 90))
     stream_seed = draw(st.integers(0, 50))
-    # evaluated point: an index into the buffer (self-skip path) or an
-    # external probe absent from the buffer (j_self == -1 path)
-    self_idx = draw(st.one_of(st.none(), st.integers(0, n_points - 1)))
-    new_from = draw(st.integers(0, n_points))
-    return (spec, n_queries, seed, chunk, n_points, stream_seed,
-            self_idx, new_from)
+    # the row group: one evaluated point, or any subset of the buffer
+    rows = draw(st.one_of(
+        st.lists(st.integers(0, n_points - 1), min_size=1, max_size=1),
+        st.lists(st.integers(0, n_points - 1), min_size=1, max_size=12,
+                 unique=True).map(sorted)))
+    # any suffix, the empty one (``lo == len(buffer)``) included
+    new_from = draw(st.one_of(st.integers(0, n_points),
+                              st.just(n_points)))
+    return (spec, kind, n_queries, seed, chunk, n_points, stream_seed, rows,
+            new_from)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_perpoint_case())
-def test_perpoint_engine_lockstep(case):
-    """The engine's per-point scan is bit-identical to the ``KSkyRunner``
+@given(_scan_case())
+def test_scan_batched_engine_lockstep(case):
+    """``scan_batched`` is bit-identical, row by row, to the ``KSkyRunner``
     reference: same skyband entries, examined counts, termination, and
-    resolution flags, across chunk boundaries, self-skip vs external
-    probes, the whole window and arbitrary suffixes."""
-    (spec, n_queries, seed, chunk, n_points, stream_seed,
-     self_idx, new_from) = case
+    resolution flags, across chunk boundaries, group sizes (one-row groups
+    included), the whole window and arbitrary suffixes (the empty one
+    included), count and time positions -- at equal ``distance_rows``."""
+    (spec, kind, n_queries, seed, chunk, n_points, stream_seed, rows,
+     new_from) = case
     group = build_workload(spec, n_queries=n_queries, seed=seed,
-                           ranges=default_ranges())
+                           ranges=default_ranges(kind=kind))
     plan = parse_workload(group)
     runner = KSkyRunner(plan, chunk_size=chunk)
     engine = VectorizedSkybandEngine(plan, chunk_size=chunk)
@@ -398,21 +379,24 @@ def test_perpoint_engine_lockstep(case):
     buf = det.buffer
     buf.extend(make_synthetic_points(n_points, dim=2, outlier_rate=0.1,
                                      seed=stream_seed))
-    if self_idx is None:
-        p_values, p_seq = (0.25, -0.5), -1
-    else:
-        p = buf.points[self_idx]
-        p_values, p_seq = p.values, p.seq
+    seqs = [buf.points[i].seq for i in rows]
 
     for lo in (0, new_from):
-        a = runner.scan_new_arrivals(p_values, p_seq, buf, lo)
-        b = engine.scan_new_arrivals(p_values, p_seq, buf, lo)
-        assert _result_facts(a) == _result_facts(b)
+        before = buf.distance_rows
+        got = engine.scan_batched(rows, seqs, buf, lo)
+        batched_rows = buf.distance_rows - before
+        want = [runner.scan_new_arrivals(buf.points[i].values,
+                                         buf.points[i].seq, buf, lo)
+                for i in rows]
+        assert [_result_facts(r) for r in got] == [
+            _result_facts(r) for r in want]
+        assert batched_rows == buf.distance_rows - before - batched_rows
 
     # Alg. 1 lines 1-2 (a new point searches the window from scratch) is
     # the lo=0 scan; only the post-scan resolution flag is computed apart
-    a = _result_facts(runner.run_new_point(p_values, p_seq, buf))
-    b = _result_facts(engine.scan_new_arrivals(p_values, p_seq, buf, 0))
+    p = buf.points[rows[0]]
+    a = _result_facts(runner.run_new_point(p.values, p.seq, buf))
+    b = _result_facts(engine.scan_batched(rows[:1], seqs[:1], buf, 0)[0])
     del a["resolved_all"], b["resolved_all"]
     assert a == b
 
@@ -421,19 +405,18 @@ def test_perpoint_engine_lockstep(case):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=st.sampled_from("ABCDEFG"), seed=st.integers(0, 30),
        stream_seed=st.integers(0, 30))
-def test_perpoint_detector_hypothesis_lockstep(spec, seed, stream_seed):
-    """Full-detector lockstep under the per-point strategy: hypothesis
-    picks the workload and stream, ``_lockstep_reference`` asserts
-    identical outputs, evidence, memory, and work stats at every
-    boundary."""
+def test_detector_hypothesis_lockstep(spec, seed, stream_seed):
+    """Full-detector lockstep: hypothesis picks the workload and stream,
+    ``lockstep_reference`` asserts identical outputs, evidence, memory,
+    and work stats at every boundary."""
     group = build_workload(spec, n_queries=4, seed=seed,
                            ranges=default_ranges())
-    _lockstep_reference(group, _stream(n=400, seed=stream_seed),
-                        "per-point")
+    lockstep_reference(group, _stream(n=400, seed=stream_seed))
 
 
 @pytest.mark.parametrize("shards,backend",
-                         [(2, "serial"), (2, "process")])
+                         [(2, "serial"), (2, "process"), (1, "serial"),
+                          (4, "serial"), (2, "supervised")])
 def test_sharded_reference_equivalence(shards, backend):
     """A sharded runtime of production detectors equals a sharded runtime
     whose every shard scans with the reference runner."""
@@ -442,8 +425,7 @@ def test_sharded_reference_equivalence(shards, backend):
     group = build_workload("C", n_queries=4, seed=5,
                            ranges=default_ranges())
     points = make_synthetic_points(800, dim=2, outlier_rate=0.05, seed=23)
-    config = DetectorConfig(refresh_strategy="grid", shards=shards,
-                            backend=backend)
+    config = DetectorConfig(shards=shards, backend=backend)
 
     def run(factory):
         runtime = Runtime(QueryGroup(list(group.queries)),
@@ -458,154 +440,3 @@ def test_sharded_reference_equivalence(shards, backend):
         pytest.skip(f"process pool unavailable: {exc}")
     diffs = compare_outputs(want, got)
     assert not diffs, "\n".join(diffs[:10])
-
-
-# ------------------------------------------------------------- AutoRefresh
-
-
-class _FakeDet:
-    """Just enough detector surface for AutoRefresh._pick/_observe."""
-
-    def __init__(self, n):
-        self.buffer = [0] * n
-
-
-def test_auto_small_windows_probe_per_point_never_grid():
-    """Small-regime ineligibility: after warmup, the probe target below
-    ``_MIN_WINDOW`` is the per-point engine; grid is never picked there.
-    With the batched probe amortizing well (many rows per launch),
-    per-point stays ineligible and is never *chosen* -- even though its
-    measured ns-per-row is 10x cheaper.  The wall clock is evidence, not
-    input: the choice must be reproducible across runs."""
-    eng = AutoRefresh()
-    det = _FakeDet(AutoRefresh._MIN_WINDOW - 1)
-    picks = []
-    for _ in range(200):
-        name = eng._pick(det)
-        picks.append(name)
-        assert name != "grid"
-        ns = 10_000 if name == "per-point" else 100_000
-        eng._observe(name, ns=ns, rows=10, pruned=0,
-                     batch_rows=200, launches=5)  # 40 rows/launch
-        eng._boundary += 1
-    assert picks[:AutoRefresh._WARMUP] == ["batched"] * AutoRefresh._WARMUP
-    assert "per-point" in picks   # probed once for the trace...
-    assert eng._chosen == "batched"   # ...but never chosen while amortized
-    boundary, choice, ev = eng.decisions[0]
-    assert ev["regime"] == "small"
-    assert ev["per_point_eligible"] is False
-    assert choice == "batched"
-    # ineligible per-point is not even re-probed once the trace has it
-    assert picks.count("per-point") == AutoRefresh._PROBE
-
-
-def test_auto_small_windows_settle_on_eligible_per_point():
-    """Small-regime eligibility: batched boundaries averaging under
-    ``_PP_MAX_ROWS_PER_LAUNCH`` rows per kernel launch (the batch tier is
-    pure overhead) make per-point eligible, and it is chosen on counters
-    alone."""
-    eng = AutoRefresh()
-    det = _FakeDet(AutoRefresh._MIN_WINDOW - 1)
-    for _ in range(AutoRefresh._WARMUP):
-        assert eng._pick(det) == "batched"
-        eng._observe("batched", ns=100_000, rows=10, pruned=0,
-                     batch_rows=3, launches=10)  # 0.3 rows/launch
-        eng._boundary += 1
-    for _ in range(AutoRefresh._PROBE):
-        assert eng._pick(det) == "per-point"
-        eng._observe("per-point", ns=10_000, rows=10, pruned=0)
-        eng._boundary += 1
-    assert eng._chosen == "per-point"
-    boundary, choice, ev = eng.decisions[-1]
-    assert choice == "per-point"
-    assert ev["regime"] == "small"
-    assert ev["per_point_eligible"] is True
-    # measured costs ride along as evidence only
-    assert ev["per_point_ns_per_row"] < ev["batched_ns_per_row"]
-    assert "grid_eligible" not in ev
-    assert eng._pick(det) == "per-point"
-
-
-def test_auto_regime_shift_sanitizes_choice_and_probes():
-    """Growing past ``_MIN_WINDOW`` drops a settled per-point choice (not
-    eligible in the large regime), then the large regime probes grid with
-    its own cost book -- small-regime samples do not leak."""
-    eng = AutoRefresh()
-    small = _FakeDet(AutoRefresh._MIN_WINDOW - 1)
-    for _ in range(AutoRefresh._WARMUP):
-        eng._pick(small)
-        eng._observe("batched", ns=100_000, rows=10, pruned=0,
-                     batch_rows=3, launches=10)
-        eng._boundary += 1
-    for _ in range(AutoRefresh._PROBE):
-        assert eng._pick(small) == "per-point"
-        eng._observe("per-point", ns=10_000, rows=10, pruned=0)
-        eng._boundary += 1
-    assert eng._chosen == "per-point"
-
-    large = _FakeDet(AutoRefresh._MIN_WINDOW)
-    # first large pick: stale per-point choice falls back to batched and
-    # the large regime has no grid sample yet, so grid is probed
-    assert eng._pick(large) == "grid"
-    assert eng._chosen == "batched"
-    eng._observe("grid", ns=10_000, rows=10,
-                 pruned=int(10 * AutoRefresh._MIN_PRUNE_PER_ROW))
-    eng._boundary += 1
-    assert eng._pick(large) == "grid"
-    eng._observe("grid", ns=10_000, rows=10,
-                 pruned=int(10 * AutoRefresh._MIN_PRUNE_PER_ROW))
-    eng._boundary += 1
-    # the large-regime decision compared grid against a batched cost that
-    # must come from the large regime; none exists yet -> stays batched
-    boundary, choice, ev = eng.decisions[-1]
-    assert ev["regime"] == "large"
-    assert ev["batched_ns_per_row"] is None
-    assert choice == "batched"
-
-
-def test_auto_probes_then_settles_on_measured_winner():
-    eng = AutoRefresh()
-    det = _FakeDet(AutoRefresh._MIN_WINDOW)
-    # warmup boundaries run batched
-    for _ in range(AutoRefresh._WARMUP):
-        assert eng._pick(det) == "batched"
-        eng._observe("batched", ns=100_000, rows=10, pruned=0)
-        eng._boundary += 1
-    # then it probes grid; feed it a cheap, well-pruning grid sample
-    for _ in range(AutoRefresh._PROBE):
-        assert eng._pick(det) == "grid"
-        eng._observe("grid", ns=10_000, rows=10,
-                     pruned=int(10 * AutoRefresh._MIN_PRUNE_PER_ROW))
-        eng._boundary += 1
-    assert eng._chosen == "grid"
-    assert eng.decisions and eng.decisions[-1][1] == "grid"
-    assert eng._pick(det) == "grid"
-
-
-def test_auto_ineligible_grid_never_chosen():
-    eng = AutoRefresh()
-    det = _FakeDet(AutoRefresh._MIN_WINDOW)
-    for _ in range(AutoRefresh._WARMUP):
-        eng._pick(det)
-        eng._observe("batched", ns=100_000, rows=10, pruned=0)
-        eng._boundary += 1
-    # grid measures *faster* but prunes nothing -> stays batched
-    for _ in range(AutoRefresh._PROBE):
-        assert eng._pick(det) == "grid"
-        eng._observe("grid", ns=10_000, rows=10, pruned=0)
-        eng._boundary += 1
-    assert eng._chosen == "batched"
-    ev = eng.decisions[-1][2]
-    assert ev["grid_eligible"] is False
-
-
-def test_auto_detector_equals_batched_outputs():
-    """End-to-end: auto produces the same outputs as forced batched."""
-    group = build_workload("B", n_queries=4, seed=7,
-                           ranges=default_ranges())
-    points = _stream(n=900, seed=5)
-    out_auto = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="auto")).run(points)
-    out_b = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy="batched")).run(points)
-    assert out_auto.outputs == out_b.outputs

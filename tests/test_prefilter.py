@@ -7,7 +7,8 @@ suite pins that claim the strong way: per-boundary *outputs*, surviving
 *evidence* (per-point seqs/poss/layers/fully-safe flags), and
 ``memory_units`` must be bit-identical to a ``prefilter="none"`` run --
 not merely the outlier sets -- across the Table 1 workload grid, both
-window kinds, every refresh strategy, and the sharded runtime.  Work
+window kinds, and the sharded runtime, with the unscreened side scanning
+by the paper-literal reference (``repro.testing.use_reference_scans``).  Work
 counters are where the tiers are *allowed* to differ: a screened run may
 only examine fewer points, never more.
 
@@ -45,6 +46,9 @@ from repro.core.prefilter import (
     windowed_qn_scale,
 )
 from repro.streams.source import batches_by_boundary
+from repro.testing import use_reference_scans
+
+from conftest import evidence
 
 #: compact Table 2-shaped ranges, sized so windows clear the screen's
 #: ``min_candidates`` floor and neighbor density makes pruning plausible
@@ -70,32 +74,21 @@ def _stream(n=1200, seed=9, **kw):
     return make_synthetic_points(n, dim=2, seed=seed, **kw)
 
 
-def _evidence(det):
-    out = {}
-    for seq, st_ in det._states.items():
-        if st_.seqs is None:
-            out[seq] = (None, st_.fully_safe)
-        else:
-            out[seq] = ((st_.seqs.tolist(), st_.poss.tolist(),
-                         st_.layers.tolist()), st_.fully_safe)
-    return out
-
-
-def _lockstep(group, points, strategy, screen, mode="exact"):
-    """Drive baseline and screened detectors boundary-by-boundary,
-    asserting output/evidence/memory equality at every step (exact mode);
-    returns both detectors for counter checks."""
-    base = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy=strategy))
+def _lockstep(group, points, screen, mode="exact"):
+    """Drive the unscreened reference-scan baseline and the screened
+    detector boundary-by-boundary, asserting output/evidence/memory
+    equality at every step (exact mode); returns both detectors for
+    counter checks."""
+    base = use_reference_scans(SOPDetector(group))
     scr = SOPDetector(group, config=DetectorConfig(
-        refresh_strategy=strategy, prefilter=screen, prefilter_mode=mode))
+        prefilter=screen, prefilter_mode=mode))
     for t, batch in batches_by_boundary(points, group.swift.slide,
                                         group.kind):
         out_b = base.step(t, batch)
         out_s = scr.step(t, batch)
         if mode == "exact":
             assert out_s == out_b, f"outputs diverge at t={t}"
-            assert _evidence(scr) == _evidence(base), (
+            assert evidence(scr) == evidence(base), (
                 f"evidence diverges at t={t}")
             assert scr.memory_units() == base.memory_units()
         else:
@@ -168,6 +161,37 @@ def test_screen_backoff_trips_and_reprobes():
     assert screen._low_streak == 0
 
 
+def test_screen_decision_log_is_bounded():
+    """``decisions`` keeps the newest ``_DECISION_LOG_CAP`` entries (a
+    long-lived service screens a boundary per slide forever); the backoff
+    runs on its own counters and never reads the log."""
+    from repro.core.prefilter import _DECISION_LOG_CAP as cap
+
+    screen = QnScreen(_plan(), patience=3, backoff=5, min_prune_rate=0.5)
+    n = cap + 200
+    # yields cycle high, low, low: the streak never reaches patience
+    for b in range(1, n + 1):
+        screen._boundary = b
+        screen.observe(100, 90 if b % 3 == 1 else 0)
+    assert len(screen.decisions) == cap
+    # the newest entries are the ones kept, in order
+    assert [b for b, _, _ in screen.decisions] == list(range(n - cap, n))
+    assert screen._disabled_until == 0
+    assert screen._low_streak == (n - 1) % 3
+    # with the log full, the backoff still trips on the third low in a row
+    lows = 0
+    while not screen._disabled_until:
+        lows += 1
+        screen._boundary = n + lows
+        screen.observe(100, 0)
+    assert lows == 3 - (n - 1) % 3
+    assert screen._disabled_until == n + lows + 5
+    assert screen._low_streak == 0
+    assert len(screen.decisions) == cap
+    assert list(screen.decisions)[-2:] == [
+        (n + lows - 1, "screened", 0.0), (n + lows - 1, "backoff", 0.0)]
+
+
 def test_screen_sits_out_tiny_windows():
     group = QueryGroup([OutlierQuery(
         r=200.0, k=3, window=WindowSpec(win=32, slide=8, kind="count"))])
@@ -199,8 +223,7 @@ def test_screen_runs_are_deterministic():
 @pytest.mark.parametrize("screen", SCREENS)
 def test_table1_exact_screen_is_bit_identical(spec, screen):
     group = build_workload(spec, n_queries=5, seed=ord(spec), ranges=RANGES)
-    base, scr = _lockstep(group, _stream(seed=50 + ord(spec)), "batched",
-                          screen)
+    base, scr = _lockstep(group, _stream(seed=50 + ord(spec)), screen)
     # exactness lemma, counter form: the skipped scans are exactly the
     # ones the baseline turned into fully-safe markings
     assert scr.stats["fully_safe_marked"] == base.stats["fully_safe_marked"]
@@ -208,10 +231,25 @@ def test_table1_exact_screen_is_bit_identical(spec, screen):
     assert scr.stats["ksky_runs"] <= base.stats["ksky_runs"]
 
 
-@pytest.mark.parametrize("strategy", ["per-point", "batched", "grid", "auto"])
-def test_exact_screen_across_refresh_strategies(strategy):
+def test_exact_screen_under_reference_scans():
+    """The screen composes with whoever scans: a screened detector and a
+    screened reference-scan detector agree on everything, work included
+    (the anchor kernels' ``distance_rows`` too)."""
     group = build_workload("C", n_queries=4, seed=23, ranges=RANGES)
-    _lockstep(group, _stream(n=900, seed=5), strategy, "qn")
+    config = DetectorConfig(prefilter="qn")
+    det = SOPDetector(group, config=config)
+    ref = use_reference_scans(SOPDetector(group, config=config))
+    for t, batch in batches_by_boundary(_stream(n=900, seed=5),
+                                        group.swift.slide, group.kind):
+        assert det.step(t, batch) == ref.step(t, batch), f"t={t}"
+        assert evidence(det) == evidence(ref), f"t={t}"
+        assert det.memory_units() == ref.memory_units()
+    stats = dict(det.stats)
+    assert stats.pop("batched_scans") == stats["ksky_runs"]
+    assert stats == {k: v for k, v in ref.stats.items()
+                     if k != "batched_scans"}
+    assert det.buffer.distance_rows == ref.buffer.distance_rows
+    assert det.profile.prefilter_pruned == ref.profile.prefilter_pruned > 0
 
 
 @pytest.mark.parametrize("screen", SCREENS)
@@ -227,7 +265,7 @@ def test_exact_screen_time_windows(screen):
     for p in base:
         clock += 0.2 + ((p.seq * 37) % 7) * 0.9
         points.append(Point(seq=p.seq, values=p.values, time=clock))
-    _lockstep(group, points, "batched", screen)
+    _lockstep(group, points, screen)
 
 
 @pytest.mark.parametrize("screen", SCREENS)
@@ -242,7 +280,7 @@ def test_dense_stream_actually_prunes(screen):
                      window=WindowSpec(win=256, slide=128, kind="count")),
     ])
     pts = _stream(n=2048, seed=7, outlier_rate=0.02, cluster_spread=40)
-    base, scr = _lockstep(group, pts, "batched", screen)
+    base, scr = _lockstep(group, pts, screen)
     assert scr.profile.prefilter_pruned > 0
     assert (scr.profile.prefilter_screened
             == scr.profile.prefilter_suspects
@@ -272,7 +310,7 @@ def test_exact_tile_and_anchor_paths_both_exact(screen):
 @pytest.mark.parametrize("screen", SCREENS)
 def test_fast_mode_outputs_are_subset_of_exact(screen):
     group = build_workload("D", n_queries=4, seed=3, ranges=RANGES)
-    _lockstep(group, _stream(seed=29), "batched", screen, mode="fast")
+    _lockstep(group, _stream(seed=29), screen, mode="fast")
 
 
 # --------------------------------------------------------------- sharded
@@ -372,4 +410,4 @@ def test_property_exact_screen_equals_unscreened(values, params, screen):
     det.prefilter.min_candidates = 16
     got = det.run(points)
     assert got.outputs == base.outputs
-    assert _evidence(det) is not None  # states walked without error
+    assert evidence(det) is not None  # states walked without error

@@ -1,10 +1,12 @@
-"""Batched-vs-per-point refresh equivalence (the correctness gate of the
+"""Detector-vs-reference refresh equivalence (the correctness gate of the
 batched K-SKY engine).
 
-The batched path must be *indistinguishable* from the per-point path: same
-outlier sets, same per-boundary ``memory_units()`` (evidence content), same
-work accounting (``examined``, terminations, safe markings,
-``distance_rows``).  Everything here runs both engines and compares.
+Every scan a detector runs is a ``scan_batched`` tile sweep.  It must be
+*indistinguishable* from the paper-literal per-point walk
+(``repro.testing.use_reference_scans``: ``KSkyRunner`` per row): same
+outlier sets, same per-boundary evidence arrays and ``memory_units()``,
+same work accounting (``examined``, terminations, safe markings,
+``distance_rows``).  Everything here runs both and compares.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro import (
     DetectorConfig,
     DynamicSOPDetector,
     KSkyRunner,
+    NaiveDetector,
     OutlierQuery,
     Point,
     QueryGroup,
@@ -34,28 +37,11 @@ from repro.streams.source import batches_by_boundary
 from repro.streams.windows import COUNT, TIME
 from repro.testing import use_reference_scans
 
-from conftest import line_points
+from conftest import line_points, lockstep_reference
 
 
 def _stream(n=1500, seed=9):
     return make_synthetic_points(n, dim=2, outlier_rate=0.04, seed=seed)
-
-
-def _run_lockstep(group, points, **kwargs):
-    """Drive batched and per-point detectors boundary-by-boundary, asserting
-    per-boundary equality of outputs and evidence volume."""
-    det_b = SOPDetector(group, refresh_strategy="batched", **kwargs)
-    det_p = SOPDetector(group, refresh_strategy="per-point", **kwargs)
-    for t, batch in batches_by_boundary(points, group.swift.slide,
-                                        group.kind):
-        out_b = det_b.step(t, batch)
-        out_p = det_p.step(t, batch)
-        assert out_b == out_p, f"outputs diverge at t={t}"
-        assert det_b.memory_units() == det_p.memory_units(), (
-            f"evidence volume diverges at t={t}"
-        )
-        assert det_b.tracked_points() == det_p.tracked_points()
-    return det_b, det_p
 
 
 # --------------------------------------------------------------- Table 1 grid
@@ -65,23 +51,19 @@ def _run_lockstep(group, points, **kwargs):
 def test_table1_grid_equivalence(spec):
     group = build_workload(spec, n_queries=6, seed=17,
                            ranges=default_ranges())
-    det_b, det_p = _run_lockstep(group, _stream())
-    # identical work accounting, not just identical answers
-    for key in ("ksky_runs", "points_examined", "early_terminations",
-                "fully_safe_marked"):
-        assert det_b.stats[key] == det_p.stats[key], key
-    assert det_b.buffer.distance_rows == det_p.buffer.distance_rows
-    # ... and the batched engine actually engaged
-    assert det_b.stats["batched_scans"] > 0
-    assert det_p.stats["batched_scans"] == 0
-    assert det_b.buffer.kernel_calls < det_p.buffer.kernel_calls
+    det, ref = lockstep_reference(group, _stream())
+    # every scan went through the batched kernels, none of the reference's
+    assert det.stats["batched_scans"] == det.stats["ksky_runs"] > 0
+    assert det.profile.batch_rows == det.stats["ksky_runs"]
+    assert ref.stats["batched_scans"] == ref.profile.batch_rows == 0
+    assert det.buffer.kernel_calls < ref.buffer.kernel_calls
 
 
 @pytest.mark.parametrize("spec", ["A", "C", "G"])
 def test_time_window_equivalence(spec):
     group = build_workload(spec, n_queries=5, seed=23,
                            ranges=default_ranges(kind=TIME))
-    _run_lockstep(group, _stream())
+    lockstep_reference(group, _stream())
 
 
 @pytest.mark.parametrize("prefilter", ["none", "qn"])
@@ -116,29 +98,46 @@ def test_warmup_partial_windows():
         OutlierQuery(r=300, k=3, window=WindowSpec(win=5000, slide=100)),
         OutlierQuery(r=900, k=8, window=WindowSpec(win=4000, slide=200)),
     ])
-    _run_lockstep(group, _stream(n=900))
+    lockstep_reference(group, _stream(n=900))
 
 
-def test_crossover_and_ablation_flags():
-    group = build_workload("A", n_queries=4, seed=5)
-    stream = _stream(n=800)
-    # a crossover above any batch size keeps everything on the per-point path
-    det_hi = SOPDetector(group, refresh_strategy="batched",
-                         batch_min_rows=10 ** 6)
-    res_hi = det_hi.run(stream)
-    assert det_hi.stats["batched_scans"] == 0
-    det_off = SOPDetector(group, refresh_strategy="per-point")
-    res_off = det_off.run(stream)
-    assert det_off.stats["batched_scans"] == 0
-    det_on = SOPDetector(group, refresh_strategy="batched",
-                         batch_min_rows=1)
-    res_on = det_on.run(stream)
-    assert det_on.stats["batched_scans"] > 0
-    assert res_hi.outputs == res_off.outputs == res_on.outputs
+def _one_at_a_time(kind, n=70):
+    """Boundaries that force the two degenerate scan shapes: every batch
+    is one point (a one-row from-scratch group), and every third boundary
+    brings none (each survivor group scans the empty range
+    ``lo == len(buffer)``)."""
+    points = _stream(n=n, seed=4)
+    if kind == TIME:
+        points = [Point(seq=p.seq, values=p.values, time=float(p.seq))
+                  for p in points]
+    batches, feed = [], iter(points)
+    for t in range(1, n + n // 2):
+        batches.append((t, [] if t % 3 == 0 else [next(feed)]))
+    return batches
+
+
+@pytest.mark.parametrize("least", [True, False])
+@pytest.mark.parametrize("kind", [COUNT, TIME])
+def test_one_row_groups_and_empty_ranges(kind, least):
+    """The degenerate scan shapes -- one-row groups and empty candidate
+    ranges -- held to the reference and to brute force."""
+    group = QueryGroup([
+        OutlierQuery(r=300, k=2, window=WindowSpec(win=12, slide=1,
+                                                   kind=kind)),
+        OutlierQuery(r=900, k=4, window=WindowSpec(win=20, slide=2,
+                                                   kind=kind)),
+    ])
+    batches = _one_at_a_time(kind)
+    det, _ = lockstep_reference(group, batches, use_least_examination=least)
+    assert det.stats["batched_scans"] == det.stats["ksky_runs"] > 0
+    naive, sop = NaiveDetector(group), SOPDetector(
+        group, use_least_examination=least)
+    for t, batch in batches:
+        assert sop.step(t, batch) == naive.step(t, batch), f"t={t}"
 
 
 def test_ablation_interactions():
-    """Batched mode composes with the paper's other ablations."""
+    """The engine composes with the paper's ablations."""
     group = build_workload("C", n_queries=5, seed=31)
     stream = _stream(n=1000)
     for kwargs in (
@@ -147,11 +146,19 @@ def test_ablation_interactions():
         {"eager": False},
         {"chunk_size": 64},
     ):
-        det_b, det_p = _run_lockstep(group, stream, **kwargs)
-        assert det_b.stats["points_examined"] == det_p.stats["points_examined"]
+        lockstep_reference(group, stream, **kwargs)
 
 
 # ------------------------------------------------------------- dynamic path
+
+
+class _ReferenceDynamic(DynamicSOPDetector):
+    """Dynamic SOP whose every rebuilt inner detector scans by reference."""
+
+    def _rebuild(self):
+        super()._rebuild()
+        if self._inner is not None:
+            use_reference_scans(self._inner)
 
 
 def test_dynamic_register_withdraw_equivalence():
@@ -161,8 +168,7 @@ def test_dynamic_register_withdraw_equivalence():
         OutlierQuery(r=900, k=7, window=WindowSpec(win=500, slide=100)),
     ]
     extra = OutlierQuery(r=1300, k=5, window=WindowSpec(win=400, slide=200))
-    dets = [DynamicSOPDetector(qs, refresh_strategy=strategy)
-            for strategy in ("batched", "per-point")]
+    dets = [DynamicSOPDetector(qs), _ReferenceDynamic(qs)]
     handle = {}
     slide = dets[0].swift.slide
     for t, batch in batches_by_boundary(stream, slide, qs[0].kind):
@@ -188,8 +194,8 @@ def test_dynamic_register_withdraw_equivalence():
     seed=st.integers(min_value=0, max_value=2 ** 16),
 )
 def test_random_stream_equivalence(data, n_points, seed):
-    """Random workloads over random 1-D streams: the two engines agree on
-    every boundary output and every evidence count."""
+    """Random workloads over random 1-D streams: engine and reference
+    agree on every boundary output and every evidence array."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(0, 1000, size=n_points)
     points = line_points(values)
@@ -205,44 +211,53 @@ def test_random_stream_equivalence(data, n_points, seed):
             window=WindowSpec(win=win, slide=min(slide, win)),
         ))
     group = QueryGroup(queries)
-    _run_lockstep(group, points, batch_min_rows=1)
+    lockstep_reference(group, points)
 
 
 # ------------------------------------------------------- engine-level checks
+
+
+def _facts(res):
+    """Everything a caller can observe about a KSkyResult."""
+    return (list(res.lsky.entries()), res.examined, res.terminated_early,
+            res.resolved_all)
 
 
 @pytest.mark.parametrize("lo", [0, 75, 260])
 def test_scan_batched_matches_per_point(small_group, lo):
     """One batched sweep equals the reference per-point runner row by
     row: entries, examined counts, termination (``lo=260`` is the empty
-    range past the buffer top)."""
+    range past the buffer top) -- for a many-row group and for one-row
+    groups, over count and time positions."""
     from repro.core.point import get_metric
     from repro.streams.buffer import WindowBuffer
 
-    plan = parse_workload(small_group)
-    runner = KSkyRunner(plan, chunk_size=16)
-    engine = VectorizedSkybandEngine(plan, chunk_size=16)
-    buf = WindowBuffer(get_metric("euclidean"))
-    buf.extend(_stream(n=260))
-    rows = list(range(0, len(buf), 5))
-    seqs = [buf.points[i].seq for i in rows]
-    batched = engine.scan_batched(rows, seqs, buf, lo)
-    for row, got in zip(rows, batched):
-        p = buf.points[row]
-        ref = runner.scan_new_arrivals(p.values, p.seq, buf, lo)
-        assert got.examined == ref.examined, f"row {row}"
-        assert got.terminated_early == ref.terminated_early, f"row {row}"
-        assert list(got.lsky.entries()) == list(ref.lsky.entries()), (
-            f"row {row}"
-        )
+    for kind in (COUNT, TIME):
+        group = QueryGroup([
+            OutlierQuery(r=q.r, k=q.k, window=WindowSpec(
+                win=q.window.win, slide=q.window.slide, kind=kind))
+            for q in small_group.queries])
+        plan = parse_workload(group)
+        runner = KSkyRunner(plan, chunk_size=16)
+        engine = VectorizedSkybandEngine(plan, chunk_size=16)
+        buf = WindowBuffer(get_metric("euclidean"))
+        buf.extend([Point(seq=p.seq, values=p.values, time=p.seq / 2)
+                    for p in _stream(n=260)])
+        every_5th = list(range(0, len(buf), 5))
+        for rows in [every_5th] + [[i] for i in every_5th[::7]]:
+            seqs = [buf.points[i].seq for i in rows]
+            batched = engine.scan_batched(rows, seqs, buf, lo)
+            assert len(batched) == len(rows)
+            for row, got in zip(rows, batched):
+                p = buf.points[row]
+                ref = runner.scan_new_arrivals(p.values, p.seq, buf, lo)
+                assert _facts(got) == _facts(ref), f"{kind} row {row}"
 
 
 def test_empty_template_terminates_at_first_boundary(small_group):
     """The degenerate empty sub-group template: the reference walk stops
     at its first insert, or at the first boundary check if the chunk has
-    none.  The engine's folds (zero-selection rows, candidate-free runs)
-    must not elide that check -- batched, grid-style subset and per-point
-    scans alike."""
+    none.  The engine's zero-selection fold must not elide that check."""
     from repro.core.point import get_metric
     from repro.streams.buffer import WindowBuffer
 
@@ -255,30 +270,42 @@ def test_empty_template_terminates_at_first_boundary(small_group):
     buf.extend(_stream(n=260))
     r_max = plan.grid.values[-1]
 
-    def facts(res):
-        return (list(res.lsky.entries()), res.examined,
-                res.terminated_early, res.resolved_all)
-
     folded_runs = 0
     for lo in (0, 75):
         rows = list(range(0, len(buf), 5))
-        want = [facts(runner.scan_new_arrivals(
+        want = [_facts(runner.scan_new_arrivals(
             buf.points[i].values, buf.points[i].seq, buf, lo)) for i in rows]
         seqs = [buf.points[i].seq for i in rows]
-        assert [facts(r) for r in engine.scan_batched(rows, seqs, buf, lo)
+        assert [_facts(r) for r in engine.scan_batched(rows, seqs, buf, lo)
                 ] == want
-        assert [facts(engine.scan_new_arrivals(
-            buf.points[i].values, buf.points[i].seq, buf, lo))
-            for i in rows] == want
         for i, expect in zip(rows, want):
             near = np.flatnonzero(
                 buf.distances_from(buf.points[i].values) <= r_max)
-            near = near[near >= lo]
-            folded_runs += not (near >= len(buf) - 16).any()
-            got, = engine.scan_batched([i], [buf.points[i].seq], buf, lo,
-                                       cand_idx=near)
-            assert facts(got) == expect, f"row {i}"
+            folded_runs += not (near >= max(lo, len(buf) - 16)).any()
+            got, = engine.scan_batched([i], [buf.points[i].seq], buf, lo)
+            assert _facts(got) == expect, f"row {i}"
     assert folded_runs  # some scan met a candidate-free first chunk
+
+
+# ------------------------------------------------------- boundary exactness
+
+
+def test_neighbor_exactly_at_r_max_counted():
+    """A neighbor at distance exactly ``r`` decides inlier-vs-outlier
+    (d <= r is a neighbor, Def. 1): engine, reference and brute force
+    agree on the tie."""
+    r = 100.0
+    # pairs at exactly r, far from everything else
+    values = [0.0, r, 1000.0, 1000.0 + r, 5000.0]
+    points = [Point(seq=i, values=(v,)) for i, v in enumerate(values)]
+    group = QueryGroup([OutlierQuery(
+        r=r, k=1, window=WindowSpec(win=8, slide=4))])
+    outs = SOPDetector(group).run(points).outputs
+    assert outs == use_reference_scans(SOPDetector(group)).run(points).outputs
+    assert outs == NaiveDetector(group).run(points).outputs
+    # the isolated point is the lone outlier; the exact-r pairs are inliers
+    last_t = max(t for _, t in outs)
+    assert outs[(0, last_t)] == frozenset({4})
 
 
 # ------------------------------------------------------------- observability
@@ -292,10 +319,11 @@ def test_refresh_profile_records_boundaries():
     assert prof.boundaries == res.boundaries
     assert prof.refresh_ns > 0
     assert prof.kernel_launches > 0
-    assert prof.batch_rows > 0
-    # python_insert_iters is the interpreted work actually spent (replays
-    # + fallback visits), a strict subset of the logical scan; the bulk of
-    # the inserts land as soa_insert_rows instead.
+    assert prof.batch_rows == det.stats["batched_scans"] == (
+        det.stats["ksky_runs"])
+    # python_insert_iters is the interpreted work actually spent (tiles
+    # resolved + cadence-regime rows), far below the logical scan; the
+    # inserts land as soa_insert_rows instead.
     assert 0 < prof.python_insert_iters <= det.stats["points_examined"]
     assert prof.soa_insert_rows > 0
     # the reference scans examine the same L candidates (the paper's
@@ -306,6 +334,7 @@ def test_refresh_profile_records_boundaries():
     assert ref.stats["points_examined"] == det.stats["points_examined"]
     assert ref.profile.python_insert_iters == 0
     assert ref.profile.soa_insert_rows == 0
+    assert ref.profile.batch_rows == 0
     assert len(prof.samples) == prof.boundaries
     work = det.work_stats()
     for key in ("refresh_boundaries", "refresh_ns", "kernel_launches",
