@@ -55,7 +55,6 @@ from .core.evaluator import (
 )
 from .core.ksky import KSkyResult, KSkyRunner, sky_evaluate
 from .core.lsky import LSky
-from .core.lsky_soa import LSkySoA
 from .core.multi_attr import (
     MultiAttributeDetector,
     MultiAttributeSOP,
@@ -153,7 +152,6 @@ __all__ = [
     "KSkyRunner",
     "LEAPDetector",
     "LSky",
-    "LSkySoA",
     "ListSource",
     "MCODDetector",
     "MemoryMeter",

@@ -262,7 +262,7 @@ class DynamicSOPDetector:
             return
         inner = SOPDetector(group, config=self.config)
         if retained:
-            inner.buffer.extend(retained)
+            inner.warm_start(retained)
         self._inner = inner
         self.registry.mark_fresh()
 

@@ -213,11 +213,10 @@ class LSky:
     def as_arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """Canonical ``(seqs, poss, layers)`` int64/f64/int64 arrays.
 
-        The representation contract shared with
-        :meth:`~repro.core.lsky_soa.LSkySoA.as_arrays`: the detector
-        stores every point's committed skyband as these three arrays, so
-        an ``LSky`` built by the reference runner converts here at the
-        commit boundary.  Treat the result as read-only.
+        The columns the detector's evidence table stores every committed
+        skyband entry in, so an ``LSky`` built by the reference runner
+        converts here at the commit boundary.  Treat the result as
+        read-only.
         """
         n = len(self.seqs)
         if not n:

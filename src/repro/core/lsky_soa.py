@@ -1,16 +1,13 @@
-"""LSkySoA: the layered skyband as a flat structure-of-arrays tier.
+"""The tile-level K-SKY resolve: Alg. 2 over a whole kernel tile.
 
-The detector's committed per-point evidence is three parallel numpy
-arrays ``(seqs, poss, layers)`` in arrival-descending order.  This module
-holds what the scan engine (``repro.engine.refresh``) needs to produce
-them without a per-entry interpreted loop:
+The scan engine (``repro.engine.refresh``) computes one ``rows x
+candidates`` distance tile per chunk; this module decides what the
+sequential per-candidate loop would have done with it, without a
+per-entry interpreted loop:
 
-* :class:`LSkySoA` -- the array carrier a scan result hands to the
-  evidence commit (the reference :class:`~repro.core.lsky.LSky` keeps the
-  paper's mutation/query API; this one only adopts and exposes arrays);
 * :func:`insert_limits` + :func:`tile_insert_mask` -- the Alg. 2
-  ``skyEvaluate`` insert loop of a whole ``rows x candidates`` kernel
-  tile as one array pass per layer;
+  ``skyEvaluate`` insert loop of a whole tile as one array pass per
+  layer;
 * :func:`tile_stops` -- where each row's scan stops inside that tile, in
   closed form, so the K-SKY termination rule costs no per-insert work.
 
@@ -48,55 +45,13 @@ those positions alone, so the stop point needs no replay.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .ksky import _Resolution
-from .lsky import SkybandEntry
 
-__all__ = ["LSkySoA", "insert_limits", "tile_insert_mask",
-           "tile_stops"]
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
-
-
-class LSkySoA:
-    """One scan's skyband as ``int64``/``float64``/``int64`` arrays.
-
-    Entries are in scan (arrival-descending) order with layers within
-    ``[0, n_layers)``; the scan order guarantees both, nothing is
-    re-validated here.  Inputs may be arrays or plain lists.  Every result
-    is consumed exactly once -- frozen into the point's canonical arrays
-    by the evidence commit (:meth:`as_arrays`) -- so construction is one
-    ``asarray`` per column and nothing else.
-    """
-
-    __slots__ = ("n_layers", "seqs", "poss", "layers")
-
-    def __init__(self, n_layers: int, seqs=_EMPTY_I, poss=_EMPTY_F,
-                 layers=_EMPTY_I):
-        self.n_layers = n_layers
-        self.seqs = np.asarray(seqs, dtype=np.int64)
-        self.poss = np.asarray(poss, dtype=np.float64)
-        self.layers = np.asarray(layers, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-    def entries(self) -> Iterator[SkybandEntry]:
-        """All entries in processing (arrival-descending) order."""
-        return iter(zip(self.seqs.tolist(), self.poss.tolist(),
-                        self.layers.tolist()))
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical ``(seqs, poss, layers)`` arrays -- the representation
-        contract shared with :meth:`LSky.as_arrays`; treat as read-only."""
-        return self.seqs, self.poss, self.layers
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LSkySoA({len(self)} entries over {self.n_layers} layers)"
+__all__ = ["insert_limits", "tile_insert_mask", "tile_stops"]
 
 
 # ------------------------------------------------------------- tile resolve

@@ -17,20 +17,20 @@ Execution model per swift boundary ``t`` (``slide = gcd`` of member slides,
 Since the staged-runtime refactor, that pipeline is explicit: the stages
 live in :meth:`SOPDetector.run_boundary` (driven by
 :class:`~repro.engine.StreamExecutor`, which fires lifecycle hooks after
-each stage), the refresh stage delegates to the
-:class:`~repro.engine.RefreshEngine`, the safe-for-all test lives in
-:class:`~repro.engine.SafetyTracker`, and due-query classification in
-:class:`~repro.engine.DueQueryEvaluator`.  This module
-keeps what is irreducibly SOP's: the evidence arrays, their commitment
-rules, and the least-examination merge.
+each stage), the refresh stage -- partition, scans, least-examination
+merge and safe-for-all commit -- is the :class:`~repro.engine.RefreshEngine`,
+the counting safe-for-all test is :class:`~repro.engine.SafetyTracker`,
+and due-query classification is :class:`~repro.engine.DueQueryEvaluator`.
 
-Per-point evidence is held as numpy arrays ``(seqs, poss, layers)`` in
-arrival-descending order.  The least-examination step is then three array
-operations: mask out expired entries, mask out entries the new arrivals
-alone over-dominate (Def. 6 condition 2 -- older entries can never
-dominate younger ones, so no per-entry rescan is needed), and concatenate
-the new-arrival entries in front.  Safety and due-query evaluation are
-likewise vectorized.
+This module keeps the state they share: the live window
+(:class:`~repro.streams.WindowBuffer`) and, aligned with its rows, the
+columnar evidence table (:class:`~repro.core.evidence.EvidenceTable`):
+per-row ``safe``/``seen`` flags plus every skyband entry as one row of
+owner-sorted ``(owner, seq, pos, layer)`` columns.  Points enter through
+:meth:`SOPDetector.warm_start` (which :meth:`~SOPDetector.ingest` calls)
+and leave through :meth:`~SOPDetector.expire`, so the two never drift;
+each refresh, evaluation and meter reading is an array pass over the
+table, never a walk over the window's points.
 
 **One scan path.**  Every scan a detector runs is
 :class:`~repro.engine.VectorizedSkybandEngine`'s ``scan_batched``: the
@@ -58,8 +58,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-import numpy as np
-
 from ..baselines.base import Detector
 from ..engine.config import DetectorConfig
 from ..engine.evaluator import DueQueryEvaluator
@@ -67,34 +65,13 @@ from ..engine.refresh import RefreshEngine, VectorizedSkybandEngine
 from ..engine.safety import SafetyTracker
 from ..metrics.profiling import RefreshProfile
 from ..streams.buffer import WindowBuffer
-from .ksky import KSkyResult
+from .evidence import EvidenceTable, PointState
 from .parser import SkybandPlan, parse_workload
 from .prefilter import InlierScreen, build_prefilter
 from .point import Point
 from .queries import QueryGroup
 
 __all__ = ["SOPDetector"]
-
-
-class _PointState:
-    """Per-live-point bookkeeping: evidence arrays + safety + horizon.
-
-    ``seqs``/``poss``/``layers`` hold the skyband in arrival-descending
-    order (``None`` once the point is fully safe and evidence is dropped).
-    """
-
-    __slots__ = ("seqs", "poss", "layers", "last_seen_seq", "fully_safe")
-
-    def __init__(self, seqs, poss, layers, last_seen_seq: int,
-                 fully_safe: bool):
-        self.seqs = seqs
-        self.poss = poss
-        self.layers = layers
-        self.last_seen_seq = last_seen_seq
-        self.fully_safe = fully_safe
-
-    def entry_count(self) -> int:
-        return 0 if self.seqs is None else len(self.seqs)
 
 
 class SOPDetector(Detector):
@@ -143,15 +120,13 @@ class SOPDetector(Detector):
         self.refresh_engine = RefreshEngine()
         #: first-tier inlier screen (see repro.core.prefilter); None for
         #: prefilter="none".  The refresh engine consults it per boundary
-        #: and routes certified points to :meth:`_mark_prefilter_safe`
+        #: and commits certified points as fully safe, scan-free
         self.prefilter: Optional[InlierScreen] = build_prefilter(
             config, self.plan)
         #: safe-for-all component (see repro.engine.safety)
         self.safety = SafetyTracker(self.plan)
-        self._states: Dict[int, _PointState] = {}
-        #: skyband entries held across ``_states``, kept current by every
-        #: writer of it (``expire``, ``_store``, ``_mark_prefilter_safe``)
-        self._memory_units = 0
+        #: per-row flags + skyband entry columns, aligned with ``buffer``
+        self.table = EvidenceTable(self.skyband_engine.layer_dtype)
         #: counters for ablation studies and optimality tests
         self.stats = {
             "ksky_runs": 0,
@@ -163,9 +138,6 @@ class SOPDetector(Detector):
         }
         #: per-boundary refresh observability (see repro.metrics.profiling)
         self.profile = RefreshProfile()
-        # mutation generation: bumped whenever the live population or any
-        # evidence array changes; the due-query evaluation cache keys on it
-        self._gen = 0
         #: due-query classification component (see repro.engine.evaluator)
         self.evaluator = DueQueryEvaluator(self)
 
@@ -190,20 +162,24 @@ class SOPDetector(Detector):
 
     def ingest(self, t: int, batch: Sequence[Point]) -> None:
         """Stage 1a: append the boundary's batch to the live window."""
-        self.buffer.extend(batch)
-        if batch:
-            self._gen += 1
+        self.warm_start(batch)
+
+    def warm_start(self, points: Sequence[Point]) -> None:
+        """The one way into the window -- ingest, checkpoint restore,
+        preloads and rebuilds: buffer rows and their table rows move
+        together.  Evidence is built by the next refresh."""
+        before = len(self.buffer)
+        self.buffer.extend(points)
+        self.table.append(len(self.buffer) - before)
 
     def expire(self, t: int) -> List[Point]:
         """Stage 1b: evict points that left the swift window at ``t``."""
         start = max(0, t - self.swift.win)
         evicted = self.buffer.evict_before(start, self.by_time)
         if evicted:
-            self._gen += 1
-            for p in evicted:
-                st = self._states.pop(p.seq, None)
-                if st is not None:
-                    self._memory_units -= st.entry_count()
+            seqs = self.buffer.seq_array()
+            self.table.drop_rows(len(evicted),
+                                 int(seqs[0]) if len(seqs) else None)
         return evicted
 
     def _refresh(self, window_start: float) -> None:
@@ -216,121 +192,15 @@ class SOPDetector(Detector):
         """Stage 4: classify each due query from the shared evidence."""
         return self.evaluator.evaluate(due, t)
 
-    # ------------------------------------------------- evidence commitment
-
-    def _commit_scratch(self, p: Point, st: Optional[_PointState],
-                        result: KSkyResult, newest_seq: int) -> None:
-        """Commit one from-scratch scan result."""
-        seqs, poss, layers = result.lsky.as_arrays()
-        self._store(p, st, seqs, poss, layers, result.examined,
-                    result.terminated_early, newest_seq)
-
-    def _commit_survivor(self, p: Point, st: _PointState, scan: KSkyResult,
-                         window_start: float, newest_seq: int) -> None:
-        """Merge one survivor's new-arrival scan with its old evidence."""
-        seqs, poss, layers, examined = self._merge_survivor(
-            st, scan, window_start)
-        self._store(p, st, seqs, poss, layers, examined,
-                    scan.terminated_early, newest_seq)
-
-    def _merge_survivor(
-        self, st: _PointState, scan: KSkyResult, window_start: float
-    ):
-        """Least examination, vectorized: expire old entries, trim entries
-        the new arrivals alone over-dominate, concatenate new in front.
-
-        Returns ``(seqs, poss, layers, examined)``; the returned arrays are
-        the previous state's own objects when nothing changed, which the
-        evaluation cache uses to skip re-flattening.
-        """
-        examined = scan.examined
-        n_seqs, n_poss, n_layers = scan.lsky.as_arrays()
-        if scan.terminated_early or st.seqs is None or not len(st.seqs):
-            return n_seqs, n_poss, n_layers, examined
-        keep = st.poss >= window_start
-        examined += int(keep.sum())
-        if len(n_layers):
-            new_sorted = np.sort(n_layers)
-            dominated = np.searchsorted(
-                new_sorted, st.layers, side="right") >= self.plan.k_max
-            keep &= ~dominated
-            seqs = np.concatenate((n_seqs, st.seqs[keep]))
-            poss = np.concatenate((n_poss, st.poss[keep]))
-            layers = np.concatenate((n_layers, st.layers[keep]))
-            return seqs, poss, layers, examined
-        if keep.all():
-            return st.seqs, st.poss, st.layers, examined
-        return st.seqs[keep], st.poss[keep], st.layers[keep], examined
-
-    def _store(
-        self,
-        p: Point,
-        st: Optional[_PointState],
-        seqs: np.ndarray,
-        poss: np.ndarray,
-        layers: np.ndarray,
-        examined: int,
-        terminated: bool,
-        newest_seq: int,
-    ) -> None:
-        """Account one scan and commit the refreshed evidence."""
-        stats = self.stats
-        stats["ksky_runs"] += 1
-        stats["points_examined"] += examined
-        if terminated:
-            stats["early_terminations"] += 1
-        held = 0 if st is None else st.entry_count()
-        if self.use_safe_inliers and self.safety.is_fully_safe(p.seq, seqs,
-                                                               layers):
-            stats["fully_safe_marked"] += 1
-            self._states[p.seq] = _PointState(None, None, None, newest_seq,
-                                              True)
-            self._memory_units -= held
-            self._gen += 1
-        elif st is None:
-            self._states[p.seq] = _PointState(seqs, poss, layers, newest_seq,
-                                              False)
-            self._memory_units += len(seqs)
-            self._gen += 1
-        else:
-            if (st.seqs is not seqs or st.poss is not poss
-                    or st.layers is not layers):
-                st.seqs, st.poss, st.layers = seqs, poss, layers
-                self._memory_units += len(seqs) - held
-                self._gen += 1
-            st.last_seen_seq = newest_seq
-
-    def _mark_prefilter_safe(self, p_seq: int, newest_seq: int) -> None:
-        """Commit one screen-certified point as fully safe, scan-free.
-
-        Exact-mode certification proves the point satisfies the
-        safe-for-all test for every registered query (DESIGN.md section
-        14), so this is the fully-safe branch of :meth:`_store` minus the
-        scan it renders unnecessary; the refresh this point skips would
-        have reached the same state at this very boundary.
-        """
-        self.stats["fully_safe_marked"] += 1
-        st = self._states.get(p_seq)
-        if st is not None:
-            self._memory_units -= st.entry_count()
-        self._states[p_seq] = _PointState(None, None, None, newest_seq,
-                                          True)
-        self._gen += 1
-
-    def _is_fully_safe(self, p_seq: int, seqs: np.ndarray,
-                       layers: np.ndarray) -> bool:
-        """Safe-for-all test; see :class:`~repro.engine.SafetyTracker`."""
-        return self.safety.is_fully_safe(p_seq, seqs, layers)
-
     # -------------------------------------------------------------- metrics
 
     def memory_units(self) -> int:
-        """Skyband entries currently stored (the paper's MEM metric): a
-        running total, so metering a boundary does not walk the window."""
-        return self._memory_units
+        """Skyband entries currently stored (the paper's MEM metric): the
+        table length, so metering a boundary does not walk the window."""
+        return len(self.table)
 
     def tracked_points(self) -> int:
-        return len(self._states)
+        return self.table.tracked
 
     def work_stats(self) -> Dict[str, int]:
         """Distance-row counter plus the refresh profile aggregates."""
@@ -340,6 +210,9 @@ class SOPDetector(Detector):
 
     # ------------------------------------------------------------ inspection
 
-    def state_of(self, seq: int) -> Optional[_PointState]:
-        """Expose one point's state (tests and the quickstart example)."""
-        return self._states.get(seq)
+    def state_of(self, seq: int) -> Optional[PointState]:
+        """One live point's row as a read-only view (None without state)."""
+        i = self.buffer.first_index_at_or_after_seq(seq)
+        if i >= len(self.buffer) or self.buffer.seq_array()[i] != seq:
+            return None
+        return self.table.state(i, seq)

@@ -13,14 +13,14 @@ explicit architecture instead of an implementation detail of one class:
   (``on_ingest`` / ``on_expire`` / ``on_refresh`` / ``on_evaluate`` /
   ``on_boundary_end``) that metering, checkpointing, and alert routing
   subscribe to instead of re-implementing their own loops;
-* :class:`RefreshEngine` -- the K-SKY refresh stage: partition the live
-  points into row groups, run one :class:`VectorizedSkybandEngine`
-  ``scan_batched`` sweep per group (one pairwise kernel per chunk),
-  commit, profile;
-* :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) as a
-  separable component;
+* :class:`RefreshEngine` -- the K-SKY refresh stage: partition the
+  evidence table's rows into row groups, run one
+  :class:`VectorizedSkybandEngine` ``scan_batched`` sweep per group (one
+  pairwise kernel per chunk), commit them all at once, profile;
+* :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) in its
+  counting form, as a separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification
-  (inlier rule + Lemma 3) with its generation-keyed flatten cache.
+  (inlier rule + Lemma 3), read straight off the evidence table.
 
 Every switch and subscriber combination preserves output equality; the
 layers only organize *where* work happens (``docs/architecture.md`` maps

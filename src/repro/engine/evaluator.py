@@ -1,90 +1,54 @@
-"""DueQueryEvaluator: vectorized due-query classification with caching.
+"""DueQueryEvaluator: vectorized due-query classification.
 
 The evaluation stage of the pipeline (Alg. 3 step 4): for each member
 query due at boundary ``t``, classify its window population by counting
-skyband entries (inlier rule + Lemma 3).  One flattened pass builds
-``(owner, layer, pos)`` arrays over all non-safe points; each due query is
-then a masked ``bincount``.  The flattened arrays are cached on the
-detector's mutation generation, so a due boundary that changed nothing
-since the last flatten (e.g. an empty batch with stable evidence) reuses
-them.
+skyband entries (inlier rule + Lemma 3).  It reads the detector's
+:class:`~repro.core.evidence.EvidenceTable` directly: the population is
+the rows not fully safe, and since the entry columns are sorted by owner,
+each row's entries are one run whose bounds are a ``searchsorted`` of the
+rows' seqs.  A due query is then one mask over the entry columns and one
+``cumsum`` read at those bounds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence
 
 import numpy as np
 
 __all__ = ["DueQueryEvaluator"]
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
-
 
 class DueQueryEvaluator:
-    """Classifies due queries from one detector's shared evidence.
-
-    Holds the generation-keyed flatten cache; the detector bumps its
-    ``_gen`` counter on every population or evidence mutation, which is
-    the only invalidation signal this cache needs.
-    """
+    """Classifies due queries from one detector's shared evidence."""
 
     def __init__(self, det):
         self._det = det
-        self._flat_gen = -1
-        self._flat_cache: Optional[Tuple] = None
 
     def evaluate(self, due: Sequence[int], t: int) -> Dict[int, FrozenSet[int]]:
         """``{query_index: outlier seqs}`` for the queries due at ``t``."""
         det = self._det
-        pts = det.buffer.points
-        out: Dict[int, FrozenSet[int]] = {}
-        if not pts:
+        buf = det.buffer
+        if not len(buf):
             return {qi: frozenset() for qi in due}
+        det.stats["eval_flatten_rebuilds"] += 1
+        table = det.table
+        # fully safe rows are inliers for every query, forever
+        rows = np.flatnonzero(~table.safe)
+        seqs = buf.seq_array()[rows]
+        ppos = buf.pos_array(det.by_time)[rows]
+        # every owner is one of these rows, so row i's entries run from
+        # its own lower bound to row i + 1's
+        bounds = np.append(np.searchsorted(table.owner, seqs), len(table))
 
-        if self._flat_cache is None or self._flat_gen != det._gen:
-            p_seqs: List[int] = []
-            p_poss: List[float] = []
-            lengths: List[int] = []
-            layer_chunks: List[np.ndarray] = []
-            pos_chunks: List[np.ndarray] = []
-            for p in pts:
-                st = det._states[p.seq]
-                if st.fully_safe:
-                    continue  # inlier for every query, forever
-                p_seqs.append(p.seq)
-                p_poss.append(det.position(p))
-                n = st.entry_count()
-                lengths.append(n)
-                if n:
-                    layer_chunks.append(st.layers)
-                    pos_chunks.append(st.poss)
-            row = len(p_seqs)
-            seq_arr = np.asarray(p_seqs, dtype=np.int64)
-            ppos_arr = np.asarray(p_poss, dtype=np.float64)
-            len_arr = np.asarray(lengths, dtype=np.int64)
-            own_arr = (np.repeat(np.arange(row, dtype=np.int64), len_arr)
-                       if row else _EMPTY_I)
-            lay_arr = (np.concatenate(layer_chunks) if layer_chunks
-                       else _EMPTY_I)
-            epos_arr = (np.concatenate(pos_chunks) if pos_chunks
-                        else _EMPTY_F)
-            self._flat_cache = (row, seq_arr, ppos_arr, own_arr, lay_arr,
-                                epos_arr)
-            self._flat_gen = det._gen
-            det.stats["eval_flatten_rebuilds"] += 1
-        row, seq_arr, ppos_arr, own_arr, lay_arr, epos_arr = self._flat_cache
-
+        out: Dict[int, FrozenSet[int]] = {}
         for qi in due:
             q = det.group[qi]
             ws = float(max(0, t - q.win))
             m_q = det.plan.query_layers[qi]
-            if row == 0:
-                out[qi] = frozenset()
-                continue
-            emask = (lay_arr <= m_q) & (epos_arr >= ws)
-            counts = np.bincount(own_arr[emask], minlength=row)
-            sel = (ppos_arr >= ws) & (counts < q.k)
-            out[qi] = frozenset(int(s) for s in seq_arr[sel])
+            hits = np.zeros(len(table) + 1, dtype=np.int64)
+            np.cumsum((table.layer <= m_q) & (table.pos >= ws), out=hits[1:])
+            counts = hits[bounds[1:]] - hits[bounds[:-1]]
+            sel = (ppos >= ws) & (counts < q.k)
+            out[qi] = frozenset(seqs[sel].tolist())
         return out

@@ -1,47 +1,54 @@
-"""The K-SKY refresh stage: one engine, one scan path, one launch shape.
+"""The K-SKY refresh stage: one engine, one scan path, one commit.
 
 Every swift boundary, each live non-fully-safe point refreshes its skyband
 (Alg. 3 loop): new points scan the window from scratch, surviving points
 scan only the new arrivals plus their unexpired previous skyband (least
 examination, Alg. 1 / Lemma 2).  *What* is scanned is fixed by the paper;
-*how* the scans are launched is ours, and there is one way:
+*how* is ours, and every step is an array pass over the detector's
+:class:`~repro.core.evidence.EvidenceTable`::
 
-    partition -> one ``scan_batched`` tile sweep per row group -> commit
-    -> one profile sample
+    partition -> one ``scan_batched`` tile sweep per row group
+    -> one group commit -> one profile sample
 
 The rows of a group (all from-scratch points; all survivors sharing a
 first-unseen arrival) scan the same candidate range, so their evidence is
 one ``(rows x candidates)`` matrix computed with a single pairwise kernel
-per chunk -- whatever the group's size, a one-row group and an empty
-range included.  Scan order, chunk boundaries and termination cadence
-replicate the paper's per-point walk exactly; the lockstep suites hold
-the engine bit-exact against it (``repro.testing.ReferenceRefresh`` over
-:class:`~repro.core.ksky.KSkyRunner`).  No decision here reads a clock,
-so the work counters of a run repeat exactly.
-
-The engine owns the partition step (scratch vs. survivors, from
-``_PointState.last_seen_seq``) and the per-boundary profile sample; the
-detector keeps evidence commitment (:meth:`SOPDetector._commit_scratch` /
-``_commit_survivor``) because committing touches safety state and the
-mutation generation.
+per chunk -- whatever the group's size.  Scan order, chunk boundaries and
+termination cadence replicate the paper's per-point walk exactly, and the
+commit merges every scanned row at once (DESIGN.md section 15); the
+lockstep suites hold both bit-exact against the literal per-row refresh
+(``repro.testing.ReferenceRefresh``).  No decision reads a clock, so the
+work counters of a run repeat exactly.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.ksky import KSkyResult, _Resolution
-from ..core.lsky_soa import (
-    LSkySoA,
-    insert_limits,
-    tile_insert_mask,
-    tile_stops,
-)
+from ..core.ksky import _Resolution
+from ..core.lsky_soa import insert_limits, tile_insert_mask, tile_stops
+from .safety import layer_counts
 
-__all__ = ["RefreshEngine", "VectorizedSkybandEngine"]
+__all__ = ["RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
+
+
+class ScanBatch(NamedTuple):
+    """The flat result of one row group's scans.
+
+    Entries are sorted by ``owner`` (the row's index in the group), each
+    row's in scan (arrival-descending) order; ``examined`` and
+    ``terminated`` are per row.
+    """
+
+    owner: np.ndarray
+    seq: np.ndarray
+    pos: np.ndarray
+    layer: np.ndarray
+    examined: np.ndarray
+    terminated: np.ndarray
 
 
 class RefreshEngine:
@@ -50,69 +57,74 @@ class RefreshEngine:
     def refresh(self, det, window_start: float) -> None:
         """Run K-SKY for every live, non-fully-safe point of ``det``."""
         buf = det.buffer
-        pts = buf.points
-        if not pts:
+        table = det.table
+        n = len(buf)
+        if not n:
             return
+        if len(table.seen) != n:
+            raise RuntimeError(
+                f"evidence table holds {len(table.seen)} rows for {n} "
+                "buffered points; load points through warm_start()")
         t0 = time.perf_counter_ns()
         kernels0 = buf.kernel_calls
         batched0 = det.stats["batched_scans"]
         eng = det.skyband_engine
         py0, soa0 = eng.py_iters, eng.soa_rows
+        stats = det.stats
+        seq_arr = buf.seq_array()
+        newest_seq = int(seq_arr[-1])
 
-        newest_seq = pts[-1].seq
-        states = det._states
+        active = np.flatnonzero(~table.safe)
         # first tier: the prefilter's certainly-inlier mask (None when
         # there is no screen or it sits this boundary out).  Its anchor
         # kernels run inside the timed region with kernels0 already
         # snapshotted, so the screen's own cost lands in this boundary's
         # refresh_ns / kernel_launches sample -- honest accounting.
         screen = det.prefilter
-        prune = None
+        pf_screened = pf_pruned = 0
         if screen is not None:
             prune = screen.prune_mask(det)
             if prune is not None:
-                prune = prune.tolist()
-        pf_screened = pf_pruned = 0
-        #: from-scratch scans, as (live index, point, state-or-None)
-        scratch: List[Tuple[int, object, object]] = []
-        #: new_from index -> [(live index, point, state), ...]
-        survivors: Dict[int, List[Tuple[int, object, object]]] = {}
-        for idx, p in enumerate(pts):
-            st = states.get(p.seq)
-            if st is not None and st.fully_safe:
-                continue
-            if prune is not None:
-                pf_screened += 1
-                if prune[idx]:
-                    # suspect-mask short-circuit: certified points commit
-                    # straight to the fully-safe state the skipped scan
-                    # would have produced (exact mode; fast mode accepts
-                    # the screen's statistical evidence here)
-                    pf_pruned += 1
-                    det._mark_prefilter_safe(p.seq, newest_seq)
-                    continue
-            if st is None or not det.use_least_examination:
-                scratch.append((idx, p, st))
-            else:
-                # live index of the first arrival this survivor has not
-                # scanned yet; searchsorted, not base-offset arithmetic,
-                # because shard streams skip sequence numbers
-                new_from = buf.first_index_at_or_after_seq(
-                    st.last_seen_seq + 1)
-                survivors.setdefault(new_from, []).append((idx, p, st))
-        if screen is not None:
+                hit = prune[active]
+                pf_screened = len(active)
+                # certified points commit straight to the fully-safe
+                # state the skipped scan would have produced (DESIGN.md
+                # section 14); the rebuild below drops their entries
+                certified = active[hit]
+                active = active[~hit]
+                pf_pruned = len(certified)
+                table.safe[certified] = True
+                table.touch(certified, newest_seq)
+                stats["fully_safe_marked"] += pf_pruned
             screen.observe(pf_screened, pf_pruned)
 
-        def commit_scratch(p, st, result):
-            det._commit_scratch(p, st, result, newest_seq)
+        # survivors scan from their first unseen arrival (a searchsorted,
+        # not base-offset arithmetic: shard streams skip seqs); the rest
+        # from scratch.  A stable sort by that start makes each group a run.
+        seen = table.seen[active]
+        surv = (seen >= 0) if det.use_least_examination else (
+            np.zeros(len(active), dtype=bool))
+        lo = np.zeros(len(active), dtype=np.intp)
+        lo[surv] = np.searchsorted(seq_arr, seen[surv] + 1)
+        order = np.argsort(lo, kind="stable")
+        rows, lo, surv = active[order], lo[order], surv[order]
+        edges = [0] + (np.flatnonzero(np.diff(lo)) + 1).tolist()
+        edges.append(len(rows))
+        # (no rows at all is one empty group: the rebuild still drops the
+        # entries of rows the screen certified)
+        scan = _concat([
+            self._scan(det, rows[a:b], int(lo[a]) if a < b else 0)
+            for a, b in zip(edges, edges[1:])], edges)
 
-        def commit_survivor(p, st, scan):
-            det._commit_survivor(p, st, scan, window_start, newest_seq)
-
-        if scratch:
-            self._scan(det, scratch, 0, commit_scratch)
-        for new_from, group in survivors.items():
-            self._scan(det, group, new_from, commit_survivor)
+        examined, safe, owner, src = self._commit(det, rows, surv, scan,
+                                                  window_start)
+        stats["ksky_runs"] += len(rows)
+        stats["points_examined"] += int(examined.sum())
+        stats["early_terminations"] += int(np.count_nonzero(scan.terminated))
+        stats["fully_safe_marked"] += int(np.count_nonzero(safe))
+        table.safe[rows[safe]] = True
+        table.touch(rows, newest_seq)
+        table.rebuild(owner, src, scan.seq, scan.pos, scan.layer)
 
         # ``python_insert_iters`` is the interpreted steps the scan engine
         # actually spent (tiles resolved + cadence-regime rows), not the
@@ -120,7 +132,7 @@ class RefreshEngine:
         det.profile.record(
             time.perf_counter_ns() - t0,
             buf.kernel_calls - kernels0,
-            det.stats["batched_scans"] - batched0,
+            stats["batched_scans"] - batched0,
             eng.py_iters - py0,
             soa_insert_rows=eng.soa_rows - soa0,
             prefilter_screened=pf_screened,
@@ -128,22 +140,79 @@ class RefreshEngine:
             prefilter_pruned=pf_pruned,
         )
 
-    def _scan(self, det, rows, lo: int, commit) -> None:
-        """Scan one row group over live indexes ``[lo, end)`` and commit
-        each result (the hook ``repro.testing.ReferenceRefresh``
-        overrides).
-
-        ``rows`` is ``[(live index, point, state), ...]``; ``lo`` is 0 for
-        from-scratch rows and the group's shared first-unseen index for
-        survivors (least examination: only arrivals the group has not
-        scanned yet are candidates).
-        """
+    def _scan(self, det, rows: np.ndarray, lo: int) -> ScanBatch:
+        """Scan one row group (live indexes ``rows``) over live indexes
+        ``[lo, end)`` -- the hook ``repro.testing.ReferenceRefresh``
+        overrides.  ``lo`` is 0 for from-scratch rows and the group's
+        shared first-unseen index for survivors."""
         det.stats["batched_scans"] += len(rows)
-        results = det.skyband_engine.scan_batched(
-            [idx for idx, _, _ in rows], [p.seq for _, p, _ in rows],
-            det.buffer, lo)
-        for (_, p, st), result in zip(rows, results):
-            commit(p, st, result)
+        return det.skyband_engine.scan_batched(rows, det.buffer, lo)
+
+    def _commit(self, det, rows: np.ndarray, surv: np.ndarray,
+                scan: ScanBatch, window_start: float):
+        """Least examination and safe-for-all for every scanned row at
+        once (the hook ``repro.testing.ReferenceRefresh`` overrides with
+        the literal per-row merge).
+
+        ``rows`` are the scanned live rows, ``surv`` flags the ones whose
+        old evidence is merged, ``scan.owner`` indexes ``rows``.  Returns
+        ``(examined, safe, owner, src)``: per-row examined counts and
+        fully-safe flags, and the rebuilt table as its owner column plus
+        each entry's index into [scan entries | current table].
+        """
+        plan = det.plan
+        table = det.table
+        seq_arr = det.buffer.seq_array()
+        n_rows = len(rows)
+        n_new = len(scan.owner)
+        # the old entries a row re-admits: a survivor's unexpired ones,
+        # unless its scan terminated (Alg. 1 lines 3-5)
+        merge = surv & ~scan.terminated
+        slot = np.full(len(seq_arr), -1, dtype=np.int32)
+        slot[rows[merge]] = np.flatnonzero(merge)
+        o_row = slot[np.searchsorted(seq_arr, table.owner)]
+        o_idx = np.flatnonzero((o_row >= 0) & (table.pos >= window_start))
+        o_row = o_row[o_idx]
+        examined = scan.examined + np.bincount(o_row, minlength=n_rows)
+        # Def. 6 condition 2 against the new arrivals alone: an old entry
+        # is dominated once k_max new entries sit at or below its layer
+        new_at = layer_counts(scan.owner, scan.layer, n_rows, plan.n_layers)
+        kept = new_at[o_row, table.layer[o_idx]] < plan.k_max
+        o_idx, o_row = o_idx[kept], o_row[kept]
+
+        if det.use_safe_inliers:
+            own = seq_arr[rows]
+            s_new = scan.seq > own[scan.owner]
+            s_old = table.seq[o_idx] > own[o_row]
+            safe = det.safety.safe_rows(
+                np.concatenate((scan.owner[s_new], o_row[s_old])),
+                np.concatenate((scan.layer[s_new],
+                                table.layer[o_idx[s_old]])),
+                n_rows)
+        else:
+            safe = np.zeros(n_rows, dtype=bool)
+
+        # fully safe rows drop their evidence; the rest keep their new
+        # entries ahead of their kept old ones -- the stable sort by row
+        # preserves that and each part's arrival-descending order
+        n_idx = np.flatnonzero(~safe[scan.owner])
+        o_live = ~safe[o_row]
+        o_idx, o_row = o_idx[o_live], o_row[o_live]
+        key = rows.astype(np.int32)[np.concatenate((scan.owner[n_idx],
+                                                    o_row))]
+        order = np.argsort(key, kind="stable")
+        src = np.concatenate((n_idx, n_new + o_idx))[order]
+        return examined, safe, seq_arr[key[order]], src
+
+
+def _concat(scans: List[ScanBatch], starts: List[int]) -> ScanBatch:
+    """One boundary's group results as one batch, owners offset by each
+    group's first row."""
+    if len(scans) == 1:
+        return scans[0]
+    return ScanBatch(
+        np.concatenate([s.owner + a for s, a in zip(scans, starts)]),
+        *(np.concatenate(cols) for cols in list(zip(*scans))[1:]))
 
 
 # ------------------------------------------------------------ the scan engine
@@ -165,9 +234,8 @@ class VectorizedSkybandEngine:
     termination point in closed form
     (:func:`~repro.core.lsky_soa.tile_stops`) -- no insert is replayed.
     :meth:`scan_batched` feeds it each chunk's tile with the row state
-    (stored layer counts, exit index) held in arrays and splits the
-    inserted ``(row, live index, layer)`` triples into per-row results
-    once at the end.
+    (stored layer counts, exit index) held in arrays and returns the
+    inserted entries flat, as one :class:`ScanBatch` for the group.
 
     ``py_iters`` (the profile's ``python_insert_iters``) counts the
     interpreted steps left: one per resolved tile and one per row in the
@@ -188,7 +256,9 @@ class VectorizedSkybandEngine:
         self._sub_ks = plan.subgroup_ks.astype(np.int32)
         self._limits = insert_limits(plan.allowed_layer, plan.k_max,
                                      plan.n_layers)
-        self._layer_dtype = np.min_scalar_type(plan.n_layers)
+        #: narrowest dtype holding a layer index, the ``n_layers``
+        #: sentinel included (scan tiles and the evidence table use it)
+        self.layer_dtype = np.min_scalar_type(plan.n_layers)
         #: interpreted resolve steps (the profile's
         #: ``python_insert_iters``)
         self.py_iters = 0
@@ -223,17 +293,12 @@ class VectorizedSkybandEngine:
                 alive.sum(axis=1) > _Resolution._EXACT_LIMIT))
         return ins, stop, stopped, pending
 
-    def scan_batched(
-        self,
-        row_indexes: Sequence[int],
-        p_seqs: Sequence[int],
-        buffer,
-        lo: int,
-    ) -> List[KSkyResult]:
+    def scan_batched(self, row_indexes, buffer, lo: int) -> ScanBatch:
         """Chunk-synchronous batched scans over live indexes ``[lo, end)``.
 
-        ``row_indexes``/``p_seqs`` give the live-buffer index and seq of
-        each evaluated point.  All rows share the same candidate range, so
+        ``row_indexes`` gives the live-buffer index of each evaluated
+        point; the result's ``owner`` indexes it.  All rows share the
+        same candidate range, so
         each chunk costs one ``pairwise_block`` kernel over the still-active
         rows, one vectorized ``layers_of`` hash and one
         :meth:`_resolve_tile` -- rows that terminate drop out of
@@ -261,7 +326,7 @@ class VectorizedSkybandEngine:
         k_max = plan.k_max
         chunk = self.chunk_size
         hi = len(buffer)
-        n = len(p_seqs)
+        n = len(row_indexes)
         mat = buffer.matrix()
         self_idx = np.asarray(row_indexes, dtype=np.intp)
         # degenerate empty sub-group template: the reference walk
@@ -278,7 +343,7 @@ class VectorizedSkybandEngine:
         #: inserted entries per tile: owning row, live index, layer
         owners = [np.empty(0, dtype=np.intp)]
         lives = [np.empty(0, dtype=np.intp)]
-        layers = [np.empty(0, dtype=self._layer_dtype)]
+        layers = [np.empty(0, dtype=self.layer_dtype)]
         q_mat: Optional[np.ndarray] = None
         block_hi = hi
         while block_hi > lo and len(act):
@@ -304,7 +369,7 @@ class VectorizedSkybandEngine:
                     continue
                 if len(sub) < len(act):
                     lmat, csum, rows = lmat[sub], csum[sub], act[sub]
-            L = lmat[:, ::-1].astype(self._layer_dtype)
+            L = lmat[:, ::-1].astype(self.layer_dtype)
             ins, stop, stopped, pending = self._resolve_tile(L, csum)
             r_nz, s_nz = ins.nonzero()
             ins_layers = L[r_nz, s_nz]
@@ -331,28 +396,11 @@ class VectorizedSkybandEngine:
         owner = np.concatenate(owners)
         order = np.argsort(owner, kind="stable")
         live = np.concatenate(lives)[order]
-        lays = np.concatenate(layers)[order]
-        seq_arr = buffer.seq_array()
-        pos_arr = buffer.pos_array(self.by_time)
         self.soa_rows += len(live)
-        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-        results = []
-        a = 0
-        for b, n_examined, term in zip(ends, examined.tolist(),
-                                       terminated.tolist()):
-            # per-row gathers, so every result owns its arrays: a slice of
-            # one per-scan array would pin all of it for as long as any
-            # row's evidence lives
-            idx = live[a:b]
-            results.append(KSkyResult(
-                lsky=LSkySoA(n_layers, seq_arr[idx], pos_arr[idx],
-                             lays[a:b].astype(np.int64)),
-                examined=n_examined,
-                terminated_early=term,
-                resolved_all=term or not has_template,
-            ))
-            a = b
-        return results
+        return ScanBatch(owner[order].astype(np.int32),
+                         buffer.seq_array()[live],
+                         buffer.pos_array(self.by_time)[live],
+                         np.concatenate(layers)[order], examined, terminated)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorizedSkybandEngine(chunk_size={self.chunk_size})"

@@ -169,12 +169,15 @@ class StreamPartitioner:
             raise RuntimeError(
                 "partitioner has no bounds yet; call ensure_bounds first"
             )
+        if self.n_shards == 1:
+            # one shard owns and receives everything: no cell math.  Axis
+            # 0 exists on every point (a point has at least one attribute)
+            if self.axis:
+                for p in batch:
+                    self._check_axis(p)
+            return [list(batch)], dict.fromkeys([p.seq for p in batch], 0)
         for p in batch:
-            if self.axis >= p.dim:
-                raise ValueError(
-                    f"partition axis {self.axis} out of range for "
-                    f"{p.dim}-dimensional point seq={p.seq}"
-                )
+            self._check_axis(p)
             v = p.values[self.axis]
             owners[p.seq] = self._cell(v)
             lo = self._cell(v - self.radius)
@@ -182,6 +185,13 @@ class StreamPartitioner:
             for s in range(lo, hi + 1):
                 shard_batches[s].append(p)
         return shard_batches, owners
+
+    def _check_axis(self, p: Point) -> None:
+        if self.axis >= p.dim:
+            raise ValueError(
+                f"partition axis {self.axis} out of range for "
+                f"{p.dim}-dimensional point seq={p.seq}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

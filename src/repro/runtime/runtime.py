@@ -376,9 +376,9 @@ class Runtime:
         The service layer's workload-rebuild hook: when the registered
         query set changes mid-stream, a fresh runtime is built for the
         new shared plan and the old runtime's retained window is carried
-        over here -- partitioned, ownership-recorded, and appended to
-        each shard's buffer.  Evidence is rebuilt lazily by K-SKY at the
-        next boundary, exactly like
+        over here -- partitioned, ownership-recorded, and loaded into each
+        shard through ``warm_start``.  Evidence is rebuilt lazily by K-SKY
+        at the next boundary, exactly like
         :meth:`~repro.core.dynamic.DynamicSOPDetector` rebuilds.  Serial
         backends only (live shard executors required).
         """
@@ -391,7 +391,7 @@ class Runtime:
         for shard in self.shards:
             batch = shard_batches[shard.shard_id]
             if batch:
-                shard.detector.buffer.extend(batch)
+                shard.detector.warm_start(batch)
 
     def retained_points(self) -> List[Point]:
         """The live window, deduplicated across shards, in seq order.

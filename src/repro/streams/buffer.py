@@ -53,14 +53,8 @@ class WindowBuffer:
         self._len = 0  # rows of _mat in use (== len(_pts) before offsetting)
         self._start = 0
         # cached live-region list; rebuilt lazily after mutations so hot
-        # paths (K-SKY scans every point every boundary) avoid re-slicing
+        # paths avoid re-slicing
         self._view: Optional[List[Point]] = None
-        # cached structure-of-arrays views of the live region (Python
-        # lists, so the K-SKY scan loops touch ints/floats without per-
-        # candidate attribute access); invalidated with _view
-        self._seq_list: Optional[List[int]] = None
-        self._pos_seq_list: Optional[List[float]] = None
-        self._pos_time_list: Optional[List[float]] = None
         # cached float64 positions of the live region (count-based
         # windows); the vectorized skyband engine gathers from it
         self._pos_seq_arr: Optional[np.ndarray] = None
@@ -95,43 +89,6 @@ class WindowBuffer:
             raise IndexError(i)
         return self._pts[self._start + i]
 
-    def seqs(self) -> List[int]:
-        """Live-region sequence numbers as a cached list of Python ints.
-
-        The K-SKY scan loops index this instead of touching ``Point``
-        attributes per candidate; treat it as read-only.
-        """
-        if self._seq_list is None:
-            if self._seqs is None or self._start >= self._len:
-                self._seq_list = []
-            else:
-                self._seq_list = self._seqs[self._start:self._len].tolist()
-        return self._seq_list
-
-    def positions(self, by_time: bool) -> List[float]:
-        """Live-region window positions (cached list of Python floats).
-
-        Positions are ``time`` for time-based windows, ``float(seq)`` for
-        count-based ones -- the same convention as ``evict_before``.
-        Treat the returned list as read-only.
-        """
-        if by_time:
-            if self._pos_time_list is None:
-                if self._times is None or self._start >= self._len:
-                    self._pos_time_list = []
-                else:
-                    self._pos_time_list = (
-                        self._times[self._start:self._len].tolist())
-            return self._pos_time_list
-        if self._pos_seq_list is None:
-            if self._seqs is None or self._start >= self._len:
-                self._pos_seq_list = []
-            else:
-                self._pos_seq_list = (
-                    self._seqs[self._start:self._len]
-                    .astype(np.float64).tolist())
-        return self._pos_seq_list
-
     def seq_array(self) -> np.ndarray:
         """Live-region sequence numbers as an int64 array (a view into the
         backing storage -- read-only, valid until the next mutation)."""
@@ -142,10 +99,10 @@ class WindowBuffer:
     def pos_array(self, by_time: bool) -> np.ndarray:
         """Live-region window positions as a float64 array.
 
-        Same values as :meth:`positions` (``time`` for time-based windows,
-        ``float(seq)`` for count-based ones); the count-based conversion
-        is cached per buffer epoch.  Read-only, valid until the next
-        mutation.
+        ``time`` for time-based windows, ``float(seq)`` for count-based
+        ones -- the same convention as ``evict_before``; the count-based
+        conversion is cached per buffer epoch.  Read-only, valid until
+        the next mutation.
         """
         if self._start >= self._len or self._seqs is None:
             return np.empty(0, dtype=np.float64)
@@ -258,9 +215,6 @@ class WindowBuffer:
 
     def _invalidate_views(self) -> None:
         self._view = None
-        self._seq_list = None
-        self._pos_seq_list = None
-        self._pos_time_list = None
         self._pos_seq_arr = None
 
     # ---------------------------------------------------------------- lookup

@@ -48,13 +48,32 @@ def line_points(values, start_seq=0, times=None):
 def evidence(det):
     """Frozen per-point evidence arrays (and safety state) of a detector."""
     out = {}
-    for seq, st in det._states.items():
+    for seq in det.buffer.seq_array().tolist():
+        st = det.state_of(seq)
+        if st is None:
+            continue
         if st.seqs is None:
             out[seq] = (None, st.fully_safe)
         else:
             out[seq] = ((st.seqs.tolist(), st.poss.tolist(),
                          st.layers.tolist()), st.fully_safe)
     return out
+
+
+def scan_rows(batch):
+    """A ``ScanBatch`` split per row: ``(entries, examined, terminated)``
+    with entries as ``(seq, pos, layer)`` tuples in scan order."""
+    ends = np.searchsorted(batch.owner, np.arange(len(batch.examined) + 1))
+    entries = list(zip(batch.seq.tolist(), batch.pos.tolist(),
+                       batch.layer.tolist()))
+    return [(entries[a:b], int(n), bool(term)) for a, b, n, term in zip(
+        ends, ends[1:], batch.examined, batch.terminated)]
+
+
+def ksky_facts(result):
+    """The same facts of one reference ``KSkyResult``."""
+    return ([tuple(e) for e in result.lsky.entries()], result.examined,
+            result.terminated_early)
 
 
 #: work counters the scan engine must reproduce exactly

@@ -132,6 +132,42 @@ class TestExecution:
         # seq 15 has >= 2 neighbors among the retained seqs 0..14
         assert 15 not in out2[0]
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_rebuild_mid_stream_equals_dynamic_oracle(self, shards):
+        """A registration mid-stream rebuilds detector state from the
+        retained window -- through ``Runtime.preload`` in the service
+        engine and ``DynamicSOPDetector._rebuild`` in the dynamic
+        detector, both loading it via ``warm_start``.  The service equals
+        the dynamic oracle, and both equal brute force before and after
+        the switch."""
+        from repro import DetectorConfig, NaiveDetector
+        from repro.serve.engine import ServiceEngine
+
+        pts = make_synthetic_points(900, seed=41)
+        first, second = q(400, 4, 200, 50), q(900, 6, 150, 50)
+        switch = 400
+        engine = ServiceEngine(DetectorConfig(shards=shards),
+                               queries=[first])
+        oracle = DynamicSOPDetector([first])
+        served, dynamic = {}, {}
+        for t, batch in batches_by_boundary(pts, 50, "count"):
+            if t == switch + 50:
+                assert engine.register(second) == oracle.add_query(second)
+            for p in batch:
+                engine.feed(p)
+            for bt, outs in engine.pump(t):
+                served.update({(h, bt): seqs for h, seqs in outs.items()})
+            dynamic.update({(h, t): seqs
+                            for h, seqs in oracle.step(t, batch).items()})
+        assert engine.pump(float("inf")) == []
+        assert served == dynamic
+        before = NaiveDetector(QueryGroup([first])).run(pts).outputs
+        after = NaiveDetector(QueryGroup([first, second])).run(pts).outputs
+        expected = {key: s for key, s in before.items() if key[1] <= switch}
+        expected.update({key: s for key, s in after.items()
+                         if key[1] > switch})
+        assert dynamic == expected
+
     def test_plan_property(self):
         dyn = DynamicSOPDetector([q(1, 2, 20, 10)])
         assert dyn.plan is None  # stale until first step

@@ -36,34 +36,12 @@ from repro import (
 from repro.bench import build_workload, default_ranges
 from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.ksky import _Resolution
-from repro.core.lsky_soa import (
-    LSkySoA,
-    insert_limits,
-    tile_insert_mask,
-    tile_stops,
-)
+from repro.core.lsky_soa import insert_limits, tile_insert_mask, tile_stops
 from repro.streams.source import batches_by_boundary
 from repro.streams.windows import COUNT, TIME
 from repro.testing import ReferenceRefresh, use_reference_scans
 
-from conftest import lockstep_reference
-
-# ------------------------------------------------------------ array carrier
-
-
-def test_soa_carrier_adopts_lists_and_arrays():
-    """Lists or arrays per column: the carrier exposes the scan-order
-    entries as the three canonical arrays."""
-    one = LSkySoA(3, [9, 7], [9.0, 7.0], [1, 0])
-    other = LSkySoA(3, np.array([9, 7, 4]), np.array([9.0, 7.0, 4.0]),
-                    np.array([1, 0, 1], dtype=np.uint8))
-    assert list(one.entries()) == [(9, 9.0, 1), (7, 7.0, 0)]
-    assert list(other.entries()) == [(9, 9.0, 1), (7, 7.0, 0), (4, 4.0, 1)]
-    assert len(other) == 3 and len(LSkySoA(3)) == 0
-    seqs, poss, layers = other.as_arrays()
-    assert (seqs.dtype, poss.dtype, layers.dtype) == (
-        np.int64, np.float64, np.int64)
-
+from conftest import ksky_facts, lockstep_reference, scan_rows
 
 # ------------------------------------------------------------- tile resolve
 
@@ -328,16 +306,6 @@ def test_checkpoint_crash_resume(tmp_path):
 # ------------------------------------------------------ engine-level scan
 
 
-def _result_facts(res):
-    """Everything a caller can observe about a KSkyResult."""
-    return {
-        "entries": [tuple(e) for e in res.lsky.entries()],
-        "examined": res.examined,
-        "terminated_early": res.terminated_early,
-        "resolved_all": res.resolved_all,
-    }
-
-
 @st.composite
 def _scan_case(draw):
     spec = draw(st.sampled_from("ABC"))
@@ -364,8 +332,8 @@ def _scan_case(draw):
 @given(_scan_case())
 def test_scan_batched_engine_lockstep(case):
     """``scan_batched`` is bit-identical, row by row, to the ``KSkyRunner``
-    reference: same skyband entries, examined counts, termination, and
-    resolution flags, across chunk boundaries, group sizes (one-row groups
+    reference: same skyband entries, examined counts and termination,
+    across chunk boundaries, group sizes (one-row groups
     included), the whole window and arbitrary suffixes (the empty one
     included), count and time positions -- at equal ``distance_rows``."""
     (spec, kind, n_queries, seed, chunk, n_points, stream_seed, rows,
@@ -379,26 +347,21 @@ def test_scan_batched_engine_lockstep(case):
     buf = det.buffer
     buf.extend(make_synthetic_points(n_points, dim=2, outlier_rate=0.1,
                                      seed=stream_seed))
-    seqs = [buf.points[i].seq for i in rows]
 
     for lo in (0, new_from):
         before = buf.distance_rows
-        got = engine.scan_batched(rows, seqs, buf, lo)
+        got = scan_rows(engine.scan_batched(rows, buf, lo))
         batched_rows = buf.distance_rows - before
-        want = [runner.scan_new_arrivals(buf.points[i].values,
-                                         buf.points[i].seq, buf, lo)
-                for i in rows]
-        assert [_result_facts(r) for r in got] == [
-            _result_facts(r) for r in want]
+        want = [ksky_facts(runner.scan_new_arrivals(
+            buf.points[i].values, buf.points[i].seq, buf, lo)) for i in rows]
+        assert got == want
         assert batched_rows == buf.distance_rows - before - batched_rows
 
     # Alg. 1 lines 1-2 (a new point searches the window from scratch) is
-    # the lo=0 scan; only the post-scan resolution flag is computed apart
+    # the lo=0 scan
     p = buf.points[rows[0]]
-    a = _result_facts(runner.run_new_point(p.values, p.seq, buf))
-    b = _result_facts(engine.scan_batched(rows[:1], seqs[:1], buf, 0)[0])
-    del a["resolved_all"], b["resolved_all"]
-    assert a == b
+    assert scan_rows(engine.scan_batched(rows[:1], buf, 0)) == [
+        ksky_facts(runner.run_new_point(p.values, p.seq, buf))]
 
 
 @settings(max_examples=12, deadline=None,

@@ -144,6 +144,24 @@ class TestStreamPartitioner:
         with pytest.raises(RuntimeError, match="no bounds"):
             part.split(line_points([1.0]))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_shard_short_circuit(self, axis):
+        """One shard skips the cell math but routes, owns and fails
+        exactly as the cell path does."""
+        pts = [Point(seq=i, values=(v, -v)) for i, v in
+               enumerate([0.5, 9.0, -3.0, 2.0, 2.0])]
+        part = StreamPartitioner(1, 0.5, axis=axis)
+        part.ensure_bounds(pts)
+        shard_batches, owners = part.split(pts)
+        assert shard_batches == [pts]
+        assert owners == {p.seq: 0 for p in pts}
+        assert part.split([]) == ([[]], {})
+        with pytest.raises(ValueError, match="axis 1 out of range"):
+            StreamPartitioner(1, 0.5, bounds=(0.0, 1.0), axis=1).split(
+                pts + line_points([1.0], start_seq=5))
+        with pytest.raises(RuntimeError, match="no bounds"):
+            StreamPartitioner(1, 0.5).split(pts)
+
 
 # --------------------------------------------------------------------- merger
 
@@ -485,6 +503,38 @@ class TestPreloadAndSnapshots:
                     if key[1] > 300}
         diffs = compare_outputs(expected, resumed)
         assert not diffs, "\n".join(diffs[:10])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_preload_then_step_equals_fresh_runtime(self, shards):
+        """Preloading a window and stepping equals a fresh runtime that
+        receives the same points in its first batch: same outputs, and
+        the same evidence on every shard (preload goes through the
+        detectors' ``warm_start``, so buffer and table stay aligned)."""
+        from conftest import evidence
+
+        points = make_synthetic_points(700, dim=2, seed=25)
+        group = small_workload()
+        slide, cut = group.swift.slide, 6 * group.swift.slide
+        axis = [p.values[0] for p in points]
+
+        def runtime():
+            return Runtime(small_workload(), shards=shards,
+                           partitioner=StreamPartitioner(
+                               shards, group.r_max,
+                               bounds=(min(axis), max(axis))))
+
+        preloaded, fresh = runtime(), runtime()
+        window = [p for p in points if p.seq < cut]
+        preloaded.preload(window)
+        batches = list(batches_by_boundary(points, slide, group.kind,
+                                           start=cut))
+        for i, (t, batch) in enumerate(batches):
+            got = preloaded.step(t, batch)
+            want = fresh.step(t, window + list(batch) if i == 0 else batch)
+            assert got == want, f"t={t}"
+            for a, b in zip(preloaded.shards, fresh.shards):
+                assert evidence(a.detector) == evidence(b.detector), f"t={t}"
+                assert a.detector.memory_units() == b.detector.memory_units()
 
     def test_work_stats_snapshot_includes_quarantine(self):
         points = make_synthetic_points(200, dim=2, seed=23)

@@ -37,7 +37,7 @@ from repro.streams.source import batches_by_boundary
 from repro.streams.windows import COUNT, TIME
 from repro.testing import use_reference_scans
 
-from conftest import line_points, lockstep_reference
+from conftest import ksky_facts, line_points, lockstep_reference, scan_rows
 
 
 def _stream(n=1500, seed=9):
@@ -70,10 +70,11 @@ def test_time_window_equivalence(spec):
 @pytest.mark.parametrize("kind", [COUNT, TIME])
 @pytest.mark.parametrize("spec", list("ABCDEFG"))
 def test_memory_units_running_total_equals_recount(spec, kind, prefilter):
-    """``memory_units()`` is a running total adjusted by every writer of
-    the state table; after each boundary it must equal a recount.  (The
-    lockstep suites cannot see a drift: the reference detector shares the
-    same bookkeeping.)"""
+    """``memory_units()`` is the evidence table's length and
+    ``tracked_points()`` a running count; after each boundary both must
+    equal a recount over the per-point ``state_of`` views -- no entry may
+    outlive its owner's row (expired or certified safe).  (The lockstep
+    suites cannot see a drift: the reference detector shares the table.)"""
     # windows short enough that points holding evidence expire
     ranges = replace(default_ranges(kind=kind), win=(300, 800),
                      fixed_win=500)
@@ -83,8 +84,11 @@ def test_memory_units_running_total_equals_recount(spec, kind, prefilter):
     for t, batch in batches_by_boundary(_stream(n=1500), group.swift.slide,
                                         group.kind):
         det.step(t, batch)
-        recount = sum(st.entry_count() for st in det._states.values())
+        views = [det.state_of(s) for s in det.buffer.seq_array().tolist()]
+        recount = sum(len(v.seqs) for v in views
+                      if v is not None and v.seqs is not None)
         assert det.memory_units() == recount, f"drift at t={t}"
+        assert det.tracked_points() == sum(v is not None for v in views)
         peak = max(peak, recount)
     assert peak > 0
     if prefilter != "none":
@@ -217,12 +221,6 @@ def test_random_stream_equivalence(data, n_points, seed):
 # ------------------------------------------------------- engine-level checks
 
 
-def _facts(res):
-    """Everything a caller can observe about a KSkyResult."""
-    return (list(res.lsky.entries()), res.examined, res.terminated_early,
-            res.resolved_all)
-
-
 @pytest.mark.parametrize("lo", [0, 75, 260])
 def test_scan_batched_matches_per_point(small_group, lo):
     """One batched sweep equals the reference per-point runner row by
@@ -245,13 +243,12 @@ def test_scan_batched_matches_per_point(small_group, lo):
                     for p in _stream(n=260)])
         every_5th = list(range(0, len(buf), 5))
         for rows in [every_5th] + [[i] for i in every_5th[::7]]:
-            seqs = [buf.points[i].seq for i in rows]
-            batched = engine.scan_batched(rows, seqs, buf, lo)
+            batched = scan_rows(engine.scan_batched(rows, buf, lo))
             assert len(batched) == len(rows)
             for row, got in zip(rows, batched):
                 p = buf.points[row]
                 ref = runner.scan_new_arrivals(p.values, p.seq, buf, lo)
-                assert _facts(got) == _facts(ref), f"{kind} row {row}"
+                assert got == ksky_facts(ref), f"{kind} row {row}"
 
 
 def test_empty_template_terminates_at_first_boundary(small_group):
@@ -273,17 +270,15 @@ def test_empty_template_terminates_at_first_boundary(small_group):
     folded_runs = 0
     for lo in (0, 75):
         rows = list(range(0, len(buf), 5))
-        want = [_facts(runner.scan_new_arrivals(
+        want = [ksky_facts(runner.scan_new_arrivals(
             buf.points[i].values, buf.points[i].seq, buf, lo)) for i in rows]
-        seqs = [buf.points[i].seq for i in rows]
-        assert [_facts(r) for r in engine.scan_batched(rows, seqs, buf, lo)
-                ] == want
+        assert scan_rows(engine.scan_batched(rows, buf, lo)) == want
         for i, expect in zip(rows, want):
             near = np.flatnonzero(
                 buf.distances_from(buf.points[i].values) <= r_max)
             folded_runs += not (near >= max(lo, len(buf) - 16)).any()
-            got, = engine.scan_batched([i], [buf.points[i].seq], buf, lo)
-            assert _facts(got) == expect, f"row {i}"
+            assert scan_rows(engine.scan_batched([i], buf, lo)) == [expect], (
+                f"row {i}")
     assert folded_runs  # some scan met a candidate-free first chunk
 
 
@@ -343,27 +338,33 @@ def test_refresh_profile_records_boundaries():
     assert work["distance_rows"] == det.buffer.distance_rows
 
 
-def test_evaluate_cache_reuses_flatten():
-    """Due evaluations between mutations reuse the flattened arrays; any
-    mutation (new batch, eviction, evidence change) invalidates them."""
+def test_evaluate_reads_the_table():
+    """Due evaluation reads the evidence table directly: every due query
+    equals a per-point count over the ``state_of`` views, re-evaluating
+    repeats it, and ``eval_flatten_rebuilds`` counts the evaluations of a
+    non-empty window."""
     group = build_workload("A", n_queries=4, seed=2)
     det = SOPDetector(group)
-    stream = _stream(n=1000)
-    res = det.run(stream)
-    rebuilds = det.stats["eval_flatten_rebuilds"]
-    assert 0 < rebuilds <= det.profile.boundaries
-    # repeated evaluation with no intervening mutation: zero extra rebuilds,
-    # identical answers
-    due = list(range(len(group.queries)))
-    t = res.boundaries * det.swift.slide
-    first = det._evaluate_due(due, t)
-    mid = det.stats["eval_flatten_rebuilds"]
-    second = det._evaluate_due(due, t)
-    assert det.stats["eval_flatten_rebuilds"] == mid
-    assert first == second
-    # a new batch invalidates the cache
-    last = stream[-1]
-    det.step(t, [Point(seq=last.seq + 1, values=last.values,
-                       time=last.time + 1.0)])
-    det._evaluate_due(due, t)
-    assert det.stats["eval_flatten_rebuilds"] > mid
+    evaluations = 0
+    for t, batch in batches_by_boundary(_stream(n=1000), group.swift.slide,
+                                        group.kind):
+        out = det.step(t, batch)
+        due = group.due_members(t)
+        if not due:
+            continue
+        for qi in due:
+            q = group[qi]
+            ws = max(0, t - q.win)
+            m_q = det.plan.query_layers[qi]
+            want = set()
+            for p in det.buffer.points:
+                st = det.state_of(p.seq)
+                if st.fully_safe or det.position(p) < ws:
+                    continue
+                if np.count_nonzero((st.layers <= m_q) & (st.poss >= ws)
+                                    ) < q.k:
+                    want.add(p.seq)
+            assert out[qi] == want, f"query {qi} at t={t}"
+        assert det._evaluate_due(due, t) == out
+        evaluations += 2 * bool(len(det.buffer))
+    assert det.stats["eval_flatten_rebuilds"] == evaluations > 0
