@@ -65,6 +65,11 @@ class DetectorConfig:
     #: mismatches) are quarantined to a counted side channel instead of
     #: corrupting window state
     validate_ingest: bool = False
+    #: the stream's dimensionality, enforced by that guard (``expect_dim``);
+    #: None learns it from the first admitted record -- which then also
+    #: fixes the seq high-water mark, so a wrong-arity record arriving
+    #: first would be admitted and every clean record after it refused
+    ingest_dim: Optional[int] = None
     #: deterministic chaos schedule (inline JSON or a path to a JSON
     #: file, resolved by :meth:`repro.testing.faults.FaultPlan.resolve`);
     #: None disables fault injection -- production default
@@ -117,6 +122,8 @@ class DetectorConfig:
             raise ValueError("shard_deadline must be >= 0 (0 = no deadline)")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
+        if self.ingest_dim is not None and self.ingest_dim < 1:
+            raise ValueError("ingest_dim must be >= 1 (None = learned)")
         if self.prefilter not in self._PREFILTERS:
             raise ValueError(
                 f"prefilter must be one of {self._PREFILTERS}, "

@@ -100,7 +100,8 @@ class Runtime:
         self.backend: Backend = (backend if isinstance(backend, Backend)
                                  else make_backend(config.backend,
                                                    config=config))
-        self.guard = IngestGuard() if config.validate_ingest else None
+        self.guard = (IngestGuard(expect_dim=config.ingest_dim)
+                      if config.validate_ingest else None)
         self.factory = (factory if factory is not None
                         else partial(SOPDetector, config=config))
         radius = config.replication_radius or group.r_max

@@ -17,9 +17,11 @@ that true:
   (or ended).  Per-session positions are monotone (each session runs an
   :class:`~repro.streams.source.IngestGuard`), so no record positioned
   before ``t`` can arrive later;
-* *canonical batch order* -- each boundary's batch is sorted by
-  ``(position, seq)`` before stepping, which is exactly the order the
-  merged offline stream has;
+* *canonical batch order* -- each boundary's batch is in ``(position,
+  seq)`` order, which is exactly the order the merged offline stream
+  has.  :meth:`ServiceEngine.pump` sorts the pending records once per
+  call (they arrive as already-ordered per-session blocks, so the sort
+  is a merge of runs) and cuts every boundary's batch by bisection;
 * *offline end-of-stream* -- when every session has ended, the trailing
   boundaries up to ``stream_end_boundary`` are flushed with empty
   batches, exactly like ``Runtime.run`` drives a finite stream out.
@@ -35,6 +37,8 @@ monotone across rebuilds.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..checkpoint import load_sharded_checkpoint, save_sharded_checkpoint
@@ -53,12 +57,16 @@ log = logging.getLogger("repro.serve")
 #: one boundary's outputs, keyed by registry handle
 HandleOutputs = Dict[int, FrozenSet[int]]
 
+#: the canonical batch order per window kind: ``(position, seq)``
+_seq_of = attrgetter("seq")
+_time_seq_of = attrgetter("time", "seq")
+
 
 class ServiceEngine:
     """Shared detection state: registry + runtime + pending records.
 
     Single-threaded by design (the server's drain task is the only
-    caller of :meth:`feed`/:meth:`pump`); registration goes through the
+    caller of :meth:`feed_block`/:meth:`pump`); registration goes through the
     registry's thread-safe boundary and takes effect at the next pumped
     boundary.
     """
@@ -93,6 +101,7 @@ class ServiceEngine:
         self.checkpoints_written = 0
         for q in queries:
             self.registry.add(q)
+        self._cache_kind()
 
     # ------------------------------------------------------------- resume
 
@@ -118,6 +127,7 @@ class ServiceEngine:
                      checkpoint_interval=checkpoint_interval)
         engine.registry.seed(list(runtime.group.queries))
         engine.registry.mark_fresh()
+        engine._cache_kind()
         engine.runtime = runtime
         engine.last_boundary = int(last_boundary)
         log.info("resumed from %s at boundary %d with %d quer(ies)",
@@ -128,10 +138,14 @@ class ServiceEngine:
 
     @property
     def kind(self) -> str:
+        """The workload's window kind (``count`` while none registered)."""
+        return self._kind
+
+    def _cache_kind(self) -> None:
+        """Re-read :attr:`kind`; called wherever the registry changes."""
         queries = self.registry.queries()
-        for q in queries.values():
-            return q.kind
-        return COUNT
+        self._kind = (next(iter(queries.values())).kind if queries
+                      else COUNT)
 
     @property
     def slide(self) -> Optional[int]:
@@ -141,11 +155,15 @@ class ServiceEngine:
 
     def register(self, query: OutlierQuery) -> int:
         """Register a query; effective at the next pumped boundary."""
-        return self.registry.add(query)
+        handle = self.registry.add(query)
+        self._cache_kind()
+        return handle
 
     def deregister(self, handle: int) -> OutlierQuery:
         """Withdraw a query; effective at the next pumped boundary."""
-        return self.registry.remove(handle)
+        query = self.registry.remove(handle)
+        self._cache_kind()
+        return query
 
     def query_of(self, handle: int) -> OutlierQuery:
         return self.registry.get(handle)
@@ -154,26 +172,47 @@ class ServiceEngine:
 
     def position(self, point: Point) -> float:
         """Stream position of a point under the workload's window kind."""
-        return float(point.seq) if self.kind == COUNT else point.time
+        return float(point.seq) if self._kind == COUNT else point.time
+
+    def feed_block(self, points: Sequence[Point]) -> int:
+        """Accept one session's admitted records into the pending set.
+
+        ``points`` must be in that session's arrival order, so their
+        positions are monotone (the session's guard enforces it).
+        Records positioned before the last processed boundary are resume
+        replays -- already part of the restored window or legitimately
+        expired, exactly the records ``batches_by_boundary(start=...)``
+        skips on an offline resume -- and monotonicity makes them a
+        prefix of the block: it is skipped and counted in
+        ``records_replay_skipped``.  Returns how many records were
+        accepted.
+        """
+        if not points:
+            return 0
+        position = self.position
+        if position(points[0]) < self.last_boundary:
+            skip = bisect_left([position(p) for p in points],
+                               self.last_boundary)
+            self.records_replay_skipped += skip
+            points = points[skip:]
+            if not points:
+                return 0
+        self._pending.extend(points)
+        last = position(points[-1])
+        if last > self._max_pos:
+            self._max_pos = last
+        self.records_ingested += len(points)
+        return len(points)
 
     def feed(self, point: Point) -> bool:
-        """Accept one admitted record into the pending set.
+        """The one-record case of :meth:`feed_block`: True if accepted,
+        False if it was a resume replay (skipped and counted)."""
+        return self.feed_block((point,)) == 1
 
-        Returns False (and counts it) when the record is a resume replay:
-        positioned at or before the last processed boundary, hence
-        already part of the restored window or legitimately expired --
-        exactly the records ``batches_by_boundary(start=...)`` skips on
-        an offline resume.
-        """
-        pos = self.position(point)
-        if pos < self.last_boundary:
-            self.records_replay_skipped += 1
-            return False
-        self._pending.append(point)
-        if pos > self._max_pos:
-            self._max_pos = pos
-        self.records_ingested += 1
-        return True
+    @property
+    def pending(self) -> int:
+        """Records fed but not yet in a processed boundary's batch."""
+        return len(self._pending)
 
     # ---------------------------------------------------------- boundaries
 
@@ -188,6 +227,7 @@ class ServiceEngine:
                 retained = self.runtime.retained_points()
                 self._work_base = merge_work(
                     [self._work_base, self.runtime.work_stats_snapshot()])
+            self._cache_kind()
             if group is None:
                 self.runtime = None
                 self.registry.mark_fresh()
@@ -231,21 +271,31 @@ class ServiceEngine:
             until = (int(self._max_pos) // slide + 1) * slide
         emitted: List[Tuple[int, HandleOutputs]] = []
         t = self._next_boundary(slide)
-        while t <= until:
-            self._pending.sort(key=lambda p: (self.position(p), p.seq))
-            split = 0
-            while (split < len(self._pending)
-                   and self.position(self._pending[split]) < t):
-                split += 1
-            batch, self._pending = (self._pending[:split],
-                                    self._pending[split:])
-            raw = runtime.step(t, batch)
-            self.last_boundary = t
-            self.boundaries_processed += 1
-            emitted.append((t, {handles[qi]: seqs
-                                for qi, seqs in raw.items()}))
-            self._maybe_checkpoint()
-            t += slide
+        if t > until:
+            return emitted
+        # one (position, seq) sort per call -- the pending records are
+        # already-ordered per-session runs, so this is a merge -- then
+        # each boundary's batch is the next slice below t
+        pending = self._pending
+        if self._kind == COUNT:
+            pending.sort(key=_seq_of)
+            keys = [p.seq for p in pending]
+        else:
+            pending.sort(key=_time_seq_of)
+            keys = [p.time for p in pending]
+        cut = 0
+        try:
+            while t <= until:
+                start, cut = cut, bisect_left(keys, t, cut)
+                raw = runtime.step(t, pending[start:cut])
+                self.last_boundary = t
+                self.boundaries_processed += 1
+                emitted.append((t, {handles[qi]: seqs
+                                    for qi, seqs in raw.items()}))
+                self._maybe_checkpoint()
+                t += slide
+        finally:
+            del pending[:cut]
         return emitted
 
     # ---------------------------------------------------------- checkpoint
@@ -303,6 +353,6 @@ class ServiceEngine:
             "boundaries_processed": self.boundaries_processed,
             "records_ingested": self.records_ingested,
             "records_replay_skipped": self.records_replay_skipped,
-            "records_pending": len(self._pending),
+            "records_pending": self.pending,
             "checkpoints_written": self.checkpoints_written,
         }

@@ -2,10 +2,10 @@
 
 Task layout (single event loop, no threads)::
 
-    one reader task per conn ──► StreamSession (bounded queue)
-                                      │ round-robin pop
+    one reader task per conn ──► StreamSession (bounded block queue)
+                                      │ round-robin pop_upto(quota)
     drain task ◄──────────────────────┘
-        │ feed / pump (watermark-gated boundaries)
+        │ feed_block / pump (watermark-gated boundaries)
         ▼
     ServiceEngine ──► Runtime (shards) ──► outliers pushed to subscribers
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import signal
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..metrics.results import merge_work
 from .engine import ServiceEngine
@@ -320,7 +320,8 @@ class IngestionServer:
                     pass
 
     def _drain_cycle(self) -> int:
-        """One fair pass: up to ``drain_quota`` records per session."""
+        """One fair pass: up to ``drain_quota`` records per session, handed
+        to the engine as one block per session."""
         sids = sorted(self._sessions)
         if not sids:
             return 0
@@ -328,12 +329,10 @@ class IngestionServer:
         moved = 0
         for i in range(len(sids)):
             session = self._sessions[sids[(self._rr_offset + i) % len(sids)]]
-            for _ in range(self.drain_quota):
-                point = session.pop_nowait()
-                if point is None:
-                    break
-                self.engine.feed(point)
-                moved += 1
+            block = session.pop_upto(self.drain_quota)
+            if block:
+                self.engine.feed_block(block)
+                moved += len(block)
         self._rr_offset += 1
         return moved
 
@@ -396,7 +395,7 @@ class IngestionServer:
     def _retire_finished_sessions(self) -> None:
         """Fold closed, fully-drained sessions into aggregate counters."""
         for sid in [sid for sid, s in self._sessions.items()
-                    if s.closed and s.queue.empty()]:
+                    if s.closed and not s.queued]:
             s = self._sessions.pop(sid)
             self._writers.pop(sid, None)
             self._retired_counters["admitted"] += s.records_admitted
@@ -435,7 +434,9 @@ class IngestionServer:
                 },
                 "queue": {
                     "bound": self.queue_bound,
-                    "depth": sum(s.queue.qsize() for s in live),
+                    "depth": sum(s.queued for s in live),
+                    # admitted, drained, still waiting for the watermark
+                    "pending": self.engine.pending,
                 },
                 "records": {
                     "admitted": self._retired_counters["admitted"]

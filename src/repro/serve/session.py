@@ -1,18 +1,24 @@
 """StreamSession: one client connection's ingestion state.
 
-Each session owns a bounded :class:`asyncio.Queue` of validated points, an
-:class:`~repro.streams.source.IngestGuard` (poison records are quarantined
-per session, so one tenant's garbage never stalls another's stream), and
-its slice of the watermark bookkeeping the engine's determinism rests on.
+Each session owns a bounded queue of admitted *blocks* -- one block per
+``points`` op, the guard's clean records in arrival order -- an
+:class:`~repro.streams.source.IngestGuard` (poison records are
+quarantined per session, so one tenant's garbage never stalls another's
+stream), and its slice of the watermark bookkeeping the engine's
+determinism rests on.  The block, not the record, is the unit that moves
+from the socket to the engine: the guard is the only per-record step.
 
 Backpressure, two ways
 ----------------------
 
-* ``admission="block"`` (default): :meth:`admit_records` awaits
-  ``queue.put`` -- when the bound is hit, the session's reader coroutine
-  suspends, the server stops reading that socket, and the producer's TCP
-  window eventually fills.  Classic slow-producer pushback; nothing is
-  dropped and no reply is sent until the whole batch is queued.
+The bound counts records (``queued``), not blocks.
+
+* ``admission="block"`` (default): :meth:`admit_records` awaits until the
+  whole admitted block fits under the bound -- the session's reader
+  coroutine suspends, the server stops reading that socket, and the
+  producer's TCP window eventually fills.  Classic slow-producer
+  pushback; nothing is dropped and no reply is sent until the whole
+  batch is queued.
 * ``admission="reject"``: a batch that cannot fit entirely gets the typed
   ``queue-full`` rejection (with ``capacity`` and ``pending``) and *none*
   of it is enqueued -- all-or-nothing, so the producer can retry the
@@ -20,13 +26,16 @@ Backpressure, two ways
   Never a silent drop: rejected batches are counted and reported.
 
 A single ``points`` op larger than the whole queue bound is rejected as
-``batch-too-large`` in both modes (it could never fit at once).
+``batch-too-large`` in both modes (it could never fit at once), so a
+blocked admit always fits eventually.  The drain loop takes records with
+:meth:`pop_upto`, which may split the head block at its quota.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Tuple
 
 from ..core.point import Point
 from ..streams.source import IngestGuard
@@ -54,8 +63,16 @@ class StreamSession:
         self.tenant = tenant
         self.kind = kind
         self.admission = admission
-        self.queue: "asyncio.Queue[Point]" = asyncio.Queue(queue_bound)
+        #: admitted blocks in arrival order (each one ``points`` op)
+        self._blocks: Deque[List[Point]] = deque()
+        #: records of ``_blocks[0]`` already returned by :meth:`pop_upto`
+        self._head_off = 0
+        #: records in ``_blocks`` not yet returned -- what ``queue_bound``
+        #: limits
+        self.queued = 0
         self.queue_bound = queue_bound
+        #: set by :meth:`pop_upto`; a blocked admitter re-checks the room
+        self._popped = asyncio.Event()
         self.guard = IngestGuard()
         #: handles this session registered or claimed (push targets)
         self.handles: List[int] = []
@@ -92,7 +109,7 @@ class StreamSession:
         last record the engine consumed.  Guard monotonicity makes this
         sound: no future record of this session is positioned below it.
         """
-        if self.ended and self.queue.empty():
+        if self.ended and not self.queued:
             return float("inf")
         return self.fed_watermark
 
@@ -120,7 +137,7 @@ class StreamSession:
                 f"batch of {len(records)} exceeds the queue bound",
                 capacity=self.queue_bound, batch=len(records))
         if self.admission == "reject":
-            free = self.queue_bound - self.queue.qsize()
+            free = self.queue_bound - self.queued
             if len(records) > free:
                 # before the guard sees the records: the producer can
                 # retry the identical batch without seq regressions
@@ -130,25 +147,45 @@ class StreamSession:
                     f"queue has {free} free slot(s), batch needs "
                     f"{len(records)}; retry after draining",
                     capacity=self.queue_bound,
-                    pending=self.queue.qsize(), batch=len(records))
+                    pending=self.queued, batch=len(records))
         self.streaming = True
         points, quarantined = self.validate(records)
-        for p in points:
-            if self.admission == "reject":
-                self.queue.put_nowait(p)  # capacity checked above
-            else:
-                await self.queue.put(p)  # blocks: slow-producer pushback
+        # reject mode checked the room above; block mode waits for it
+        # (slow-producer pushback)
+        while self.queued + len(points) > self.queue_bound:
+            self._popped.clear()
+            await self._popped.wait()
+        if points:
+            self._blocks.append(points)
+            self.queued += len(points)
         self.records_admitted += len(points)
         return len(points), quarantined
 
-    def pop_nowait(self) -> Optional[Point]:
-        """One queued point for the drain loop (None when empty)."""
-        try:
-            point = self.queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        self.fed_watermark = self._position(point)
-        return point
+    def pop_upto(self, n: int) -> List[Point]:
+        """Up to ``n`` queued records in arrival order, for the drain loop.
+
+        Splits the head block when it holds more than the rest of the
+        quota: an offset marks how much of it was returned, so a drain
+        cycle copies only the records it returns, never the block's rest.
+        Advances ``fed_watermark`` to the last record returned and wakes
+        a blocked admitter.
+        """
+        out: List[Point] = []
+        while n > 0 and self._blocks:
+            head, off = self._blocks[0], self._head_off
+            take = head[off:off + n]
+            out.extend(take)
+            n -= len(take)
+            if off + len(take) == len(head):
+                self._blocks.popleft()
+                self._head_off = 0
+            else:
+                self._head_off = off + len(take)
+        if out:
+            self.queued -= len(out)
+            self.fed_watermark = self._position(out[-1])
+            self._popped.set()
+        return out
 
     def end(self) -> None:
         """No more points from this session (op ``end`` or EOF)."""
@@ -156,5 +193,5 @@ class StreamSession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StreamSession(sid={self.sid}, tenant={self.tenant!r}, "
-                f"queued={self.queue.qsize()}/{self.queue_bound}, "
+                f"queued={self.queued}/{self.queue_bound}, "
                 f"ended={self.ended})")

@@ -20,8 +20,9 @@ clean stream would have produced.
 from __future__ import annotations
 
 import math
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from collections import deque
+from collections.abc import Mapping
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.point import Point
 from .windows import COUNT, TIME
@@ -34,6 +35,10 @@ __all__ = [
     "positions",
     "stream_end_boundary",
 ]
+
+#: newest quarantined ``(record, reason)`` pairs an :class:`IngestGuard`
+#: keeps (a long-lived service session must not grow without bound)
+_QUARANTINE_LOG_CAP = 1024
 
 
 def positions(points: Iterable[Point], kind: str) -> List[float]:
@@ -100,49 +105,57 @@ class IngestGuard:
 
     Validation state (last seq/time, learned dimensionality) persists
     across ``filter`` calls, so the guard works record-at-a-time on
-    infinite streams.  Quarantined records are *counted and kept*
-    (``quarantined``, ``counts``), never silently dropped: the runtime
-    surfaces the totals in its merged work counters.
+    infinite streams.  Quarantined records are *counted*, never silently
+    dropped: ``total_quarantined`` and ``counts`` are exact for the life
+    of the guard (the runtime surfaces them in its merged work
+    counters), and ``quarantined`` keeps the newest
+    ``_QUARANTINE_LOG_CAP`` offending records with their reasons.
     """
 
     def __init__(self, expect_dim: Optional[int] = None):
         if expect_dim is not None and expect_dim < 1:
             raise ValueError("expect_dim must be >= 1")
         self.expect_dim = expect_dim
-        #: (original record, reason) for every rejected record, in order
-        self.quarantined: List[Tuple[object, str]] = []
+        #: (original record, reason) of the newest rejected records
+        self.quarantined: Deque[Tuple[object, str]] = deque(
+            maxlen=_QUARANTINE_LOG_CAP)
+        #: every rejected record ever (the log above is capped)
+        self.total_quarantined = 0
         #: rejection reason -> count
         self.counts: Dict[str, int] = {}
         self._last_seq: Optional[int] = None
         self._last_time: Optional[float] = None
 
-    @property
-    def total_quarantined(self) -> int:
-        return len(self.quarantined)
-
     # ------------------------------------------------------------ plumbing
 
     def _reject(self, record, reason: str) -> None:
         self.quarantined.append((record, reason))
+        self.total_quarantined += 1
         self.counts[reason] = self.counts.get(reason, 0) + 1
         return None
 
     @staticmethod
     def _fields_of(record):
-        """``(seq, time_or_None, values_tuple)`` or None if unparseable."""
+        """``(seq, time_or_None, values_tuple)`` or None if unparseable.
+
+        Shapes are tested most common first: wire and benchmark records
+        are lists/tuples (a namedtuple is one too, read positionally).
+        """
         try:
+            if isinstance(record, (tuple, list)):
+                if len(record) not in (2, 3):
+                    return None
+                seq = int(record[0])
+                values = tuple(map(float, record[1]))
+                time = float(record[2]) if len(record) == 3 else None
+                return seq, time, values
             if isinstance(record, Point):
                 return int(record.seq), float(record.time), record.values
             if isinstance(record, Mapping):
                 seq = int(record["seq"])
                 time = (float(record["time"])
                         if record.get("time") is not None else None)
-                values = tuple(float(v) for v in record["values"])
-                return seq, time, values
-            if isinstance(record, (tuple, list)) and len(record) in (2, 3):
-                seq = int(record[0])
-                values = tuple(float(v) for v in record[1])
-                time = float(record[2]) if len(record) == 3 else None
+                values = tuple(map(float, record["values"]))
                 return seq, time, values
         except (KeyError, TypeError, ValueError):
             return None
@@ -158,7 +171,7 @@ class IngestGuard:
         seq, time, values = parsed
         if not values:
             return self._reject(record, "malformed")
-        if any(not math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             return self._reject(record, "non-finite")
         if time is not None and not math.isfinite(time):
             return self._reject(record, "non-finite")

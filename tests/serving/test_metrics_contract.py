@@ -28,6 +28,9 @@ SERVICE_KEYS = {
     "quarantined_reasons", "queries", "boundaries", "checkpoints_written",
 }
 RECORD_KEYS = {"admitted", "rejected", "quarantined", "replay_skipped"}
+#: ``depth``: queued in sessions; ``pending``: drained into the engine,
+#: waiting for the watermark
+QUEUE_KEYS = {"bound", "depth", "pending"}
 
 #: counters that must never decrease between two polls
 MONOTONE = [
@@ -56,6 +59,7 @@ def test_metrics_schema_and_monotonicity():
             assert set(first) == {"service", "work", "config", "shards"}
             assert set(first["service"]) == SERVICE_KEYS
             assert set(first["service"]["records"]) == RECORD_KEYS
+            assert set(first["service"]["queue"]) == QUEUE_KEYS
             assert first["shards"] == 4
             assert first["config"]["shards"] == 4
 
@@ -81,6 +85,8 @@ def test_metrics_schema_and_monotonicity():
 
             last = snapshots[-1]
             assert last["service"]["records"]["admitted"] == len(POINTS)
+            assert last["service"]["queue"]["depth"] == 0
+            assert last["service"]["queue"]["pending"] == 0
             assert last["service"]["boundaries"]["processed"] > 0
             # the work block is the merged per-shard counters of the
             # runtime -- additive across the 4 shards, not per-shard
@@ -88,6 +94,34 @@ def test_metrics_schema_and_monotonicity():
             assert last["work"] == engine_work
             assert engine_work["distance_rows"] > 0
             await client.close()
+
+    run_async(scenario())
+
+
+def test_queue_pending_counts_records_held_by_the_watermark():
+    """A silent producer pins the watermark: the other session's records
+    leave its queue (``depth``) but wait in the engine (``pending``)."""
+    async def scenario():
+        async with running_server(DetectorConfig()) as server:
+            active = await ServiceClient.connect(server.address)
+            silent = await ServiceClient.connect(server.address)
+            await active.register(QUERY)
+            await active.stream(POINTS[:50], chunk=25)
+            while (await active.stat())["records_ingested"] < 50:
+                await asyncio.sleep(0.01)
+            _, doc = await http_get(server.http_address, "/metrics")
+            assert doc["service"]["queue"]["depth"] == 0
+            assert doc["service"]["queue"]["pending"] == 50
+            assert doc["service"]["boundaries"]["processed"] == 0
+            # the silent session ends: boundaries up to 40 (slide 20)
+            # are complete, records 40..49 still wait
+            await silent.end()
+            while (await active.stat())["last_boundary"] < 40:
+                await asyncio.sleep(0.01)
+            _, doc = await http_get(server.http_address, "/metrics")
+            assert doc["service"]["queue"]["pending"] == 10
+            await active.close()
+            await silent.close()
 
     run_async(scenario())
 

@@ -11,9 +11,11 @@ the two contracts that matter:
 """
 
 import math
+from collections import namedtuple
+from types import MappingProxyType
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -109,6 +111,44 @@ class TestShapesAndState:
         assert all(isinstance(x, Point) for x in (p, d, t2, t3))
         assert d.time == 1.5 and t3.time == 3.0
 
+    def test_shape_branches(self):
+        """Each record shape takes its own branch with exact values: a
+        non-dict Mapping, a namedtuple (read positionally), a
+        ``[seq, values, time]`` list, integer coordinates, bool and
+        numeric-string seqs; a non-iterable ``values`` is malformed."""
+        Rec = namedtuple("Rec", "seq values time")
+        guard = IngestGuard()
+        proxy = guard.admit(MappingProxyType({"seq": 0, "values": (1, 2)}))
+        named = guard.admit(Rec(1, [3.0, 4.0], 1.5))
+        listed = guard.admit([2, [5, 6.5], 2.0])
+        boolean = IngestGuard().admit((True, (1.0, 2.0)))
+        text = guard.admit(("3", ("7", 8)))
+        assert (proxy.seq, proxy.values, proxy.time) == (0, (1.0, 2.0), 0.0)
+        assert (named.seq, named.values, named.time) == (1, (3.0, 4.0), 1.5)
+        assert (listed.seq, listed.values, listed.time) == (2, (5.0, 6.5), 2.0)
+        assert (boolean.seq, boolean.values) == (1, (1.0, 2.0))
+        assert (text.seq, text.values, text.time) == (3, (7.0, 8.0), 3.0)
+        for p in (proxy, named, listed, boolean, text):
+            assert all(type(v) is float for v in p.values)
+            assert type(p.seq) is int
+        assert guard.admit((4, 5)) is None                # values not iterable
+        assert guard.admit({"seq": 5, "values": 1.0}) is None
+        assert guard.admit(Rec("x", [1.0, 2.0], 6.0)) is None
+        assert guard.counts == {"malformed": 3}
+
+    def test_quarantine_log_is_capped_counters_exact(self):
+        guard = IngestGuard(expect_dim=2)
+        poison = ["garbage", {"seq": 10**9, "values": (NAN, 0.0)},
+                  (10**9, (1.0,)), {"seq": 10**9}]
+        records = [poison[i % 4] for i in range(5000)]
+        assert guard.filter(records) == []
+        assert guard.total_quarantined == 5000
+        assert guard.counts == {"malformed": 2500, "non-finite": 1250,
+                                "dim-mismatch": 1250}
+        assert len(guard.quarantined) == 1024
+        # the newest offenders are the ones kept
+        assert [r for r, _ in guard.quarantined] == records[-1024:]
+
     def test_state_persists_across_filter_calls(self):
         """Record-at-a-time operation on an infinite stream: the second
         batch is validated against the first batch's high-water marks."""
@@ -167,16 +207,23 @@ def test_filter_recovers_exactly_the_clean_subsequence(case):
 
 
 @given(poisoned_streams())
+@example(([{"seq": 10**9, "values": (1.0,)}] + clean_points(12),
+          clean_points(12), 1))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_poison_never_changes_outlier_sets(case):
     """End to end: a validated run over the poisoned stream answers
-    exactly what the clean stream answers, and counts the quarantine."""
+    exactly what the clean stream answers, and counts the quarantine.
+
+    The stream is declared 2-D (``ingest_dim``), as the poison's own
+    definition assumes: a wrong-arity record drawn into slot 0 is then
+    refused instead of fixing the arity and seq high-water mark."""
     interleaved, clean, n_poison = case
     group = QueryGroup([OutlierQuery(r=2.0, k=2,
                                      window=WindowSpec(win=8, slide=4))])
     ref = Runtime(group).run(clean)
-    rt = Runtime(group, config=DetectorConfig(validate_ingest=True))
+    rt = Runtime(group, config=DetectorConfig(validate_ingest=True,
+                                              ingest_dim=2))
     res = rt.run(interleaved)
     assert not compare_outputs(ref.outputs, res.outputs)
     assert res.work.get("records_quarantined", 0) == n_poison
@@ -200,6 +247,22 @@ class TestRuntimeWiring:
         assert result.work["records_quarantined"] == 2
         assert result.work["quarantined_non_finite"] == 1
         assert result.work["quarantined_malformed"] == 1
+
+    def test_ingest_dim_is_the_guards_expect_dim(self):
+        """``ingest_dim`` declares the arity up front.  Learned instead,
+        a wrong-arity record arriving first at a far-ahead seq fixes the
+        arity and the seq high-water mark, and every clean record after
+        it is refused (the property test above pins the declared case)."""
+        rt = Runtime(self.group(),
+                     config=DetectorConfig(validate_ingest=True,
+                                           ingest_dim=2))
+        assert rt.guard.expect_dim == 2
+        learned = IngestGuard()
+        first = {"seq": 10**9, "values": (1.0,)}
+        assert learned.filter([first] + clean_points(30))[0].seq == 10**9
+        assert learned.counts == {"dim-mismatch": 30}
+        with pytest.raises(ValueError):
+            DetectorConfig(validate_ingest=True, ingest_dim=0)
 
     def test_off_by_default(self):
         rt = Runtime(self.group())
