@@ -3,44 +3,34 @@
 The scan engine (``repro.engine.refresh``) computes one ``rows x
 candidates`` distance tile per chunk; this module decides what the
 sequential per-candidate loop would have done with it, without a
-per-entry interpreted loop:
+per-entry interpreted loop and without touching the cells no query can
+use:
 
-* :func:`insert_limits` + :func:`tile_insert_mask` -- the Alg. 2
-  ``skyEvaluate`` insert loop of a whole tile as one array pass per
-  layer;
-* :func:`tile_stops` -- where each row's scan stops inside that tile, in
-  closed form, so the K-SKY termination rule costs no per-insert work.
+* :func:`near_entries` -- compact the tile into its *near entries*: the
+  cells within their row's reach (never beyond ``r_max``, Def. 5
+  condition 3), bar the row's own column, hashed to layers in row, then
+  scan order;
+* :func:`resolve_entries` -- which of them the Alg. 2 ``skyEvaluate``
+  loop inserts, where each row's scan stops, and what stays pending, as
+  order statistics of one running count per needed layer.
 
-Exactness of the tile insert mask (DESIGN.md section 12 carries the full
-argument).  The sequential loop inserts a candidate at layer ``m`` iff
-``c < k_max and m <= allowed_layer[c]`` where ``c`` is the dominator
-count at evaluation time.  Two structural facts make the loop computable
-with array passes:
-
-1. ``allowed_layer`` is *nonincreasing* in ``c`` (it is a suffix maximum
-   over sub-groups with ``k_j > c``; see ``SkybandPlan``).  Hence the
-   insert predicate collapses to ``c < limit(m)`` with
-   ``limit(m) = min{c : c >= k_max or allowed_layer[c] < m}``
-   (:func:`insert_limits`).
-2. For a *fixed* layer ``m``, the dominator count seen by successive
-   layer-``m`` candidates is nondecreasing along the scan (inserts only
-   ever add dominators).  Therefore the inserted layer-``m`` candidates
-   form a *prefix* of the layer-``m`` candidates in scan order, and the
-   prefix is one comparison against ``limit(m)`` once the dominator base
-   of each candidate is known.  Processing layers in ascending order
-   makes that base available: a layer-``m`` candidate's dominators are
-   the stored entries at layers ``<= m`` plus the already-resolved tile
-   inserts at layers ``<= m`` that precede it in scan order -- and
-   inserts at layers ``< m`` never depend on decisions at layers
-   ``>= m``.  The argument is row-wise, so every row of a tile takes the
-   same pass at once.
-
-Exactness of the stops (DESIGN.md section 12, closed-form stops).  The mask ignores early
-termination; what it fixes is the insert sequence the scan *would* make.
-Sub-group ``(min_layer d, k)`` resolves at the insert that brings the
-count of entries at layers ``<= d`` to ``k`` -- a position read off one
-``cumsum`` -- and ``_Resolution``'s hybrid check cadence is a function of
-those positions alone, so the stop point needs no replay.
+Exactness (DESIGN.md section 12 carries the full argument).  The
+sequential loop inserts a candidate at layer ``m`` iff ``c < k_max and
+m <= allowed_layer[c]`` where ``c`` is the dominator count at evaluation
+time.  ``allowed_layer`` is nonincreasing in ``c`` (a suffix maximum
+over sub-groups with ``k_j > c``; see ``SkybandPlan``), so the predicate
+is ``c < limit(m)`` with ``limit`` nonincreasing in ``m``
+(:func:`insert_limits`).  Call layer ``m`` *closed* once ``count(<= m)
+>= limit(m)``; then every higher layer is closed too, because
+``count(<= m') >= count(<= m) >= limit(m) >= limit(m')``.  Layers close
+top-down, and before layer ``j`` closes every candidate at a layer
+``<= j`` is inserted -- so the ``t``-th candidate at a layer ``<= j`` *is*
+the ``t``-th insert there, and the insert set is one position per
+``(row, layer)``: the candidate that closes the layer.  Every plan
+sub-group ``(min_layer d, k)`` has ``limit(d) >= k`` (``allowed_layer[c]
+>= max_layer >= d`` for ``c < k``), so the insert that resolves it is a
+candidate rank as well, and ``_Resolution``'s hybrid check cadence is a
+function of those positions alone: the stop point needs no replay.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ import numpy as np
 
 from .ksky import _Resolution
 
-__all__ = ["insert_limits", "tile_insert_mask", "tile_stops"]
+__all__ = ["insert_limits", "near_entries", "resolve_entries"]
 
 
 # ------------------------------------------------------------- tile resolve
@@ -77,93 +67,135 @@ def insert_limits(allowed_layer: Sequence[int], k_max: int,
     return limits
 
 
-def tile_insert_mask(L: np.ndarray, csum: np.ndarray,
-                     limits: np.ndarray) -> np.ndarray:
-    """Which candidates of a ``rows x candidates`` tile the sequential
-    insert loop would insert, early termination ignored.
+def near_entries(dists: np.ndarray, own: np.ndarray, radius: np.ndarray,
+                 grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact one distance tile into the cells its rows can use.
 
-    ``L[R, W]`` holds candidate layers in scan (newest-first) order, with
-    ``n_layers`` (or anything above) in every column a row must not
-    consider -- beyond-``r_max`` candidates and the row's own point;
-    ``csum[R, n_layers]`` is each row's cumulative stored layer count
-    (``csum[:, m]`` = entries at layers ``<= m``); ``limits`` comes from
-    :func:`insert_limits`.  One pass per layer some row still has room
-    in, ascending: a layer-``m`` candidate is inserted iff its rank among
-    the row's layer-``m`` candidates plus the lower-layer inserts scanned
-    before it fits in ``limits[m] - csum[:, m]`` (the prefix argument of
-    the module docstring, all rows at once).  Returns the boolean mask.
+    ``dists[R, W]`` holds the tile in buffer (arrival-ascending) order,
+    so scan position ``s`` is column ``W - 1 - s``; ``own[R]`` is the
+    column of each row's own point (outside ``[0, W)``: not in this tile
+    -- Def. 5 ranges over ``D_W - p``); ``radius[R]`` is each row's
+    reach, at most the grid's largest ``r``.  ``dists <= radius`` is the
+    grid's own classification (:meth:`~repro.core.parser.RGrid.layers_of`
+    hashes with ``side="left"``: a distance exactly at ``r`` sits in
+    ``r``'s layer).  Returns ``(r_i, s_i, lay)``: row, scan position and
+    layer of every near cell, by row, then scan order.
     """
-    room = limits - csum
-    passes = (room > 0).any(axis=0).nonzero()[0].tolist()
-    ins = None
-    #: lower-layer inserts scanned up to each position
-    prior = None
-    for m in passes:
-        is_m = L == m
-        rank = np.cumsum(is_m, axis=1, dtype=np.int32)
-        take = is_m & ((rank if prior is None else rank + prior)
-                       <= room[:, m, None])
-        ins = take if ins is None else ins | take
-        if m != passes[-1]:
-            # the taken ones are a prefix of the layer's candidates, so
-            # their running count is the rank capped at the prefix length
-            np.minimum(rank, take.sum(axis=1, dtype=np.int32)[:, None],
-                       out=rank)
-            prior = rank if prior is None else prior + rank
-    return np.zeros(L.shape, dtype=bool) if ins is None else ins
+    width = dists.shape[1]
+    near = dists <= radius[:, None]
+    at = ((own >= 0) & (own < width)).nonzero()[0]
+    near[at, own[at]] = False
+    # (a flat index split by hand: 2-D ``nonzero`` costs twice as much)
+    flat = np.flatnonzero(near[:, ::-1])
+    r_i = flat // width
+    s_i = flat - r_i * width
+    return r_i, s_i, grid.layers_of(dists[r_i, (width - 1) - s_i])
 
 
-def tile_stops(L: np.ndarray, ins: np.ndarray, csum: np.ndarray,
-               alive: np.ndarray, sub_layers: np.ndarray, sub_ks: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each row's scan terminates inside the tile, and what stays
-    pending where it does not -- ``_Resolution`` in closed form.
+def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
+                    width: int, csum: np.ndarray, rank: np.ndarray,
+                    limits: np.ndarray, sub_layers: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alg. 2 over a tile's near entries: what the sequential loop
+    inserts, where each row's scan stops, and what stays pending --
+    ``skyEvaluate`` and ``_Resolution`` in closed form.
 
-    ``L``/``ins``/``csum`` as in :func:`tile_insert_mask`; ``alive[R, G]``
-    marks each row's pending sub-groups of the template
-    ``(sub_layers[g], sub_ks[g])``, all unresolved under ``csum`` (every
-    chunk that inserts ends in ``check()``, so that -- and a zero
-    ``_since_check`` -- is what a scan holds at chunk start).
+    ``r_i``/``s_i``/``lay`` come from :func:`near_entries` over a tile
+    ``width`` candidates wide; ``csum[R, n_layers]`` is each row's
+    cumulative stored layer count (``csum[:, m]`` = entries at layers
+    ``<= m``); ``rank[R, G]`` is how many more entries at layers ``<=
+    sub_layers[g]`` each row needs to resolve sub-group ``g`` of the
+    template (``k_g - csum[r, d_g]``).  A row's pending sub-groups are
+    exactly its unresolved ones, ``rank > 0`` (every chunk that inserts
+    ends in ``check()``, so that -- and a zero ``_since_check`` -- is what
+    a scan holds at chunk start); ``limits`` comes from
+    :func:`insert_limits`.
 
-    ``tau[r, g]`` is the scan position of the insert that resolves
-    sub-group ``g`` (``W`` = not in this tile): the ``k - csum[d]``-th
-    insert at layers ``<= d``.  A row with at most ``_EXACT_LIMIT``
-    pending sub-groups is checked after every insert and stops at its
-    largest pending ``tau``; a row with none stops at its first insert;
+    One running count of the entries at layers ``<= j`` per needed layer
+    ``j`` -- one some row still has room in, or some pending sub-group's
+    ``min_layer`` -- and two order statistics read off it (the module
+    docstring's top-down closing argument makes candidate ranks insert
+    ranks):
+
+    * layer ``j`` closes at the ``(limits[j] - csum[r, j])``-th entry at
+      layers ``<= j``; an entry is inserted iff it comes no later than
+      the one closing its layer;
+    * ``tau[r, g]``, the insert that resolves sub-group ``g``, is the
+      ``rank[r, g]``-th such entry at ``d_g``.
+
+    A row with at most ``_EXACT_LIMIT`` pending sub-groups is checked
+    after every insert and stops at its largest pending ``tau``; a row
+    with none (the degenerate empty template) stops at its first insert;
     a row with more replays the ``_CHECK_EVERY`` cadence over ``tau``
     converted to insert counts (the one per-row loop, for that regime
-    only).  Returns ``(stop[R], pending[R, G])``: the terminating scan
-    position (``W`` = the row runs the tile out; truncate ``ins`` after
-    it) and the sub-groups still pending after the chunk-end ``check()``
-    (none for a row that stopped).
+    only).
+    Returns ``(ins, stop, pending)``: the inserted entries up to and
+    including each row's terminating one, its scan position (``width`` =
+    the row runs the tile out), and the sub-groups still pending after
+    the chunk-end ``check()`` (none for a row that stopped).
     """
-    width = L.shape[1]
-    tau = np.full(alive.shape, width, dtype=np.int32)
-    layers = sub_layers.tolist()
-    cum_layer = -1
-    for g in sorted(alive.any(axis=0).nonzero()[0].tolist(),
-                    key=layers.__getitem__):
-        d = layers[g]
-        if d != cum_layer:
-            cum_layer = d
-            cum = np.cumsum(ins & (L <= d), axis=1, dtype=np.int32)
-        tau[:, g] = (cum < (sub_ks[g] - csum[:, d])[:, None]).sum(axis=1)
+    n_rows, n_layers = csum.shape
+    n_ent = len(r_i)
+    entry = np.arange(n_ent)
+    bases = r_i.searchsorted(np.arange(n_rows + 1))
+    starts, ends = bases[:-1], bases[1:]
+    room = limits - csum
+    alive = rank > 0
+    live = alive.any(axis=0).nonzero()[0]
+    d_live = sub_layers[live]
+    needed = (room > 0).any(axis=0)
+    needed[d_live] = True
+    layers = needed.nonzero()[0]
+    # the needed layers' running counts laid end to end, the i-th offset
+    # by i * (n_ent + 1): one nondecreasing array, so one searchsorted
+    # reads an order statistic for every (layer, row) at once.  The
+    # rank-th entry of row r at layers <= j is the first whose count
+    # reaches the row's base plus rank; a rank <= 0 lands before the row,
+    # a rank past its entries after them -- in a neighbouring layer's
+    # block if need be, still outside the row's entry range.  Counts are
+    # int32 whenever every query (a base plus a rank of at most k_max)
+    # fits: that halves the largest array of the pass.
+    offset = np.arange(len(layers)) * (n_ent + 1)
+    top = len(layers) * (n_ent + 1) + int(limits.max())
+    cum = np.empty((len(layers), n_ent + 1),
+                   dtype=np.int32 if top < 2 ** 31 else np.intp)
+    cum[:, 0] = offset
+    np.less_equal(lay, layers[:, None], out=cum[:, 1:])
+    cum.cumsum(axis=1, out=cum)
+    base = cum[:, starts]
+    cum = cum.ravel()
+    #: entry index of the insert closing each (layer, row); -1 = closed
+    close = np.full((n_layers, n_rows), -1, dtype=np.intp)
+    close[layers] = (cum.searchsorted(base + room.T[layers]) - 1
+                     - offset[:, None])
+    #: entry index of the insert resolving each (row, sub-group):
+    #: ``n_ent`` = not in this tile, below the row's entries = before it
+    #: (not pending), so a row's largest is its largest pending one
+    tau = np.full(rank.shape, -1, dtype=np.intp)
+    at_d = layers.searchsorted(d_live)
+    t = (cum.searchsorted(base[at_d].T + rank[:, live]) - 1
+         - offset[at_d])
+    tau[:, live] = np.where(t < ends[:, None], t, n_ent)
+    ins = entry <= close[lay, r_i]
+
     n_pending = alive.sum(axis=1)
-    stop = np.max(tau, axis=1, initial=-1, where=alive)
+    stop = tau.max(axis=1, initial=-1)
     if not n_pending.all():
-        idle = n_pending == 0
-        stop[idle] = np.where(ins[idle].any(axis=1),
-                              ins[idle].argmax(axis=1), width)
+        idle = (n_pending == 0).nonzero()[0]
+        first = np.append(ins.nonzero()[0], n_ent)
+        first = first[np.searchsorted(first, starts[idle])]
+        stop[idle] = np.where(first < ends[idle], first, n_ent)
     if alive.shape[1] > _Resolution._EXACT_LIMIT:
         every = _Resolution._CHECK_EVERY
         for r in (n_pending > _Resolution._EXACT_LIMIT).nonzero()[0].tolist():
-            at = ins[r].nonzero()[0]
+            a = starts[r]
+            at = a + ins[a:ends[r]].nonzero()[0]
             n_ins = len(at)
             # insert count at which each pending sub-group resolves
             t = tau[r, alive[r]]
-            t = np.where(t < width, np.searchsorted(at, t, side="right"),
+            t = np.where(t < n_ent, np.searchsorted(at, t, side="right"),
                          n_ins + 1)
-            stop[r] = width
+            stop[r] = n_ent
             for check in range(every, n_ins + 1, every):
                 t = t[t > check]
                 if len(t) <= _Resolution._EXACT_LIMIT:
@@ -173,5 +205,10 @@ def tile_stops(L: np.ndarray, ins: np.ndarray, csum: np.ndarray,
                     if last <= n_ins:
                         stop[r] = at[last - 1]
                     break
-    pending = alive & (tau == width) & (stop == width)[:, None]
-    return stop, pending
+    stopped = stop < n_ent
+    pending = alive & (tau == n_ent) & ~stopped[:, None]
+    stop_at = np.full(n_rows, width, dtype=np.intp)
+    if stopped.any():
+        ins &= entry <= stop[r_i]
+        stop_at[stopped] = s_i[stop[stopped]]
+    return ins, stop_at, pending

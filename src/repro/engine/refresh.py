@@ -24,12 +24,12 @@ work counters of a run repeat exactly.
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from ..core.ksky import _Resolution
-from ..core.lsky_soa import insert_limits, tile_insert_mask, tile_stops
+from ..core.lsky_soa import insert_limits, near_entries, resolve_entries
 from .safety import layer_counts
 
 __all__ = ["RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
@@ -69,7 +69,7 @@ class RefreshEngine:
         kernels0 = buf.kernel_calls
         batched0 = det.stats["batched_scans"]
         eng = det.skyband_engine
-        py0, soa0 = eng.py_iters, eng.soa_rows
+        py0, soa0, near0 = eng.py_iters, eng.soa_rows, eng.near
         stats = det.stats
         seq_arr = buf.seq_array()
         newest_seq = int(seq_arr[-1])
@@ -135,6 +135,7 @@ class RefreshEngine:
             stats["batched_scans"] - batched0,
             eng.py_iters - py0,
             soa_insert_rows=eng.soa_rows - soa0,
+            near_candidates=eng.near - near0,
             prefilter_screened=pf_screened,
             prefilter_suspects=pf_screened - pf_pruned,
             prefilter_pruned=pf_pruned,
@@ -227,20 +228,20 @@ class VectorizedSkybandEngine:
     termination candidates, same ``examined`` arithmetic, same
     ``distance_rows`` -- ``tests/test_lsky_soa.py`` drives both in
     lockstep over the Table 1 grid and asserts entry-for-entry equality.
-    What differs is *how* the per-candidate loop runs.  There is one
-    resolve (:meth:`_resolve_tile`): the insert decisions of a whole
-    ``rows x candidates`` kernel tile in one array pass per layer
-    (:func:`~repro.core.lsky_soa.tile_insert_mask`) and every row's
-    termination point in closed form
-    (:func:`~repro.core.lsky_soa.tile_stops`) -- no insert is replayed.
-    :meth:`scan_batched` feeds it each chunk's tile with the row state
-    (stored layer counts, exit index) held in arrays and returns the
-    inserted entries flat, as one :class:`ScanBatch` for the group.
+    What differs is *how* the per-candidate loop runs: each chunk's
+    ``rows x candidates`` kernel tile is compacted to the cells its rows
+    can use (:func:`~repro.core.lsky_soa.near_entries`), and one pure
+    function resolves those -- every insert decision and every row's
+    termination point as order statistics of one running count per
+    layer (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
+    replayed.  :meth:`scan_batched` feeds it each chunk with the row
+    state (stored layer counts, exit index) held in arrays and returns
+    the inserted entries flat, as one :class:`ScanBatch` for the group.
 
     ``py_iters`` (the profile's ``python_insert_iters``) counts the
     interpreted steps left: one per resolved tile and one per row in the
     ``_CHECK_EVERY`` cadence regime.  ``soa_rows`` counts the skyband
-    entries committed.
+    entries committed, ``near`` the tile cells the resolve consumed.
     """
 
     def __init__(self, plan, chunk_size: int = 256):
@@ -250,12 +251,16 @@ class VectorizedSkybandEngine:
         self.chunk_size = chunk_size
         self.by_time = plan.kind == "time"
         #: the sub-group template ``(min_layer, k)``, as ``_Resolution``
-        #: takes it and as the two columns ``tile_stops`` takes
+        #: takes it and as two columns (``resolve_entries`` takes the
+        #: layers and each row's remaining ranks ``k - csum[:, layer]``)
         self._pending = [(sg.min_layer, sg.k) for sg in plan.subgroups]
         self._sub_layers = plan.subgroup_min_layers
         self._sub_ks = plan.subgroup_ks.astype(np.int32)
         self._limits = insert_limits(plan.allowed_layer, plan.k_max,
                                      plan.n_layers)
+        #: a row's reach by its number of layers under ``k_max`` stored
+        #: dominators: the largest such layer's ``r`` (none: ``-inf``)
+        self._reach = np.concatenate(([-np.inf], plan.grid.values))
         #: narrowest dtype holding a layer index, the ``n_layers``
         #: sentinel included (scan tiles and the evidence table use it)
         self.layer_dtype = np.min_scalar_type(plan.n_layers)
@@ -264,59 +269,36 @@ class VectorizedSkybandEngine:
         self.py_iters = 0
         #: skyband entries committed
         self.soa_rows = 0
-
-    def _resolve_tile(self, L: np.ndarray, csum: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-        """Resolve one tile: ``L[R, W]`` candidate layers in scan order
-        (``n_layers`` where a row has no candidate), ``csum[R, n_layers]``
-        the rows' cumulative stored layer counts at chunk start.
-
-        A row's pending sub-groups are exactly the ones unresolved under
-        ``csum``: every chunk that inserts ends in ``check()``, and a
-        chunk that does not leaves both sides unchanged.  Returns
-        ``(ins, stop, stopped, pending)``: the inserted candidates up to
-        and including each row's terminating one, its scan position,
-        whether it has one (``stop < W``; otherwise the row consumes the
-        whole tile), and what is still pending after the chunk-end check.
-        """
-        alive = csum[:, self._sub_layers] < self._sub_ks
-        ins = tile_insert_mask(L, csum, self._limits)
-        stop, pending = tile_stops(L, ins, csum, alive, self._sub_layers,
-                                   self._sub_ks)
-        stopped = stop < L.shape[1]
-        if stopped.any():
-            ins &= np.arange(L.shape[1]) <= stop[:, None]
-        self.py_iters += 1
-        if len(self._pending) > _Resolution._EXACT_LIMIT:
-            self.py_iters += int(np.count_nonzero(
-                alive.sum(axis=1) > _Resolution._EXACT_LIMIT))
-        return ins, stop, stopped, pending
+        #: near tile cells resolved (the profile's ``near_candidates``)
+        self.near = 0
 
     def scan_batched(self, row_indexes, buffer, lo: int) -> ScanBatch:
         """Chunk-synchronous batched scans over live indexes ``[lo, end)``.
 
         ``row_indexes`` gives the live-buffer index of each evaluated
         point; the result's ``owner`` indexes it.  All rows share the
-        same candidate range, so
-        each chunk costs one ``pairwise_block`` kernel over the still-active
-        rows, one vectorized ``layers_of`` hash and one
-        :meth:`_resolve_tile` -- rows that terminate drop out of
-        subsequent chunks, which keeps ``distance_rows`` identical to
-        running ``KSkyRunner.scan_new_arrivals`` per row: the per-point
-        walk also pays for a whole chunk before consuming it.
+        same candidate range, so each chunk costs one ``pairwise_block``
+        kernel over the still-active rows, one compaction of that tile to
+        its near entries and one
+        :func:`~repro.core.lsky_soa.resolve_entries` over them -- rows
+        that terminate drop out of subsequent chunks, which keeps
+        ``distance_rows`` identical to running
+        ``KSkyRunner.scan_new_arrivals`` per row: the per-point walk also
+        pays for a whole chunk before consuming it.
 
-        Only rows with a candidate that could change their skyband enter
-        the resolve: a candidate at layer ``m`` is inserted only if fewer
-        than ``k_max`` stored entries dominate it (Def. 6 condition 2),
-        i.e. only if ``m`` is below the row's ``k_max``-th smallest stored
-        layer, and a rejected candidate never mutates scan state.  A row
-        with none sits the chunk out; without an insert its boundary
-        resolution check is a no-op (a check with no intervening insert
-        filters ``pending`` against unchanged state and removes nothing
-        -- DESIGN.md section 13; the one exception, an empty pending
-        template, terminates at the first boundary exactly where the
-        reference walk does).  ``examined`` needs no running
+        Only cells that could change a row's skyband are compacted (and
+        hashed, and counted in ``near``): a candidate at layer ``m`` is
+        inserted only if fewer than ``k_max`` stored entries dominate it
+        (Def. 6 condition 2), i.e. only if ``m`` is below the row's
+        ``k_max``-th smallest stored layer -- a distance no farther than
+        that layer's ``r`` bound, itself at most ``r_max`` (Def. 5
+        condition 3) -- and a rejected candidate never mutates scan
+        state.  A row with no such cell sits the chunk out; without an
+        insert its boundary resolution check is a no-op (a check with no
+        intervening insert filters ``pending`` against unchanged state and
+        removes nothing -- DESIGN.md section 13; the one exception, an
+        empty pending template, terminates at the first boundary exactly
+        where the reference walk does).  ``examined`` needs no running
         tally: a scan examines everything newer than the live index it
         exits at (its terminating candidate, the bottom of the chunk
         whose boundary check ended it, or ``lo``), bar the point itself.
@@ -333,6 +315,7 @@ class VectorizedSkybandEngine:
         # terminates such rows at the first boundary check, which the
         # zero-selection fold would elide
         has_template = bool(self._pending)
+        cadence = len(self._pending) > _Resolution._EXACT_LIMIT
 
         counts = np.zeros((n, n_layers), dtype=np.int32)
         #: live index each scan stopped at: its terminating candidate, the
@@ -353,40 +336,43 @@ class VectorizedSkybandEngine:
             if q_mat is None:
                 q_mat = mat[own]
             dists = buffer.pairwise_block(q_mat, block_lo, block_hi)
-            lmat = plan.grid.layers_of(dists)
-            # a point is no candidate of its own scan (Def. 5 ranges over
-            # D_W - p): lift its column out of every layer
-            at = ((own >= block_lo) & (own < block_hi)).nonzero()[0]
-            if len(at):
-                lmat[at, own[at] - block_lo] = n_layers
             csum = np.cumsum(counts[act], axis=1, dtype=np.int32)
+            # a point is no candidate of its own scan (Def. 5 ranges over
+            # D_W - p)
+            r_i, s_i, lay = near_entries(
+                dists, own - block_lo,
+                self._reach[(csum < k_max).sum(axis=1)], plan.grid)
             block_hi = block_lo
-            rows = act
-            if has_template:
-                thresh = (csum < k_max).sum(axis=1)
-                sub = (lmat.min(axis=1) < thresh).nonzero()[0]
-                if not len(sub):
-                    continue
-                if len(sub) < len(act):
-                    lmat, csum, rows = lmat[sub], csum[sub], act[sub]
-            L = lmat[:, ::-1].astype(self.layer_dtype)
-            ins, stop, stopped, pending = self._resolve_tile(L, csum)
-            r_nz, s_nz = ins.nonzero()
-            ins_layers = L[r_nz, s_nz]
-            owners.append(rows[r_nz])
-            lives.append(block_lo + (n_cols - 1) - s_nz)
-            layers.append(ins_layers)
-            counts[rows] += np.bincount(
-                r_nz * n_layers + ins_layers,
-                minlength=len(rows) * n_layers).reshape(len(rows), n_layers)
+            self.near += len(r_i)
+            if has_template and not len(r_i):
+                continue
+            rank = self._sub_ks - csum[:, self._sub_layers]
+            ins, stop, pending = resolve_entries(
+                r_i, s_i, lay, n_cols, csum, rank, self._limits,
+                self._sub_layers)
+            self.py_iters += 1
+            if cadence:
+                hit = np.zeros(len(act), dtype=bool)
+                hit[r_i] = True
+                self.py_iters += int(np.count_nonzero(
+                    hit & ((rank > 0).sum(axis=1) > _Resolution._EXACT_LIMIT)))
+            sel = ins.nonzero()[0]
+            r_sel, l_sel = r_i[sel], lay[sel]
+            owners.append(act[r_sel])
+            lives.append(block_lo + (n_cols - 1) - s_i[sel])
+            layers.append(l_sel.astype(self.layer_dtype))
+            counts[act] += np.bincount(
+                r_sel * n_layers + l_sel,
+                minlength=len(act) * n_layers).reshape(len(act), n_layers)
+            stopped = stop < n_cols
             done = (stopped | ~pending.any(axis=1)).nonzero()[0]
             if len(done):
                 # a row its terminating candidate stopped exits there; one
                 # the boundary check ended (stop == n_cols) at the chunk
                 # bottom
-                exit_at[rows[done]] = block_lo + np.where(
+                exit_at[act[done]] = block_lo + np.where(
                     stopped[done], (n_cols - 1) - stop[done], 0)
-                terminated[rows[done]] = True
+                terminated[act[done]] = True
                 act = act[~terminated[act]]
                 q_mat = None
 

@@ -20,6 +20,12 @@ processed boundary:
   logical candidate count (the paper's ``L``), which is
   ``points_examined``;
 * ``soa_insert_rows`` -- skyband entries the scan engine committed;
+* ``near_candidates`` -- distance-tile cells the scan engine resolved:
+  the ones within their row's reach (at most ``r_max``, and below the
+  row's ``k_max``-th stored layer), its own column excluded.  Every other
+  cell is dropped before it is hashed to a layer, so
+  ``near_candidates / distance_rows`` is the share of kernel cells the
+  resolve pays for;
 * ``prefilter_screened`` / ``prefilter_suspects`` / ``prefilter_pruned``
   -- the tiered pre-filter's per-boundary tallies (see
   ``repro.core.prefilter``): candidate points the first-tier screen
@@ -42,9 +48,9 @@ from typing import Dict, List, Tuple
 __all__ = ["RefreshProfile"]
 
 #: one per-boundary sample: (refresh_ns, kernel_launches, batch_rows,
-#: python_insert_iters, soa_insert_rows, prefilter_screened,
-#: prefilter_suspects, prefilter_pruned)
-BoundarySample = Tuple[int, int, int, int, int, int, int, int]
+#: python_insert_iters, soa_insert_rows, near_candidates,
+#: prefilter_screened, prefilter_suspects, prefilter_pruned)
+BoundarySample = Tuple[int, int, int, int, int, int, int, int, int]
 
 
 class RefreshProfile:
@@ -52,7 +58,7 @@ class RefreshProfile:
 
     __slots__ = ("boundaries", "refresh_ns", "kernel_launches", "batch_rows",
                  "python_insert_iters", "soa_insert_rows",
-                 "prefilter_screened", "prefilter_suspects",
+                 "near_candidates", "prefilter_screened", "prefilter_suspects",
                  "prefilter_pruned", "samples", "keep_samples")
 
     def __init__(self, keep_samples: bool = True):
@@ -62,6 +68,7 @@ class RefreshProfile:
         self.batch_rows: int = 0
         self.python_insert_iters: int = 0
         self.soa_insert_rows: int = 0
+        self.near_candidates: int = 0
         self.prefilter_screened: int = 0
         self.prefilter_suspects: int = 0
         self.prefilter_pruned: int = 0
@@ -71,6 +78,7 @@ class RefreshProfile:
 
     def record(self, refresh_ns: int, kernel_launches: int, batch_rows: int,
                python_insert_iters: int, soa_insert_rows: int = 0,
+               near_candidates: int = 0,
                prefilter_screened: int = 0,
                prefilter_suspects: int = 0,
                prefilter_pruned: int = 0) -> None:
@@ -81,13 +89,14 @@ class RefreshProfile:
         self.batch_rows += batch_rows
         self.python_insert_iters += python_insert_iters
         self.soa_insert_rows += soa_insert_rows
+        self.near_candidates += near_candidates
         self.prefilter_screened += prefilter_screened
         self.prefilter_suspects += prefilter_suspects
         self.prefilter_pruned += prefilter_pruned
         if self.keep_samples:
             self.samples.append(
                 (refresh_ns, kernel_launches, batch_rows,
-                 python_insert_iters, soa_insert_rows,
+                 python_insert_iters, soa_insert_rows, near_candidates,
                  prefilter_screened, prefilter_suspects, prefilter_pruned)
             )
 
@@ -116,6 +125,7 @@ class RefreshProfile:
             "batch_rows": self.batch_rows,
             "python_insert_iters": self.python_insert_iters,
             "soa_insert_rows": self.soa_insert_rows,
+            "near_candidates": self.near_candidates,
             "prefilter_screened": self.prefilter_screened,
             "prefilter_suspects": self.prefilter_suspects,
             "prefilter_pruned": self.prefilter_pruned,

@@ -58,8 +58,8 @@ def is_fully_safe(plan, p_seq: int, seqs, layers) -> bool:
 class ReferenceRefresh(RefreshEngine):
     """Refresh whose scans are ``KSkyRunner``'s and whose commit is the
     literal per-row merge.  The engine-counted profile fields
-    (``batch_rows``, ``python_insert_iters``, ``soa_insert_rows``) stay
-    0; everything else is what the production engine must reproduce."""
+    (``batch_rows``, ``python_insert_iters``, ``soa_insert_rows``,
+    ``near_candidates``) stay 0; everything else is what the production engine must reproduce."""
 
     def __init__(self, plan, chunk_size: int = 256):
         self.runner = KSkyRunner(plan, chunk_size)

@@ -93,6 +93,11 @@ def test_metrics_schema_and_monotonicity():
             engine_work = server.engine.work_stats_snapshot()
             assert last["work"] == engine_work
             assert engine_work["distance_rows"] > 0
+            # the scan engine's resolve counters ride the same block:
+            # every committed entry was a near tile cell, every near cell
+            # a computed one
+            assert 0 < engine_work["soa_insert_rows"] <= (
+                engine_work["near_candidates"]) <= engine_work["distance_rows"]
             await client.close()
 
     run_async(scenario())

@@ -2,9 +2,10 @@
 
 Three layers of defense, mirroring the house lockstep style:
 
-* the tile resolve (`insert_limits` + `tile_insert_mask` + `tile_stops`)
-  is checked against the literal sequential loop driving the real
-  ``_Resolution``;
+* the tile resolve (`near_entries` + `resolve_entries`) is checked
+  against the literal sequential loop driving the real ``_Resolution``
+  over plan-reachable states, and the two plan invariants its closed
+  form rests on are pinned over Table 1 and random plans;
 * the engine's ``scan_batched`` is driven against ``KSkyRunner`` over
   hypothesis-chosen workloads, buffers, chunk sizes, row groups (one-row
   groups included) and suffixes (the empty one included);
@@ -28,15 +29,18 @@ from hypothesis import strategies as st
 from repro import (
     DetectorConfig,
     KSkyRunner,
+    OutlierQuery,
+    QueryGroup,
     SOPDetector,
     VectorizedSkybandEngine,
+    WindowSpec,
     make_synthetic_points,
     parse_workload,
 )
-from repro.bench import build_workload, default_ranges
+from repro.bench import ScaledRanges, build_workload, default_ranges
 from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.ksky import _Resolution
-from repro.core.lsky_soa import insert_limits, tile_insert_mask, tile_stops
+from repro.core.lsky_soa import insert_limits, near_entries, resolve_entries
 from repro.streams.source import batches_by_boundary
 from repro.streams.windows import COUNT, TIME
 from repro.testing import ReferenceRefresh, use_reference_scans
@@ -44,6 +48,9 @@ from repro.testing import ReferenceRefresh, use_reference_scans
 from conftest import ksky_facts, lockstep_reference, scan_rows
 
 # ------------------------------------------------------------- tile resolve
+
+#: the r grid of the drawn plans (layer ``m`` is ``GRID[m]``)
+GRID = (100.0, 250.0, 400.0, 700.0, 1000.0)
 
 
 class _Layers:
@@ -78,49 +85,134 @@ def _sequential_row(row, counts, pending, allowed, k_max):
     return inserted, None, resolution.pending
 
 
-@st.composite
-def _plan_shape(draw, max_k):
-    """``(n_layers, k_max, allowed)`` as a ``SkybandPlan`` would hold
-    them: ``allowed_layer`` is a suffix max over sub-groups, i.e. any
-    nonincreasing step function of the dominator count -- drawn here
-    through its per-layer limits."""
-    n_layers = draw(st.integers(1, 5))
-    k_max = draw(st.integers(1, max_k))
-    limits = [k_max] + sorted(
-        draw(st.lists(st.integers(0, k_max), min_size=n_layers - 1,
-                      max_size=n_layers - 1)), reverse=True)
-    allowed = [max(m for m in range(n_layers) if limits[m] > c)
-               for c in range(k_max)]
-    assert insert_limits(allowed, k_max, n_layers).tolist() == limits
-    return n_layers, k_max, allowed
+def _group(members):
+    """A workload from ``{k: member layers}``: one query per ``(r, k)``."""
+    return QueryGroup([
+        OutlierQuery(r=GRID[m], k=k, window=WindowSpec(win=10, slide=5))
+        for k, layers in sorted(members.items()) for m in sorted(layers)])
 
 
 @st.composite
-def _resolve_case(draw):
-    n_layers, k_max, allowed = draw(_plan_shape(max_k=8))
-    m_scan = draw(st.lists(st.integers(0, n_layers - 1), max_size=60))
-    counts = draw(st.lists(st.integers(0, 4), min_size=n_layers,
-                           max_size=n_layers))
-    return n_layers, k_max, allowed, m_scan, counts
+def _plans(draw, hot=False):
+    """A plan as the parser builds it: distinct ``k`` sub-groups (up to
+    20), each over a set of ``r`` layers, every layer some query's ``r``
+    -- so ``allowed_layer`` is what ``SkybandPlan._build_allowed_layers``
+    derives, not drawn beside the template.  *Hot* plans have at most two
+    layers, ``k_max`` in 40-90 and nine or more sub-groups: the
+    ``_CHECK_EVERY`` cadence regime."""
+    n_layers = draw(st.integers(1, 2 if hot else len(GRID)))
+    if hot:
+        k_max = draw(st.integers(40, 90))
+        ks = draw(st.sets(st.integers(1, k_max - 1), min_size=8,
+                          max_size=19)) | {k_max}
+    else:
+        ks = draw(st.sets(st.integers(1, 80), min_size=1, max_size=20))
+    ks = sorted(ks)
+    members = {k: draw(st.sets(st.integers(0, n_layers - 1), min_size=1))
+               for k in ks}
+    for m in range(n_layers):
+        if not any(m in layers for layers in members.values()):
+            members[draw(st.sampled_from(ks))].add(m)
+    return parse_workload(_group(members))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_resolve_case())
-def test_resolve_matches_sequential_loop(case):
-    """The insert mask of a one-row tile is the sequential loop's insert
-    set when nothing terminates it (no sub-group pending -> never
-    consulted)."""
-    n_layers, k_max, allowed, m_scan, counts = case
-    limits = insert_limits(allowed, k_max, n_layers)
-    L = np.asarray(m_scan, dtype=np.uint8)[None, :]
-    c_arr = np.asarray(counts, dtype=np.int64)
-    ins = tile_insert_mask(L, np.cumsum(c_arr)[None, :], limits)
-    assert ins.shape == L.shape
-    expect, _, _ = _sequential_row(m_scan, counts, [(0, 10 ** 6)], allowed,
-                                   k_max)
-    assert np.flatnonzero(ins[0]).tolist() == expect
-    # the input counts must not be mutated by the resolve
-    assert c_arr.tolist() == counts
+def _reached(plan, prefix):
+    """The stored layer counts a scan holds after inserting from
+    ``prefix`` (earlier chunks' candidate layers) into an empty skyband,
+    and the template indexes still pending -- a state the engine reaches,
+    or ``None`` where the prefix already resolved every sub-group (that
+    scan has terminated)."""
+    counts = [0] * plan.n_layers
+    for m in prefix:
+        c = sum(counts[:m + 1])
+        if c < plan.k_max and m <= plan.allowed_layer[c]:
+            counts[m] += 1
+    csum = np.cumsum(counts)
+    alive = [g for g, sg in enumerate(plan.subgroups)
+             if csum[sg.min_layer] < sg.k]
+    return (counts, alive) if alive else None
+
+
+@st.composite
+def _tile_case(draw):
+    """A plan, then a reachable chunk-start state for every row of one
+    tile and the tile's distances: each candidate at a drawn layer --
+    exactly at its ``r`` or strictly inside the layer -- beyond ``r_max``,
+    or the row's own point (distance 0).  Half the cases are *hot* -- wide
+    rows of near-certain inserts under nine or more pending sub-groups --
+    so the ``_CHECK_EVERY`` cadence is crossed, not just entered."""
+    hot = draw(st.booleans())
+    plan = draw(_plans(hot=hot))
+    n_layers = plan.n_layers
+    r_max = GRID[n_layers - 1]
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(64 if hot else 1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(n_rows):
+        prefix = draw(st.lists(st.integers(0, n_layers - 1),
+                               max_size=3 if hot else 40))
+        state = _reached(plan, prefix) or _reached(plan, [])
+        layers = draw(st.lists(
+            st.integers(0, n_layers - 1 if hot else n_layers),
+            min_size=width, max_size=width))
+        dists = np.empty(width)
+        for col, m in enumerate(layers):
+            if m == n_layers:
+                dists[col] = np.nextafter(r_max, np.inf) * (1 + rng.random())
+            elif rng.random() < 0.3:
+                dists[col] = GRID[m]
+            else:
+                lo = GRID[m - 1] if m else 0.0
+                dists[col] = lo + (GRID[m] - lo) * (1 - rng.random())
+        own = draw(st.one_of(st.just(-1), st.integers(0, width - 1)))
+        if own >= 0:
+            layers[own] = n_layers
+            dists[own] = 0.0
+        rows.append((state, layers, dists, own))
+    # the engine's reach (the largest layer under k_max stored dominators)
+    # or plain r_max: entries beyond the reach are never inserted, so
+    # the resolve must give the same answer either way
+    full_reach = draw(st.booleans())
+    return plan, rows, full_reach
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_tile_case())
+def test_entry_resolve_matches_literal_loop(case):
+    """``near_entries`` + ``resolve_entries`` == the literal loop, row by
+    row: same inserted columns, same terminating column, same final
+    ``pending`` (template order preserved)."""
+    plan, rows, full_reach = case
+    template = [(sg.min_layer, sg.k) for sg in plan.subgroups]
+    limits = insert_limits(plan.allowed_layer, plan.k_max, plan.n_layers)
+    dists = np.asarray([d for _, _, d, _ in rows])
+    own = np.asarray([o for _, _, _, o in rows])
+    csum = np.cumsum([counts for (counts, _), _, _, _ in rows], axis=1)
+    rank = plan.subgroup_ks - csum[:, plan.subgroup_min_layers]
+    for r, ((_, members), _, _, _) in enumerate(rows):
+        assert np.flatnonzero(rank[r] > 0).tolist() == members
+    reach = np.asarray([
+        max((GRID[m] for m in range(plan.n_layers)
+             if full_reach or c[m] < plan.k_max), default=-np.inf)
+        for c in csum])
+    width = dists.shape[1]
+
+    r_i, s_i, lay = near_entries(dists, own, reach, plan.grid)
+    ins, stop, pending = resolve_entries(
+        r_i, s_i, lay, width, csum, rank, limits, plan.subgroup_min_layers)
+    assert ins.shape == r_i.shape and pending.shape == rank.shape
+
+    for r, ((counts, members), layers, _, _) in enumerate(rows):
+        want_ins, want_stop, want_pending = _sequential_row(
+            layers[::-1], counts, [template[g] for g in members],
+            plan.allowed_layer, plan.k_max)
+        assert (int(stop[r]) if stop[r] < width else None) == want_stop
+        assert s_i[ins & (r_i == r)].tolist() == want_ins
+        assert [template[g] for g in np.flatnonzero(pending[r])] == (
+            want_pending)
 
 
 def test_insert_limits_closed_form():
@@ -130,109 +222,75 @@ def test_insert_limits_closed_form():
     assert limits.tolist() == [4, 3, 2, 0]
 
 
-@st.composite
-def _tile_case(draw):
-    """A reachable chunk-start state for every row of one tile: stored
-    layer counts, a pending subset whose members are all unresolved under
-    them, candidate layers (``n_layers`` = beyond ``r_max``) and an
-    optional own column.  Half the cases are *hot* -- wide rows of
-    near-certain inserts under nine or more pending sub-groups -- so the
-    ``_CHECK_EVERY`` cadence is crossed, not just entered."""
-    hot = draw(st.booleans())
-    if hot:
-        n_layers = draw(st.integers(1, 2))
-        k_max = draw(st.integers(40, 90))
-        allowed = [n_layers - 1] * k_max
-    else:
-        n_layers, k_max, allowed = draw(_plan_shape(max_k=80))
-    # sub-groups have distinct k; up to 20 of them so both the exact and
-    # the cadence regime are hit -- or none, the degenerate template
-    ks = draw(st.sets(st.integers(1, k_max), min_size=9 if hot else 0,
-                      max_size=20))
-    template = [(draw(st.integers(0, n_layers - 1)), k)
-                for k in sorted(ks)]
-    n_rows = draw(st.integers(1, 6))
-    width = draw(st.integers(64 if hot else 1, 96))
-    rows = []
-    for _ in range(n_rows):
-        counts = draw(st.lists(st.integers(0, 1 if hot else 3),
-                               min_size=n_layers, max_size=n_layers))
-        csum = np.cumsum(counts)
-        alive = [g for g, (d, k) in enumerate(template) if csum[d] < k]
-        if not hot and draw(st.booleans()):
-            alive = [g for g in alive if draw(st.booleans())]
-        layers = draw(st.lists(
-            st.integers(0, n_layers - 1 if hot else n_layers),
-            min_size=width, max_size=width))
-        own = draw(st.one_of(st.none(), st.integers(0, width - 1)))
-        if own is not None:
-            layers[own] = n_layers
-        rows.append((counts, alive, layers))
-    return n_layers, k_max, allowed, template, rows
+def _assert_closed_form_invariants(plan):
+    """The two plan facts the entry resolve rests on: layers close
+    top-down (``limit`` nonincreasing) and every sub-group resolves
+    before its ``min_layer`` closes (``limit(min_layer) >= k``)."""
+    limits = insert_limits(plan.allowed_layer, plan.k_max, plan.n_layers)
+    assert (np.diff(limits) <= 0).all(), limits
+    for sg in plan.subgroups:
+        assert limits[sg.min_layer] >= sg.k, (sg, limits)
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(_tile_case())
-def test_tile_resolve_matches_literal_loop(case):
-    """Tile mask + closed-form stops == the literal loop, row by row: same
-    inserted columns, same terminating column, same final ``pending``
-    (template order preserved)."""
-    n_layers, k_max, allowed, template, rows = case
-    limits = insert_limits(allowed, k_max, n_layers)
-    sub_layers = np.asarray([d for d, _ in template], dtype=np.int64)
-    sub_ks = np.asarray([k for _, k in template], dtype=np.int64)
-    L = np.asarray([layers for _, _, layers in rows], dtype=np.uint8)
-    csum = np.cumsum([counts for counts, _, _ in rows], axis=1)
-    alive = np.zeros((len(rows), len(template)), dtype=bool)
-    for r, (_, members, _) in enumerate(rows):
-        alive[r, members] = True
-    width = L.shape[1]
+@pytest.mark.parametrize("spec", list("ABCDEFG"))
+@pytest.mark.parametrize("seed", [0, 7, 17, 31])
+def test_table1_plans_close_top_down(spec, seed):
+    for n_queries in (4, 6, 20):
+        _assert_closed_form_invariants(parse_workload(build_workload(
+            spec, n_queries=n_queries, seed=seed, ranges=default_ranges())))
 
-    ins = tile_insert_mask(L, csum, limits)
-    stop, pending = tile_stops(L, ins, csum, alive, sub_layers, sub_ks)
-    assert ins.shape == L.shape and pending.shape == alive.shape
 
-    for r, (counts, members, layers) in enumerate(rows):
-        want_ins, want_stop, want_pending = _sequential_row(
-            layers, counts, [template[g] for g in members], allowed, k_max)
-        cut = int(stop[r])
-        assert (cut if cut < width else None) == want_stop
-        assert np.flatnonzero(ins[r, :cut + 1]).tolist() == want_ins
-        assert [template[g] for g in np.flatnonzero(pending[r])] == (
-            want_pending)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_plans(), _plans(hot=True)))
+def test_random_plans_close_top_down(plan):
+    _assert_closed_form_invariants(plan)
+
+
+_ONE_LAYER = {k: {0} for k in [*range(33, 44), 70]}
 
 
 @pytest.mark.parametrize("ks,want_stop,want_left", [
     # 12 pending at insert 32, only k=70 at insert 64: the exact rule takes
     # over there and stops at the 70th insert
-    (list(range(33, 44)) + [70], 69, 0),
-    # all 12 resolve between the checks at 32 and 64: nobody looks until
-    # the check at insert 64, so the scan runs on to it
-    (list(range(33, 45)), 63, 0),
+    (_ONE_LAYER, 69, 0),
+    # k = 33..44 at layer 1, k = 1 at layer 0 (both layers admit 44): 44
+    # layer-1 candidates, then layer-0 ones.  All 13 resolve by insert 45,
+    # strictly between the checks at 32 and 64, and layer 0 keeps
+    # admitting -- nobody looks until the check at insert 64, so the scan
+    # runs on to it (the exact rule would stop at position 44)
+    ({1: {0}, **{k: {1} for k in range(33, 45)}}, 63, 0),
     # the 60 candidates end before the second check; the chunk-end check
     # finds k=70 still pending
-    (list(range(33, 44)) + [70], None, 1),
+    (_ONE_LAYER, None, 1),
 ])
 def test_tile_stops_follow_the_check_cadence(ks, want_stop, want_left):
     """More than ``_EXACT_LIMIT`` pending sub-groups are only looked at
-    every ``_CHECK_EVERY`` inserts."""
+    every ``_CHECK_EVERY`` inserts: where a row's scan stops, and what
+    stays pending, follow the checks.  ``ks`` maps each ``k`` to its
+    layers; the row holds ``k_max`` candidates at the plan's top layer,
+    then layer-0 ones."""
     assert len(ks) > _Resolution._EXACT_LIMIT
     assert _Resolution._CHECK_EVERY == 32
-    k_max, width = 70, (96 if want_stop is not None else 60)
-    template = [(0, k) for k in ks]
-    limits = insert_limits([0] * k_max, k_max, 1)
-    L = np.zeros((1, width), dtype=np.uint8)
-    csum = np.zeros((1, 1), dtype=np.int64)
-    ins = tile_insert_mask(L, csum, limits)
-    stop, pending = tile_stops(
-        L, ins, csum, np.ones((1, len(ks)), dtype=bool),
-        np.zeros(len(ks), dtype=np.int64), np.asarray(ks, dtype=np.int64))
+    plan = parse_workload(_group(ks))
+    width, n_layers = (96 if want_stop is not None else 60), plan.n_layers
+    row = ([n_layers - 1] * plan.k_max + [0] * width)[:width]
+    # ``row`` is in scan order: the tile holds it reversed, each candidate
+    # mid-layer
+    mid = [GRID[0] / 2] + [(a + b) / 2 for a, b in zip(GRID, GRID[1:])]
+    dists = np.asarray([mid[m] for m in row[::-1]])[None, :]
+    csum = np.zeros((1, n_layers), dtype=np.int32)
+    r_i, s_i, lay = near_entries(dists, np.asarray([-1]),
+                                 np.asarray([GRID[n_layers - 1]]), plan.grid)
+    ins, stop, pending = resolve_entries(
+        r_i, s_i, lay, width, csum, plan.subgroup_ks[None, :],
+        insert_limits(plan.allowed_layer, plan.k_max, n_layers),
+        plan.subgroup_min_layers)
     assert (int(stop[0]) if stop[0] < width else None) == want_stop
     assert int(pending.sum()) == want_left
+    assert int(ins.sum()) == (width if want_stop is None else want_stop + 1)
+    template = [(sg.min_layer, sg.k) for sg in plan.subgroups]
     _, lit_stop, lit_pending = _sequential_row(
-        [0] * width, [0], template, [0] * k_max, k_max)
+        row, [0] * n_layers, template, plan.allowed_layer, plan.k_max)
     assert lit_stop == want_stop and len(lit_pending) == want_left
 
 
@@ -262,6 +320,22 @@ def test_table1_reference_lockstep_grid(spec):
     assert det.profile.batch_rows == det.stats["ksky_runs"]
     assert ref.profile.soa_insert_rows == 0
     assert ref.profile.python_insert_iters == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cadence_regime_reference_lockstep(seed):
+    """Twenty class-G queries with ``k`` up to 60 give 16-18 sub-groups:
+    rows start in the ``_CHECK_EVERY`` cadence regime, cross its checks
+    and hand over to the exact rule -- at detector level, against the
+    reference walk."""
+    group = build_workload("G", n_queries=20, seed=seed, ranges=ScaledRanges(
+        r=(150, 1800), k=(2, 60), win=(200, 800), slide=(50, 200),
+        slide_quantum=50))
+    assert len(parse_workload(group).subgroups) > _Resolution._EXACT_LIMIT
+    det, _ = lockstep_reference(group, _stream(), chunk_size=64)
+    # one step per resolved tile plus one per cadence-regime row: more
+    # than the kernel tiles alone
+    assert det.profile.python_insert_iters > det.profile.kernel_launches
 
 
 @pytest.mark.parametrize("spec", ["B", "E"])

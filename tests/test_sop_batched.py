@@ -32,6 +32,7 @@ from repro import (
     make_synthetic_points,
 )
 from repro.bench import build_workload, default_ranges
+from repro.core.lsky_soa import near_entries
 from repro.core.parser import parse_workload
 from repro.streams.source import batches_by_boundary
 from repro.streams.windows import COUNT, TIME
@@ -302,6 +303,34 @@ def test_neighbor_exactly_at_r_max_counted():
     last_t = max(t for _, t in outs)
     assert outs[(0, last_t)] == frozenset({4})
 
+    # every layer boundary of a multi-layer group: candidates at exactly
+    # each r and one a single ulp past r_max
+    beyond = float(np.nextafter(400.0, np.inf))
+    values = [0.0, 100.0, 250.0, -beyond,            # seqs 0-3
+              10000.0, 10100.0, 10250.0, 9600.0,     # seqs 4-7
+              50000.0]
+    points = [Point(seq=i, values=(v,)) for i, v in enumerate(values)]
+    window = WindowSpec(win=12, slide=4)
+    group = QueryGroup([OutlierQuery(r=r, k=k, window=window)
+                        for r, k in [(100.0, 1), (250.0, 2), (400.0, 3),
+                                     (400.0, 1), (250.0, 4)]])
+    plan = parse_workload(group)
+    # the engine's near test and the grid's hash classify alike
+    tie = np.asarray([[100.0, 250.0, 400.0, beyond]])
+    assert plan.grid.layers_of(tie).tolist() == [[0, 1, 2, 3]]
+    _, s_i, lay = near_entries(tie, np.asarray([-1]), np.asarray([400.0]),
+                               plan.grid)
+    assert s_i.tolist() == [1, 2, 3] and lay.tolist() == [2, 1, 0]
+    outs = SOPDetector(group, config=DetectorConfig(chunk_size=3)).run(
+        points).outputs
+    assert outs == use_reference_scans(SOPDetector(
+        group, config=DetectorConfig(chunk_size=3))).run(points).outputs
+    assert outs == NaiveDetector(group).run(points).outputs
+    last_t = max(t for _, t in outs)
+    # r=400, k=3: seq 4 has its third neighbour at exactly 400, seq 0
+    # only two -- its third sits one ulp beyond
+    assert 4 not in outs[(2, last_t)] and 0 in outs[(2, last_t)]
+
 
 # ------------------------------------------------------------- observability
 
@@ -321,6 +350,10 @@ def test_refresh_profile_records_boundaries():
     # inserts land as soa_insert_rows instead.
     assert 0 < prof.python_insert_iters <= det.stats["points_examined"]
     assert prof.soa_insert_rows > 0
+    # the resolve consumed the near tile cells only: at least every
+    # committed entry, at most every kernel cell
+    assert prof.soa_insert_rows <= prof.near_candidates < (
+        det.buffer.distance_rows)
     # the reference scans examine the same L candidates (the paper's
     # path-independent count) without touching the engine's counters
     ref = use_reference_scans(
@@ -329,11 +362,13 @@ def test_refresh_profile_records_boundaries():
     assert ref.stats["points_examined"] == det.stats["points_examined"]
     assert ref.profile.python_insert_iters == 0
     assert ref.profile.soa_insert_rows == 0
+    assert ref.profile.near_candidates == 0
     assert ref.profile.batch_rows == 0
     assert len(prof.samples) == prof.boundaries
     work = det.work_stats()
     for key in ("refresh_boundaries", "refresh_ns", "kernel_launches",
-                "batch_rows", "python_insert_iters"):
+                "batch_rows", "python_insert_iters", "soa_insert_rows",
+                "near_candidates"):
         assert work[key] == prof.as_dict()[key]
     assert work["distance_rows"] == det.buffer.distance_rows
 
