@@ -75,7 +75,7 @@ def test_ablation_report(benchmark):
 
 @pytest.mark.figure("ablation")
 @pytest.mark.parametrize("chunk", [32, 256, 1024])
-def test_chunk_size_sensitivity(benchmark, chunk):
+def test_chunk_size_sweep(benchmark, chunk):
     res = benchmark.pedantic(
         run_once, args=(SOPDetector, _group(), synthetic_stream()),
         kwargs={"chunk_size": chunk}, rounds=1, iterations=1)

@@ -2,19 +2,15 @@
 
 Measures what the first-tier inlier screen (``repro.core.prefilter``)
 buys end to end.  For each window size the grid runs a ``prefilter=
-"none"`` baseline, both screens in exact mode, and both in fast mode,
-recording ``cpu_ms_per_window`` (the paper's CPU metric), wall time, and
-the tier counters (screened / suspects / pruned, plus the exact tier's
+"none"`` baseline and the ``"qn"`` screen, recording
+``cpu_ms_per_window`` (the paper's CPU metric), wall time, and the tier
+counters (screened / suspects / pruned, plus the exact tier's
 ``points_examined`` and ``distance_rows``).
 
-Exact-mode output equality against the baseline is *asserted fatally*:
-the screen's contract is bit-identical outputs (DESIGN.md section 14),
-so a speedup that changes answers aborts the bench.  Fast mode is
-allowed to differ; for it the report stores *measured recall*
-(|detected AND baseline| / |baseline| over all (query, boundary) cells).
-Fast-mode precision is 1.0 by construction -- a pruned point is merely
-excluded from reports, never promoted -- and the bench asserts that
-containment too.
+Output equality against the baseline is *asserted fatally*, and so is
+``fully_safe_marked`` parity: the screen's contract is bit-identical
+outputs (DESIGN.md section 14), so a speedup that changes answers aborts
+the bench.
 
 The headline stream is the regime the screen is built for, matching the
 paper's high-volume setting: large slide (win/8 -- at-arrival
@@ -46,14 +42,8 @@ import numpy as np
 from repro import (DetectorConfig, OutlierQuery, QueryGroup, SOPDetector,
                    WindowSpec, compare_outputs, make_synthetic_points)
 
-#: (prefilter, prefilter_mode) grid; "none" is the exact-tier baseline
-MODES = (
-    ("none", "exact"),
-    ("qn", "exact"),
-    ("sensitivity", "exact"),
-    ("qn", "fast"),
-    ("sensitivity", "fast"),
-)
+#: prefilter grid; "none" is the exact-tier baseline
+MODES = ("none", "qn")
 WINDOWS = (16_384, 32_768)
 #: headline slide divisor (win/8) plus the adversarial small slide
 SLIDE_DIVS = (8, 20)
@@ -70,7 +60,7 @@ K_VALUES = (10, 20, 30, 15, 25)
 #: member window fractions of the swift window (mixed-win workload)
 WIN_DIVS = (1, 2, 1, 4, 1)
 WINDOWS_PER_STREAM = 2
-#: acceptance floor for the headline configs (exact mode, slide win/8)
+#: acceptance floor for the headline configs (slide win/8)
 TARGET_SPEEDUP = 1.5
 
 
@@ -83,16 +73,14 @@ def _group(window: int, slide: int) -> QueryGroup:
     ])
 
 
-def _measure(group, stream, prefilter: str, mode: str) -> dict:
-    cfg = DetectorConfig(prefilter=prefilter, prefilter_mode=mode)
-    det = SOPDetector(group, config=cfg)
+def _measure(group, stream, prefilter: str) -> dict:
+    det = SOPDetector(group, config=DetectorConfig(prefilter=prefilter))
     t0 = time.perf_counter()
     result = det.run(stream)
     wall = time.perf_counter() - t0
     work = det.work_stats()
     return {
         "prefilter": prefilter,
-        "mode": mode,
         "wall_s": round(wall, 3),
         "cpu_ms_per_window": round(result.cpu_ms_per_window, 3),
         "peak_memory_units": result.memory.peak_units,
@@ -107,14 +95,6 @@ def _measure(group, stream, prefilter: str, mode: str) -> dict:
     }
 
 
-def _recall(base_outputs, fast_outputs) -> float:
-    hits = total = 0
-    for key, seqs in base_outputs.items():
-        total += len(seqs)
-        hits += len(seqs & fast_outputs.get(key, frozenset()))
-    return 1.0 if total == 0 else hits / total
-
-
 def run_config(window: int, slide_div: int, seed: int = 11) -> dict:
     slide = window // slide_div
     group = _group(window, slide)
@@ -122,39 +102,25 @@ def run_config(window: int, slide_div: int, seed: int = 11) -> dict:
         WINDOWS_PER_STREAM * window, dim=2, outlier_rate=OUTLIER_RATE,
         seed=seed, n_clusters=N_CLUSTERS, cluster_spread=CLUSTER_SPREAD,
     )
-    runs = [_measure(group, stream, pf, mode) for pf, mode in MODES]
+    runs = [_measure(group, stream, pf) for pf in MODES]
     base = runs[0]
     assert base["prefilter"] == "none"
     for run in runs[1:]:
-        outputs = run.pop("outputs")
-        if run["mode"] == "exact":
-            diffs = compare_outputs(base["outputs"], outputs)
-            if diffs:
-                details = "\n  ".join(diffs[:5])
-                raise SystemExit(
-                    f"FATAL: exact-mode prefilter={run['prefilter']} "
-                    f"diverges from baseline at window {window} slide "
-                    f"{slide}:\n  {details}"
-                )
-            run["outputs_equal"] = True
-            if run["fully_safe_marked"] != base["fully_safe_marked"]:
-                raise SystemExit(
-                    f"FATAL: exact-mode prefilter={run['prefilter']} "
-                    f"fully_safe_marked {run['fully_safe_marked']} != "
-                    f"baseline {base['fully_safe_marked']} -- the screen "
-                    f"certified a point the exact tier would not have"
-                )
-        else:
-            for key, seqs in outputs.items():
-                extra = seqs - base["outputs"].get(key, frozenset())
-                if extra:
-                    raise SystemExit(
-                        f"FATAL: fast-mode prefilter={run['prefilter']} "
-                        f"reported non-baseline outliers {sorted(extra)[:8]}"
-                        f" at query={key[0]} t={key[1]}"
-                    )
-            run["recall"] = round(_recall(base["outputs"], outputs), 4)
-            run["precision"] = 1.0  # asserted above
+        diffs = compare_outputs(base["outputs"], run.pop("outputs"))
+        if diffs:
+            details = "\n  ".join(diffs[:5])
+            raise SystemExit(
+                f"FATAL: prefilter={run['prefilter']} diverges from "
+                f"baseline at window {window} slide {slide}:\n  {details}"
+            )
+        run["outputs_equal"] = True
+        if run["fully_safe_marked"] != base["fully_safe_marked"]:
+            raise SystemExit(
+                f"FATAL: prefilter={run['prefilter']} fully_safe_marked "
+                f"{run['fully_safe_marked']} != baseline "
+                f"{base['fully_safe_marked']} -- the screen certified a "
+                f"point the exact tier would not have"
+            )
         run["cpu_speedup"] = round(
             base["cpu_ms_per_window"] / run["cpu_ms_per_window"], 3) \
             if run["cpu_ms_per_window"] else float("nan")
@@ -183,19 +149,17 @@ def run_grid(windows, slide_divs) -> dict:
             cfg = run_config(window, slide_div)
             configs.append(cfg)
             for run in cfg["runs"]:
-                extra = (f"recall={run['recall']:.3f}"
-                         if "recall" in run else
-                         f"outputs_equal={run['outputs_equal']}")
                 print(
                     f"win={window:>6} slide=win/{slide_div:<2} "
-                    f"{run['prefilter']:>11}/{run['mode']:<5} "
+                    f"{run['prefilter']:>4} "
                     f"{run['wall_s']:8.2f} s  "
                     f"cpu-speedup {run['cpu_speedup']:5.2f}x  "
                     f"pruned={run['prefilter_pruned']:>7} "
-                    f"examined/{run['examined_ratio']:.2f}  {extra}"
+                    f"examined/{run['examined_ratio']:.2f}  "
+                    f"outputs_equal={run['outputs_equal']}"
                 )
     return {
-        "schema": "bench_prefilter/v1",
+        "schema": "bench_prefilter/v2",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -220,18 +184,18 @@ def run_grid(windows, slide_divs) -> dict:
 
 
 def check_target(report) -> bool:
-    """True iff every headline exact-mode run clears TARGET_SPEEDUP."""
+    """True iff every headline screened run clears TARGET_SPEEDUP."""
     ok = True
     for cfg in report["configs"]:
         if not cfg["headline"]:
             continue
         for run in cfg["runs"]:
-            if run["prefilter"] == "none" or run["mode"] != "exact":
+            if run["prefilter"] == "none":
                 continue
             if run["cpu_speedup"] < TARGET_SPEEDUP:
                 print(
                     f"WARNING: headline win={cfg['window']} "
-                    f"{run['prefilter']}/exact speedup "
+                    f"{run['prefilter']} speedup "
                     f"{run['cpu_speedup']:.2f}x below target "
                     f"{TARGET_SPEEDUP}x"
                 )

@@ -105,25 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out", default=None, help="results JSONL path")
     det.add_argument("--until", type=int, default=None,
                      help="stop at this boundary")
-    det.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
+    det.add_argument("--prefilter", choices=DetectorConfig._PREFILTERS,
                      default="none",
                      help="first-tier inlier screen ahead of the exact "
-                          "K-SKY refresh: qn (windowed Qn/MAD robust-scale "
-                          "anchors) or sensitivity (sampled anchor balls); "
-                          "none disables screening (SOP only)")
-    det.add_argument("--prefilter-mode", choices=("exact", "fast"),
-                     default="exact",
-                     help="exact prunes only provably k-satisfied points "
-                          "(outputs byte-identical to --prefilter none); "
-                          "fast additionally prunes on statistical "
-                          "evidence (approximate; SOP only)")
+                          "K-SKY refresh: qn prunes only provably "
+                          "k-satisfied points (windowed Qn/MAD robust-scale "
+                          "anchors; outputs byte-identical to none); none "
+                          "disables screening (SOP only)")
     det.add_argument("--lazy", action="store_true",
                      help="refresh evidence only at boundaries with due "
                           "queries instead of eagerly every slide (SOP only)")
     det.add_argument("--shards", type=int, default=1,
                      help="value-partition the stream across this many "
                           "detector shards (exact; default 1)")
-    det.add_argument("--backend", choices=("serial", "process", "supervised"),
+    det.add_argument("--backend", choices=DetectorConfig._BACKENDS,
                      default="serial",
                      help="where shard pipelines run: in-process (serial), "
                           "one worker process per shard (process, "
@@ -133,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="border replication radius; 0 = auto (the "
                           "workload's largest query radius, always exact)")
     det.add_argument("--on-shard-failure",
-                     choices=("fail", "retry", "drop-and-flag"),
+                     choices=DetectorConfig._FAILURE_POLICIES,
                      default="retry",
                      help="supervised backend policy when a shard exhausts "
                           "its attempts: fail fast, retry then fail, or "
@@ -179,10 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="value-partition across N detector shards")
     srv.add_argument("--replication-radius", type=float, default=0.0,
                      help="border replication radius (0: derive from r)")
-    srv.add_argument("--prefilter", choices=("none", "qn", "sensitivity"),
+    srv.add_argument("--prefilter", choices=DetectorConfig._PREFILTERS,
                      default="none")
-    srv.add_argument("--prefilter-mode", choices=("exact", "fast"),
-                     default="exact")
 
     return parser
 
@@ -252,7 +245,6 @@ def _cmd_detect(args) -> int:
     config = DetectorConfig(
         eager=not args.lazy,
         prefilter=args.prefilter,
-        prefilter_mode=args.prefilter_mode,
         shards=args.shards,
         backend=args.backend,
         replication_radius=args.replication_radius,
@@ -318,7 +310,6 @@ def _cmd_serve(args) -> int:
         shards=args.shards,
         replication_radius=args.replication_radius,
         prefilter=args.prefilter,
-        prefilter_mode=args.prefilter_mode,
     )
     queries = load_workload(args.workload) if args.workload else []
     if args.resume and not args.checkpoint:

@@ -67,7 +67,7 @@ from ..metrics.profiling import RefreshProfile
 from ..streams.buffer import WindowBuffer
 from .evidence import EvidenceTable, PointState
 from .parser import SkybandPlan, parse_workload
-from .prefilter import InlierScreen, build_prefilter
+from .prefilter import QnScreen, build_prefilter
 from .point import Point
 from .queries import QueryGroup
 
@@ -121,7 +121,7 @@ class SOPDetector(Detector):
         #: first-tier inlier screen (see repro.core.prefilter); None for
         #: prefilter="none".  The refresh engine consults it per boundary
         #: and commits certified points as fully safe, scan-free
-        self.prefilter: Optional[InlierScreen] = build_prefilter(
+        self.prefilter: Optional[QnScreen] = build_prefilter(
             config, self.plan)
         #: safe-for-all component (see repro.engine.safety)
         self.safety = SafetyTracker(self.plan)

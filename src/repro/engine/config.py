@@ -76,23 +76,18 @@ class DetectorConfig:
     fault_plan: Optional[str] = None
     #: first-tier inlier screen ahead of the exact K-SKY refresh
     #: (see :mod:`repro.core.prefilter`): "none" disables screening;
-    #: "qn" anchors on a windowed Qn/MAD robust-scale estimate; and
-    #: "sensitivity" samples anchors uniformly (deterministically) from
-    #: the live window.  Each shard of a sharded runtime screens its own
-    #: window; the ``prefilter_*`` counters merge additively.
+    #: "qn" prunes only points *provably* k-satisfied for every
+    #: registered query, anchoring on a windowed Qn/MAD robust-scale
+    #: estimate -- outputs are byte-identical to "none".  Each shard of a
+    #: sharded runtime screens its own window; the ``prefilter_*``
+    #: counters merge additively.
     prefilter: str = "none"
-    #: "exact" prunes only points *provably* k-satisfied for every
-    #: registered query (outputs byte-identical to ``prefilter="none"``);
-    #: "fast" additionally prunes on the screen's statistical evidence
-    #: (approximate -- ``benchmarks/bench_prefilter.py`` measures recall)
-    prefilter_mode: str = "exact"
 
     _BACKENDS = ("serial", "process", "supervised")
     _FAILURE_POLICIES = ("fail", "retry", "drop-and-flag")
-    _PREFILTERS = ("none", "qn", "sensitivity")
-    _PREFILTER_MODES = ("exact", "fast")
+    _PREFILTERS = ("none", "qn")
     #: metrics the prefilter's ball certification is sound for (the
-    #: screens rely on the triangle inequality; a custom registered
+    #: screen relies on the triangle inequality; a custom registered
     #: distance need not satisfy it)
     _PREFILTER_METRICS = ("euclidean", "manhattan", "chebyshev")
 
@@ -129,11 +124,6 @@ class DetectorConfig:
                 f"prefilter must be one of {self._PREFILTERS}, "
                 f"got {self.prefilter!r}"
             )
-        if self.prefilter_mode not in self._PREFILTER_MODES:
-            raise ValueError(
-                f"prefilter_mode must be one of {self._PREFILTER_MODES}, "
-                f"got {self.prefilter_mode!r}"
-            )
         if self.prefilter != "none":
             if not self.use_safe_inliers:
                 raise ValueError(
@@ -162,12 +152,20 @@ class DetectorConfig:
         ``batch_min_rows``).  Each only ever chose how the K-SKY scans
         were launched, every value of each was output-identical, and
         there is one launch shape now -- so they are dropped and the
-        checkpoint resumes bit-exact.
+        checkpoint resumes bit-exact.  The retired inexact screen mode
+        goes the same way: ``prefilter_mode`` is dropped whatever its
+        value (exact outputs are a superset of the old fast mode's, so a
+        fast checkpoint resumes reporting the true set), and the retired
+        ``prefilter: "sensitivity"`` screen reads as ``"qn"`` (both exact
+        screens are output-identical to ``"none"``).
         """
         data = dict(data)
         for retired in ("skyband_impl", "use_batched_refresh",
-                        "refresh_strategy", "batch_min_rows"):
+                        "refresh_strategy", "batch_min_rows",
+                        "prefilter_mode"):
             data.pop(retired, None)
+        if data.get("prefilter") == "sensitivity":
+            data["prefilter"] = "qn"
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

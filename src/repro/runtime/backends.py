@@ -44,8 +44,8 @@ Supervision state machine (per shard task)::
 
 Even on a single core the sharded run can beat the 1-shard run: the
 skyband scans are superlinear in window population, so four half-empty
-windows cost less CPU than one full one -- ``benchmarks/bench_shards.py``
-records exactly this.
+windows cost less CPU than one full one on outlier-bearing streams
+(DESIGN.md section 9).
 """
 
 from __future__ import annotations

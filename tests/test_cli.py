@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro import (
+    DetectorConfig,
     load_points_csv,
     load_results_jsonl,
     load_workload,
@@ -165,6 +166,34 @@ class TestParser:
                       "--batch-min-rows", "8"],
                      ["serve", "--skyband-impl", "soa"],
                      ["serve", "--refresh-strategy", "batched"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
+    def test_config_flag_choices_come_from_config(self):
+        """Every config-backed choice flag offers exactly the config's
+        choices, each of which builds a valid DetectorConfig; serve takes
+        only --prefilter, and --prefilter-mode is gone from both."""
+        detect = ["detect", "--stream", "s", "--workload", "w"]
+        flags = {
+            "--prefilter": ("prefilter", DetectorConfig._PREFILTERS),
+            "--backend": ("backend", DetectorConfig._BACKENDS),
+            "--on-shard-failure": ("on_shard_failure",
+                                   DetectorConfig._FAILURE_POLICIES),
+        }
+        for flag, (field, choices) in flags.items():
+            for choice in choices:
+                args = build_parser().parse_args(detect + [flag, choice])
+                DetectorConfig(**{field: getattr(args, field)})
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(detect + [flag, "bogus"])
+        for choice in DetectorConfig._PREFILTERS:
+            args = build_parser().parse_args(["serve", "--prefilter", choice])
+            DetectorConfig(prefilter=args.prefilter)
+        for argv in (["serve", "--prefilter", "sensitivity"],
+                     ["serve", "--backend", "serial"],
+                     ["serve", "--prefilter-mode", "exact"],
+                     detect + ["--prefilter", "sensitivity"],
+                     detect + ["--prefilter-mode", "exact"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

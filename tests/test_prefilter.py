@@ -12,14 +12,15 @@ by the paper-literal reference (``repro.testing.use_reference_scans``).  Work
 counters are where the tiers are *allowed* to differ: a screened run may
 only examine fewer points, never more.
 
-Fast mode is approximate by design, but one containment theorem still
-holds: a pruned point is excluded from outlier reports while everyone
-else's evidence is untouched, so fast-mode outputs are a per-boundary
-subset of the exact outputs.  That is asserted too -- it is what makes
-"measured recall" (``benchmarks/bench_prefilter.py``) well-defined.
+There is one screen and one mode: the screen prunes certified points
+and nothing else.  Checkpoint headers written while an inexact mode and
+a second anchor rule still existed load as the exact ``"qn"`` screen and
+resume with outputs identical to an uninterrupted screened run.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -38,13 +39,13 @@ from repro import (
     make_synthetic_points,
 )
 from repro.bench import ScaledRanges, build_workload
-from repro.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.prefilter import (
-    QnScreen,
-    SensitivityScreen,
-    build_prefilter,
-    windowed_qn_scale,
+from repro.checkpoint import (
+    load_checkpoint,
+    load_sharded_checkpoint,
+    save_checkpoint,
+    save_sharded_checkpoint,
 )
+from repro.core.prefilter import QnScreen, build_prefilter, windowed_qn_scale
 from repro.streams.source import batches_by_boundary
 from repro.testing import use_reference_scans
 
@@ -64,7 +65,9 @@ RANGES = ScaledRanges(
     fixed_slide=64,
 )
 
-SCREENS = ("qn", "sensitivity")
+#: the one screen; the exactness suites keep it as their ``screen``
+#: parameter so each case keeps its test ID
+SCREENS = ("qn",)
 
 
 def _stream(n=1200, seed=9, **kw):
@@ -74,27 +77,18 @@ def _stream(n=1200, seed=9, **kw):
     return make_synthetic_points(n, dim=2, seed=seed, **kw)
 
 
-def _lockstep(group, points, screen, mode="exact"):
+def _lockstep(group, points, screen):
     """Drive the unscreened reference-scan baseline and the screened
     detector boundary-by-boundary, asserting output/evidence/memory
-    equality at every step (exact mode); returns both detectors for
-    counter checks."""
+    equality at every step; returns both detectors for counter checks."""
     base = use_reference_scans(SOPDetector(group))
-    scr = SOPDetector(group, config=DetectorConfig(
-        prefilter=screen, prefilter_mode=mode))
+    scr = SOPDetector(group, config=DetectorConfig(prefilter=screen))
     for t, batch in batches_by_boundary(points, group.swift.slide,
                                         group.kind):
-        out_b = base.step(t, batch)
-        out_s = scr.step(t, batch)
-        if mode == "exact":
-            assert out_s == out_b, f"outputs diverge at t={t}"
-            assert evidence(scr) == evidence(base), (
-                f"evidence diverges at t={t}")
-            assert scr.memory_units() == base.memory_units()
-        else:
-            for qi, seqs in out_s.items():
-                assert set(seqs) <= set(out_b.get(qi, seqs)), (
-                    f"fast mode reported a non-baseline outlier at t={t}")
+        assert scr.step(t, batch) == base.step(t, batch), (
+            f"outputs diverge at t={t}")
+        assert evidence(scr) == evidence(base), f"evidence diverges at t={t}"
+        assert scr.memory_units() == base.memory_units()
     return base, scr
 
 
@@ -128,16 +122,11 @@ def test_build_prefilter_dispatch():
     assert build_prefilter(DetectorConfig(), plan) is None
     assert isinstance(
         build_prefilter(DetectorConfig(prefilter="qn"), plan), QnScreen)
-    assert isinstance(
-        build_prefilter(DetectorConfig(prefilter="sensitivity"), plan),
-        SensitivityScreen)
 
 
 def test_config_rejects_unsound_prefilter_combinations():
     with pytest.raises(ValueError, match="prefilter"):
         DetectorConfig(prefilter="bogus")
-    with pytest.raises(ValueError, match="prefilter_mode"):
-        DetectorConfig(prefilter="qn", prefilter_mode="wild")
     with pytest.raises(ValueError, match="use_safe_inliers"):
         DetectorConfig(prefilter="qn", use_safe_inliers=False)
     # the certification argument needs the triangle inequality
@@ -146,7 +135,8 @@ def test_config_rejects_unsound_prefilter_combinations():
 
 
 def test_screen_backoff_trips_and_reprobes():
-    screen = QnScreen(_plan(), patience=2, backoff=5, min_prune_rate=0.5)
+    screen = QnScreen(_plan())
+    screen.patience, screen.backoff, screen.min_prune_rate = 2, 5, 0.5
     # two consecutive low-yield boundaries -> backoff
     screen._boundary = 1
     screen.observe(100, 0)
@@ -167,7 +157,8 @@ def test_screen_decision_log_is_bounded():
     runs on its own counters and never reads the log."""
     from repro.core.prefilter import _DECISION_LOG_CAP as cap
 
-    screen = QnScreen(_plan(), patience=3, backoff=5, min_prune_rate=0.5)
+    screen = QnScreen(_plan())
+    screen.patience, screen.backoff, screen.min_prune_rate = 3, 5, 0.5
     n = cap + 200
     # yields cycle high, low, low: the streak never reaches patience
     for b in range(1, n + 1):
@@ -207,8 +198,7 @@ def test_screen_runs_are_deterministic():
     pts = _stream(seed=13)
     runs = []
     for _ in range(2):
-        det = SOPDetector(group, config=DetectorConfig(
-            prefilter="sensitivity"))
+        det = SOPDetector(group, config=DetectorConfig(prefilter="qn"))
         res = det.run(pts)
         work = det.work_stats()
         work.pop("refresh_ns")  # wall-clock: the one permitted difference
@@ -304,15 +294,6 @@ def test_exact_tile_and_anchor_paths_both_exact(screen):
         assert det.profile.prefilter_pruned > 0, f"budget={budget}"
 
 
-# ------------------------------------------------------------- fast mode
-
-
-@pytest.mark.parametrize("screen", SCREENS)
-def test_fast_mode_outputs_are_subset_of_exact(screen):
-    group = build_workload("D", n_queries=4, seed=3, ranges=RANGES)
-    _lockstep(group, _stream(seed=29), screen, mode="fast")
-
-
 # --------------------------------------------------------------- sharded
 
 
@@ -354,7 +335,6 @@ def test_checkpoint_roundtrip_preserves_prefilter_config(tmp_path):
 
     restored, last_t = load_checkpoint(path)
     assert restored.config.prefilter == "qn"
-    assert restored.config.prefilter_mode == "exact"
     assert restored.prefilter is not None
 
     # a factory that silently drops the screen fails loudly
@@ -369,6 +349,83 @@ def test_checkpoint_roundtrip_preserves_prefilter_config(tmp_path):
         for qi, seqs in restored.step(t, batch).items():
             got[(qi, t)] = seqs
     assert got == {(qi, t): seqs for (qi, t), seqs in full.outputs.items()}
+
+
+#: a checkpoint header config exactly as written while the screen still
+#: had a second anchor rule and an inexact mode: 17 fields
+_SCREEN_HEADER_CONFIG = {
+    "metric": "euclidean", "chunk_size": 256, "eager": True,
+    "use_safe_inliers": True, "use_least_examination": True, "shards": 1,
+    "backend": "serial", "replication_radius": 0.0,
+    "on_shard_failure": "retry", "max_shard_retries": 2,
+    "shard_deadline": 0.0, "retry_backoff": 0.05, "validate_ingest": False,
+    "ingest_dim": None, "fault_plan": None, "prefilter": "qn",
+    "prefilter_mode": "exact",
+}
+
+
+@pytest.mark.parametrize("prefilter,mode", [
+    ("sensitivity", "exact"), ("qn", "fast"), ("qn", "exact")])
+def test_retired_prefilter_keys_upgrade_on_read(tmp_path, prefilter, mode):
+    """``prefilter_mode`` is dropped whatever its value and ``prefilter:
+    "sensitivity"`` reads as ``"qn"``: a classic checkpoint and a sharded
+    manifest carrying either resume with outputs identical to an
+    uninterrupted ``prefilter="qn"`` run."""
+    header = {**_SCREEN_HEADER_CONFIG, "prefilter": prefilter,
+              "prefilter_mode": mode}
+    assert len(header) == 17
+    cfg = DetectorConfig(prefilter="qn")
+    assert DetectorConfig.from_dict(header) == cfg
+    # the retired screen name is upgraded on read only
+    with pytest.raises(ValueError, match=r"\('none', 'qn'\)"):
+        DetectorConfig(prefilter="sensitivity")
+
+    group = build_workload("E", n_queries=4, seed=41, ranges=RANGES)
+    points = _stream(n=1000, seed=19)
+    batches = list(batches_by_boundary(points, group.swift.slide,
+                                       group.kind))
+    half = len(batches) // 2
+    cut = batches[half - 1][0]
+    full = SOPDetector(group, config=cfg).run(points)
+    tail = {k: v for k, v in full.outputs.items() if k[1] > cut}
+
+    def write_header(path, **extra):
+        head, _, body = path.read_text().partition("\n")
+        head = json.loads(head)
+        head["config"] = {**header, **extra}
+        path.write_text(json.dumps(head) + "\n" + body)
+
+    det = SOPDetector(group, config=cfg)
+    for t, batch in batches[:half]:
+        det.step(t, batch)
+    path = tmp_path / "screen.ckpt"
+    save_checkpoint(det, cut, path)
+    write_header(path)
+    restored, last_t = load_checkpoint(path)
+    assert last_t == cut
+    assert restored.config == cfg
+    assert isinstance(restored.prefilter, QnScreen)
+    got = {}
+    for t, batch in batches[half:]:
+        for qi, seqs in restored.step(t, batch).items():
+            got[(qi, t)] = seqs
+    assert got == tail
+
+    rt = Runtime(group, config=cfg.replace(shards=2))
+    rt.partitioner.ensure_bounds(points)
+    for t, batch in batches[:half]:
+        rt.step(t, batch)
+    manifest = tmp_path / "screen_sharded.ckpt"
+    save_sharded_checkpoint(rt, cut, manifest)
+    for name in json.loads(manifest.read_text())["segments"]:
+        write_header(manifest.with_name(name), shards=2)
+    resumed, last_t = load_sharded_checkpoint(manifest)
+    assert last_t == cut
+    assert resumed.config == cfg.replace(shards=2)
+    for t, batch in batches[half:]:
+        resumed.step(t, batch)
+    assert {k: v for k, v in resumed.finish().outputs.items()
+            if k[1] > cut} == tail
 
 
 # ---------------------------------------------------- hypothesis property
@@ -391,9 +448,8 @@ query_params = st.tuples(
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(values=values_2d,
-       params=st.lists(query_params, min_size=1, max_size=3),
-       screen=st.sampled_from(SCREENS))
-def test_property_exact_screen_equals_unscreened(values, params, screen):
+       params=st.lists(query_params, min_size=1, max_size=3))
+def test_property_exact_screen_equals_unscreened(values, params):
     queries = []
     for r, k, win32, slide32 in params:
         win, slide = win32 * 32, slide32 * 32
@@ -405,7 +461,7 @@ def test_property_exact_screen_equals_unscreened(values, params, screen):
               for i, (x, y) in enumerate(values)]
     group = QueryGroup(queries)
     base = SOPDetector(group).run(points)
-    det = SOPDetector(group, config=DetectorConfig(prefilter=screen))
+    det = SOPDetector(group, config=DetectorConfig(prefilter="qn"))
     # drop the screen floor so small hypothesis windows get screened too
     det.prefilter.min_candidates = 16
     got = det.run(points)
