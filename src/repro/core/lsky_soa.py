@@ -35,7 +35,7 @@ function of those positions alone: the stop point needs no replay.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,7 +94,8 @@ def near_entries(dists: np.ndarray, own: np.ndarray, radius: np.ndarray,
 
 def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
                     width: int, csum: np.ndarray, rank: np.ndarray,
-                    limits: np.ndarray, sub_layers: np.ndarray
+                    limits: np.ndarray, sub_layers: np.ndarray,
+                    chunk: Optional[int] = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alg. 2 over a tile's near entries: what the sequential loop
     inserts, where each row's scan stops, and what stays pending --
@@ -129,11 +130,22 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     a row with more replays the ``_CHECK_EVERY`` cadence over ``tau``
     converted to insert counts (the one per-row loop, for that regime
     only).
+
+    A tile may span several logical chunks of ``chunk`` candidates each
+    (default: one chunk, the whole tile), counted from scan position 0;
+    each ends in a ``check()``.  That check is a no-op in the exact
+    regime (every insert was checked); in the cadence regime it restarts
+    the ``_CHECK_EVERY`` count and, when it resolves everything, ends the
+    scan at that chunk's bottom.  The empty template's first check ends
+    it at the first chunk's bottom.
     Returns ``(ins, stop, pending)``: the inserted entries up to and
-    including each row's terminating one, its scan position (``width`` =
-    the row runs the tile out), and the sub-groups still pending after
-    the chunk-end ``check()`` (none for a row that stopped).
+    including each row's stop, its scan position -- the terminating
+    candidate, or the last position of the inner chunk whose check ended
+    the scan; ``width`` = the row runs the tile out -- and the
+    sub-groups still pending after the tile's last ``check()`` (none for
+    a row that stopped).
     """
+    chunk = width if chunk is None else chunk
     n_rows, n_layers = csum.shape
     n_ent = len(r_i)
     entry = np.arange(n_ent)
@@ -179,36 +191,66 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     ins = entry <= close[lay, r_i]
 
     n_pending = alive.sum(axis=1)
+    #: each row's terminating entry (``n_ent``: none)
     stop = tau.max(axis=1, initial=-1)
-    if not n_pending.all():
-        idle = (n_pending == 0).nonzero()[0]
+    #: ... or the scan position of the inner logical chunk bottom whose
+    #: boundary check ended the row (``width``: none)
+    bottom = np.full(n_rows, width, dtype=np.intp)
+    idle = (n_pending == 0).nonzero()[0]
+    if len(idle):
         first = np.append(ins.nonzero()[0], n_ent)
         first = first[np.searchsorted(first, starts[idle])]
         stop[idle] = np.where(first < ends[idle], first, n_ent)
+        if chunk < width:
+            # the empty template's first check -- at the first chunk's
+            # end -- ends the scan
+            bottom[idle] = chunk - 1
     if alive.shape[1] > _Resolution._EXACT_LIMIT:
-        every = _Resolution._CHECK_EVERY
         for r in (n_pending > _Resolution._EXACT_LIMIT).nonzero()[0].tolist():
             a = starts[r]
-            at = a + ins[a:ends[r]].nonzero()[0]
-            n_ins = len(at)
-            # insert count at which each pending sub-group resolves
-            t = tau[r, alive[r]]
-            t = np.where(t < n_ent, np.searchsorted(at, t, side="right"),
-                         n_ins + 1)
-            stop[r] = n_ent
-            for check in range(every, n_ins + 1, every):
-                t = t[t > check]
-                if len(t) <= _Resolution._EXACT_LIMIT:
-                    # all resolved at this check, or the exact rule from
-                    # here on
-                    last = int(t.max()) if len(t) else check
-                    if last <= n_ins:
-                        stop[r] = at[last - 1]
-                    break
-    stopped = stop < n_ent
+            stop[r], bottom[r] = _cadence_stop(
+                tau[r, alive[r]], a + ins[a:ends[r]].nonzero()[0], s_i,
+                n_ent, chunk, width)
+    stop_at = bottom
+    hit = stop < n_ent
+    stop_at[hit] = np.minimum(s_i[stop[hit]], bottom[hit])
+    stopped = stop_at < width
     pending = alive & (tau == n_ent) & ~stopped[:, None]
-    stop_at = np.full(n_rows, width, dtype=np.intp)
     if stopped.any():
-        ins &= entry <= stop[r_i]
-        stop_at[stopped] = s_i[stop[stopped]]
+        ins &= s_i <= stop_at[r_i]
     return ins, stop_at, pending
+
+
+def _cadence_stop(tau: np.ndarray, at: np.ndarray, s_i: np.ndarray,
+                  n_ent: int, chunk: int, width: int) -> Tuple[int, int]:
+    """One cadence-regime row: replay ``_Resolution``'s checks over its
+    inserts.  ``tau`` holds the resolving entry of each pending
+    sub-group (``n_ent``: not in the tile), ``at`` the row's inserted
+    entries in scan order.  Within each logical chunk the
+    ``_CHECK_EVERY`` count restarts, and the chunk ends in a ``check()``;
+    a chunk without an insert holds no check that could change anything.
+    Returns ``(stop, bottom)`` as :func:`resolve_entries` keeps them."""
+    every = _Resolution._CHECK_EVERY
+    n_ins = len(at)
+    # the insert count at which each pending sub-group resolves
+    t = np.where(tau < n_ent, np.searchsorted(at, tau, side="right"),
+                 n_ins + 1)
+    chunks, begin = np.unique(s_i[at] // chunk, return_index=True)
+    for j, a, b in zip(chunks.tolist(), begin.tolist(),
+                       begin[1:].tolist() + [n_ins]):
+        # checks at every ``every``-th insert of the chunk, then its end
+        for check in [*range(a + every, b + 1, every), None]:
+            t = t[t > (b if check is None else check)]
+            if len(t) > _Resolution._EXACT_LIMIT:
+                continue
+            if len(t):
+                # the exact rule from here on: stop at the last resolve
+                last = int(t.max())
+                return (int(at[last - 1]) if last <= n_ins else n_ent), width
+            if check is not None:
+                return int(at[check - 1]), width
+            # all resolved at the chunk end: exit at its bottom (the
+            # tile's own bottom is ``pending`` running empty)
+            end = (j + 1) * chunk
+            return n_ent, (end - 1 if end < width else width)
+    return n_ent, width

@@ -96,7 +96,11 @@ class DistanceMetric:
     matrix in one call -- the batched-refresh kernel.  Its rows must be
     bit-identical to per-row ``to_block`` results (the batched and per-point
     detector paths are asserted output-equal), so the built-in kernels use
-    the same elementwise arithmetic, not the dot-product expansion.
+    the same elementwise arithmetic, not the dot-product expansion.  For
+    every built-in metric all three forms are one left-to-right fold over
+    the coordinates: ``scalar`` = ``to_block`` = ``pairwise`` bit for bit
+    at every dimension, and a query/block arity mismatch raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -141,53 +145,86 @@ class DistanceMetric:
         return f"DistanceMetric({self.name!r})"
 
 
+# Every built-in metric folds one per-coordinate term over the
+# coordinates left to right, in all three forms: the scalar loop, and the
+# array kernels below, which accumulate one coordinate at a time into a
+# ``(rows, cols)`` result -- never a ``rows x cols x dim`` difference
+# cube, whose reduction (``einsum``, or ``sum`` with its pairwise
+# summation) would add the terms in another order.  So ``scalar``,
+# ``to_block`` and ``pairwise`` agree bit for bit at every dimension.
+# (The scalars loop explicitly: ``sum`` compensates float sums from
+# Python 3.12 on.)
+
+
+def _fold_coordinates(queries: np.ndarray, block: np.ndarray, term,
+                      fold) -> np.ndarray:
+    """``out[i, j]``: ``term(queries[i, c] - block[j, c])`` folded with
+    ``fold`` over ``c`` left to right, through one reused workspace."""
+    q = np.asarray(queries, dtype=np.float64)
+    b = np.asarray(block, dtype=np.float64)
+    if q.ndim != 2 or b.ndim != 2 or q.shape[1] != b.shape[1]:
+        raise ValueError(f"query/block arity mismatch: queries of shape "
+                         f"{q.shape}, block of shape {b.shape}")
+    out = np.zeros((q.shape[0], b.shape[0]))
+    work = out
+    for c in range(q.shape[1]):
+        np.subtract.outer(q[:, c], b[:, c], out=work)
+        term(work, out=work)
+        if c == 0:
+            work = np.empty_like(out)
+        else:
+            fold(out, work, out=out)
+    return out
+
+
+def _row_of(pairwise):
+    """``to_block`` as row 0 of ``pairwise``: one arithmetic for both."""
+    def to_block(q: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return pairwise(np.asarray(q, dtype=np.float64)[None], block)[0]
+    return to_block
+
+
 def _euclidean_scalar(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
-
-
-def _euclidean_block(q: np.ndarray, block: np.ndarray) -> np.ndarray:
-    diff = block - q
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    acc = 0.0
+    for x, y in zip(a, b, strict=True):
+        d = x - y
+        acc += d * d
+    return math.sqrt(acc)
 
 
 def _euclidean_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # broadcasting keeps the per-element arithmetic identical to
-    # _euclidean_block (no |a|^2 + |b|^2 - 2ab expansion, which would
-    # introduce cancellation and break batched-vs-per-point bit equality)
-    diff = block[None, :, :] - queries[:, None, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # elementwise on purpose: the |a|^2 + |b|^2 - 2ab expansion would
+    # introduce cancellation and break batched-vs-per-point bit equality
+    out = _fold_coordinates(queries, block, np.square, np.add)
+    return np.sqrt(out, out=out)
 
 
 def _manhattan_scalar(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def _manhattan_block(q: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.abs(block - q).sum(axis=1)
+    acc = 0.0
+    for x, y in zip(a, b, strict=True):
+        acc += abs(x - y)
+    return acc
 
 
 def _manhattan_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.abs(block[None, :, :] - queries[:, None, :]).sum(axis=2)
+    return _fold_coordinates(queries, block, np.abs, np.add)
 
 
 def _chebyshev_scalar(a: Sequence[float], b: Sequence[float]) -> float:
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
-
-
-def _chebyshev_block(q: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.abs(block - q).max(axis=1)
+    return max((abs(x - y) for x, y in zip(a, b, strict=True)),
+               default=0.0)
 
 
 def _chebyshev_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.abs(block[None, :, :] - queries[:, None, :]).max(axis=2)
+    return _fold_coordinates(queries, block, np.abs, np.maximum)
 
 
-euclidean = DistanceMetric("euclidean", _euclidean_scalar, _euclidean_block,
-                           _euclidean_pairwise)
-manhattan = DistanceMetric("manhattan", _manhattan_scalar, _manhattan_block,
-                           _manhattan_pairwise)
-chebyshev = DistanceMetric("chebyshev", _chebyshev_scalar, _chebyshev_block,
-                           _chebyshev_pairwise)
+euclidean = DistanceMetric("euclidean", _euclidean_scalar,
+                           _row_of(_euclidean_pairwise), _euclidean_pairwise)
+manhattan = DistanceMetric("manhattan", _manhattan_scalar,
+                           _row_of(_manhattan_pairwise), _manhattan_pairwise)
+chebyshev = DistanceMetric("chebyshev", _chebyshev_scalar,
+                           _row_of(_chebyshev_pairwise), _chebyshev_pairwise)
 
 _METRICS: Dict[str, DistanceMetric] = {
     "euclidean": euclidean,

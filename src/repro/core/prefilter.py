@@ -49,8 +49,9 @@ of the anchor scheme (every suffix point an anchor, ball radius zero),
 and the information-theoretic best a suffix screen can certify.
 The tile reuses the batched refresh kernel
 (:meth:`~repro.streams.WindowBuffer.pairwise_block`), so its distances
-are bit-identical to the scans it replaces and its volume shows up in
-``distance_rows`` like any other kernel.
+are bit-identical to the scans it replaces and its volume is charged
+to ``distance_rows`` (and counted in ``kernel_cells``) like any other
+kernel.
 
 **Anchors.**  :class:`QnScreen` computes a windowed Qn/MAD-style robust
 scale per coordinate over the buffer's SoA matrix view (the FQN
@@ -293,9 +294,9 @@ class QnScreen:
         pairwise tile.
 
         For the euclidean metric the tile uses the BLAS squared-distance
-        expansion ``|a|^2 + |b|^2 - 2ab`` -- several times faster than
-        the broadcast kernel because the dominant term is one ``dgemm``
-        instead of an ``n x n x dim`` temporary.  The expansion's
+        expansion ``|a|^2 + |b|^2 - 2ab``, whose dominant term is one
+        ``dgemm`` instead of ``dim`` elementwise passes over the ``n x n``
+        tile.  The expansion's
         cancellation error is bounded by a few ulps of the largest
         centered squared norm, so comparing against a threshold shaved
         by ``1e-12`` of that norm keeps the test *conservative*: it can
@@ -314,9 +315,11 @@ class QnScreen:
                       - 1e-12 * max_sq)
             close = d2 <= thresh
             buf.distance_rows += tail.shape[0] * tail.shape[0]
+            buf.kernel_cells += tail.shape[0] * tail.shape[0]
             buf.kernel_calls += 1
         else:
             d = buf.pairwise_block(tail, lo, mat.shape[0])
+            buf.distance_rows += d.size
             close = d <= self._r_min
         np.fill_diagonal(close, False)
         return np.triu(close, k=1).sum(axis=1, dtype=np.int64)

@@ -35,7 +35,7 @@ table, never a walk over the window's points.
 **One scan path.**  Every scan a detector runs is
 :class:`~repro.engine.VectorizedSkybandEngine`'s ``scan_batched``: the
 rows of a group share one ``WindowBuffer.pairwise_block`` kernel and one
-``RGrid.layers_of`` hash per chunk, whatever the group's size.  It
+``RGrid.layers_of`` hash per tile, whatever the group's size.  It
 replicates the reference per-point scan's candidate order, chunk
 boundaries, and termination cadence exactly, so outputs, evidence arrays
 and ``memory_units()`` are identical (``tests/test_sop_batched.py`` and

@@ -16,7 +16,7 @@ explicit architecture instead of an implementation detail of one class:
 * :class:`RefreshEngine` -- the K-SKY refresh stage: partition the
   evidence table's rows into row groups, run one
   :class:`VectorizedSkybandEngine` ``scan_batched`` sweep per group (one
-  pairwise kernel per chunk), commit them all at once, profile;
+  pairwise kernel per tile), commit them all at once, profile;
 * :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) in its
   counting form, as a separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification

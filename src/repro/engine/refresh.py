@@ -13,7 +13,8 @@ examination, Alg. 1 / Lemma 2).  *What* is scanned is fixed by the paper;
 The rows of a group (all from-scratch points; all survivors sharing a
 first-unseen arrival) scan the same candidate range, so their evidence is
 one ``(rows x candidates)`` matrix computed with a single pairwise kernel
-per chunk -- whatever the group's size.  Scan order, chunk boundaries and
+per tile -- whatever the group's size; a tile spans one logical chunk,
+then twice the last tile's chunks.  Scan order, chunk boundaries and
 termination cadence replicate the paper's per-point walk exactly, and the
 commit merges every scanned row at once (DESIGN.md section 15); the
 lockstep suites hold both bit-exact against the literal per-row refresh
@@ -66,7 +67,7 @@ class RefreshEngine:
                 f"evidence table holds {len(table.seen)} rows for {n} "
                 "buffered points; load points through warm_start()")
         t0 = time.perf_counter_ns()
-        kernels0 = buf.kernel_calls
+        kernels0, cells0 = buf.kernel_calls, buf.kernel_cells
         batched0 = det.stats["batched_scans"]
         eng = det.skyband_engine
         py0, soa0, near0 = eng.py_iters, eng.soa_rows, eng.near
@@ -79,7 +80,8 @@ class RefreshEngine:
         # there is no screen or it sits this boundary out).  Its anchor
         # kernels run inside the timed region with kernels0 already
         # snapshotted, so the screen's own cost lands in this boundary's
-        # refresh_ns / kernel_launches sample -- honest accounting.
+        # refresh_ns / kernel_launches / kernel_cells sample -- honest
+        # accounting.
         screen = det.prefilter
         pf_screened = pf_pruned = 0
         if screen is not None:
@@ -139,6 +141,7 @@ class RefreshEngine:
             prefilter_screened=pf_screened,
             prefilter_suspects=pf_screened - pf_pruned,
             prefilter_pruned=pf_pruned,
+            kernel_cells=buf.kernel_cells - cells0,
         )
 
     def _scan(self, det, rows: np.ndarray, lo: int) -> ScanBatch:
@@ -228,20 +231,22 @@ class VectorizedSkybandEngine:
     termination candidates, same ``examined`` arithmetic, same
     ``distance_rows`` -- ``tests/test_lsky_soa.py`` drives both in
     lockstep over the Table 1 grid and asserts entry-for-entry equality.
-    What differs is *how* the per-candidate loop runs: each chunk's
-    ``rows x candidates`` kernel tile is compacted to the cells its rows
-    can use (:func:`~repro.core.lsky_soa.near_entries`), and one pure
-    function resolves those -- every insert decision and every row's
-    termination point as order statistics of one running count per
-    layer (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
-    replayed.  :meth:`scan_batched` feeds it each chunk with the row
-    state (stored layer counts, exit index) held in arrays and returns
-    the inserted entries flat, as one :class:`ScanBatch` for the group.
+    What differs is *how* the per-candidate loop runs: each
+    ``rows x candidates`` kernel tile -- one or more logical chunks -- is
+    compacted to the cells its rows can use
+    (:func:`~repro.core.lsky_soa.near_entries`), and one pure function
+    resolves those -- every insert decision and every row's termination
+    point as order statistics of one running count per layer
+    (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
+    replayed.  :meth:`scan_batched` feeds it each tile with the row state
+    (stored layer counts, exit index) held in arrays and returns the
+    inserted entries flat, as one :class:`ScanBatch` for the group.
 
     ``py_iters`` (the profile's ``python_insert_iters``) counts the
     interpreted steps left: one per resolved tile and one per row in the
     ``_CHECK_EVERY`` cadence regime.  ``soa_rows`` counts the skyband
-    entries committed, ``near`` the tile cells the resolve consumed.
+    entries committed, ``near`` the tile cells the resolve consumed up to
+    each row's stop.
     """
 
     def __init__(self, plan, chunk_size: int = 256):
@@ -277,14 +282,24 @@ class VectorizedSkybandEngine:
 
         ``row_indexes`` gives the live-buffer index of each evaluated
         point; the result's ``owner`` indexes it.  All rows share the
-        same candidate range, so each chunk costs one ``pairwise_block``
+        same candidate range, so each tile costs one ``pairwise_block``
         kernel over the still-active rows, one compaction of that tile to
         its near entries and one
         :func:`~repro.core.lsky_soa.resolve_entries` over them -- rows
-        that terminate drop out of subsequent chunks, which keeps
-        ``distance_rows`` identical to running
-        ``KSkyRunner.scan_new_arrivals`` per row: the per-point walk also
-        pays for a whole chunk before consuming it.
+        that terminate drop out of subsequent tiles.
+
+        The first tile is one logical chunk (``chunk_size`` candidates,
+        anchored at the buffer top); each later one spans twice the last
+        tile's chunks, capped so that it never holds more cells than the
+        first -- a row group's transient memory never exceeds its first
+        chunk's.  The logical chunk stays the unit of the paper's walk:
+        the resolve runs each chunk's boundary check inside a wide tile
+        (DESIGN.md section 12), and each row charges ``distance_rows``
+        for the chunks up to and including the one it stops in, which
+        keeps it identical to running ``KSkyRunner.scan_new_arrivals``
+        per row (the per-point walk pays for a whole chunk before
+        consuming it); the cells a wide tile computed past a row's stop
+        show only in ``kernel_cells``.
 
         Only cells that could change a row's skyband are compacted (and
         hashed, and counted in ``near``): a candidate at layer ``m`` is
@@ -293,8 +308,8 @@ class VectorizedSkybandEngine:
         ``k_max``-th smallest stored layer -- a distance no farther than
         that layer's ``r`` bound, itself at most ``r_max`` (Def. 5
         condition 3) -- and a rejected candidate never mutates scan
-        state.  A row with no such cell sits the chunk out; without an
-        insert its boundary resolution check is a no-op (a check with no
+        state.  A row with no such cell sits the tile out; without an
+        insert its boundary resolution checks are no-ops (a check with no
         intervening insert filters ``pending`` against unchanged state and
         removes nothing -- DESIGN.md section 13; the one exception, an
         empty pending template, terminates at the first boundary exactly
@@ -328,9 +343,15 @@ class VectorizedSkybandEngine:
         lives = [np.empty(0, dtype=np.intp)]
         layers = [np.empty(0, dtype=self.layer_dtype)]
         q_mat: Optional[np.ndarray] = None
+        #: the group's first tile (one logical chunk): no later tile
+        #: holds more cells
+        first_cells = n * chunk
+        span = 0
         block_hi = hi
         while block_hi > lo and len(act):
-            block_lo = max(lo, block_hi - chunk)
+            # logical chunks in this tile: one, then twice the last tile's
+            span = min(2 * span, first_cells // (len(act) * chunk)) or 1
+            block_lo = max(lo, block_hi - span * chunk)
             n_cols = block_hi - block_lo
             own = self_idx[act]
             if q_mat is None:
@@ -338,18 +359,27 @@ class VectorizedSkybandEngine:
             dists = buffer.pairwise_block(q_mat, block_lo, block_hi)
             csum = np.cumsum(counts[act], axis=1, dtype=np.int32)
             # a point is no candidate of its own scan (Def. 5 ranges over
-            # D_W - p)
+            # D_W - p).  The reach is read once per tile; inserts inside
+            # it only lower it, and the entries a stale reach admits sit
+            # at layers closed earlier in the tile, which the resolve
+            # rejects.
             r_i, s_i, lay = near_entries(
                 dists, own - block_lo,
                 self._reach[(csum < k_max).sum(axis=1)], plan.grid)
             block_hi = block_lo
-            self.near += len(r_i)
             if has_template and not len(r_i):
+                buffer.distance_rows += len(act) * n_cols
                 continue
             rank = self._sub_ks - csum[:, self._sub_layers]
             ins, stop, pending = resolve_entries(
                 r_i, s_i, lay, n_cols, csum, rank, self._limits,
-                self._sub_layers)
+                self._sub_layers, chunk)
+            # each row pays for the logical chunks up to the one it stops
+            # in, as the per-point walk does; the resolve consumed the
+            # near entries up to its stop
+            buffer.distance_rows += int(np.minimum(
+                (stop // chunk + 1) * chunk, n_cols).sum())
+            self.near += int(np.count_nonzero(s_i <= stop[r_i]))
             self.py_iters += 1
             if cadence:
                 hit = np.zeros(len(act), dtype=bool)
@@ -367,9 +397,9 @@ class VectorizedSkybandEngine:
             stopped = stop < n_cols
             done = (stopped | ~pending.any(axis=1)).nonzero()[0]
             if len(done):
-                # a row its terminating candidate stopped exits there; one
-                # the boundary check ended (stop == n_cols) at the chunk
-                # bottom
+                # a row exits at its stop -- a terminating candidate or an
+                # inner chunk's bottom -- or, when the tile's last check
+                # ended it (stop == n_cols), at the tile bottom
                 exit_at[act[done]] = block_lo + np.where(
                     stopped[done], (n_cols - 1) - stop[done], 0)
                 terminated[act[done]] = True

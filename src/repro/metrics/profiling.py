@@ -2,14 +2,22 @@
 
 The refresh stage (see ``repro.engine.refresh``) runs every K-SKY scan
 as a ``scan_batched`` tile sweep, turning O(live points) numpy kernel
-launches per boundary into O(chunks).  To *prove* that -- and to keep it
+launches per boundary into O(tiles) -- fewer than the logical chunks a
+scan walks, because a row group's tiles after its first double in
+width.  To *prove* that -- and to keep it
 provable as the code evolves -- :class:`RefreshProfile` records, per
 processed boundary:
 
 * ``refresh_ns`` -- wall time spent inside ``SOPDetector._refresh``;
 * ``kernel_launches`` -- numpy distance-kernel launches during the refresh
-  (``WindowBuffer.kernel_calls`` delta: one per pairwise tile, plus the
-  prefilter's anchor kernels);
+  (``WindowBuffer.kernel_calls`` delta: one per pairwise tile, not one
+  per logical chunk -- a tile spans one chunk, then twice the last
+  tile's chunks -- plus the prefilter's anchor kernels);
+* ``kernel_cells`` -- the distances those launches computed
+  (``WindowBuffer.kernel_cells`` delta).  ``distance_rows`` charges only
+  what each scan's walk pays for (up to the logical chunk it stops in),
+  so ``distance_rows <= kernel_cells`` and the gap is the cells a wide
+  tile computed past its rows' stops;
 * ``batch_rows`` -- evaluated points whose scan went through the batched
   pairwise kernel: every scan, so it equals ``batched_scans`` and
   ``ksky_runs`` (0 only under ``repro.testing.ReferenceRefresh``);
@@ -22,10 +30,11 @@ processed boundary:
 * ``soa_insert_rows`` -- skyband entries the scan engine committed;
 * ``near_candidates`` -- distance-tile cells the scan engine resolved:
   the ones within their row's reach (at most ``r_max``, and below the
-  row's ``k_max``-th stored layer), its own column excluded.  Every other
-  cell is dropped before it is hashed to a layer, so
-  ``near_candidates / distance_rows`` is the share of kernel cells the
-  resolve pays for;
+  row's ``k_max``-th stored layer), its own column excluded, at or
+  before the row's stop.  Every other cell is dropped before it is
+  hashed to a layer, so ``near_candidates / kernel_cells`` is the share
+  of computed cells the resolve pays for, and ``soa_insert_rows <=
+  near_candidates <= distance_rows <= kernel_cells``;
 * ``prefilter_screened`` / ``prefilter_suspects`` / ``prefilter_pruned``
   -- the tiered pre-filter's per-boundary tallies (see
   ``repro.core.prefilter``): candidate points the first-tier screen
@@ -49,8 +58,8 @@ __all__ = ["RefreshProfile"]
 
 #: one per-boundary sample: (refresh_ns, kernel_launches, batch_rows,
 #: python_insert_iters, soa_insert_rows, near_candidates,
-#: prefilter_screened, prefilter_suspects, prefilter_pruned)
-BoundarySample = Tuple[int, int, int, int, int, int, int, int, int]
+#: prefilter_screened, prefilter_suspects, prefilter_pruned, kernel_cells)
+BoundarySample = Tuple[int, int, int, int, int, int, int, int, int, int]
 
 
 class RefreshProfile:
@@ -59,7 +68,8 @@ class RefreshProfile:
     __slots__ = ("boundaries", "refresh_ns", "kernel_launches", "batch_rows",
                  "python_insert_iters", "soa_insert_rows",
                  "near_candidates", "prefilter_screened", "prefilter_suspects",
-                 "prefilter_pruned", "samples", "keep_samples")
+                 "prefilter_pruned", "kernel_cells", "samples",
+                 "keep_samples")
 
     def __init__(self, keep_samples: bool = True):
         self.boundaries: int = 0
@@ -72,6 +82,7 @@ class RefreshProfile:
         self.prefilter_screened: int = 0
         self.prefilter_suspects: int = 0
         self.prefilter_pruned: int = 0
+        self.kernel_cells: int = 0
         self.keep_samples = keep_samples
         #: per-boundary samples (only when ``keep_samples``)
         self.samples: List[BoundarySample] = []
@@ -81,7 +92,8 @@ class RefreshProfile:
                near_candidates: int = 0,
                prefilter_screened: int = 0,
                prefilter_suspects: int = 0,
-               prefilter_pruned: int = 0) -> None:
+               prefilter_pruned: int = 0,
+               kernel_cells: int = 0) -> None:
         """Record one refreshed boundary."""
         self.boundaries += 1
         self.refresh_ns += refresh_ns
@@ -93,11 +105,13 @@ class RefreshProfile:
         self.prefilter_screened += prefilter_screened
         self.prefilter_suspects += prefilter_suspects
         self.prefilter_pruned += prefilter_pruned
+        self.kernel_cells += kernel_cells
         if self.keep_samples:
             self.samples.append(
                 (refresh_ns, kernel_launches, batch_rows,
                  python_insert_iters, soa_insert_rows, near_candidates,
-                 prefilter_screened, prefilter_suspects, prefilter_pruned)
+                 prefilter_screened, prefilter_suspects, prefilter_pruned,
+                 kernel_cells)
             )
 
     # ------------------------------------------------------------ summaries
@@ -129,6 +143,7 @@ class RefreshProfile:
             "prefilter_screened": self.prefilter_screened,
             "prefilter_suspects": self.prefilter_suspects,
             "prefilter_pruned": self.prefilter_pruned,
+            "kernel_cells": self.kernel_cells,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -39,8 +39,8 @@ class WindowBuffer:
     _COMPACT_THRESHOLD = 4096
 
     #: tile cap for batched pairwise kernels: at most this many float64
-    #: elements per distance-matrix tile (bounds transient memory to ~32 MB
-    #: of distances plus the broadcast diff workspace)
+    #: elements (distances times coordinates) per tile -- bounds transient
+    #: memory to ~32 MB of distances plus one same-sized workspace
     _PAIRWISE_TILE_ELEMS = 1 << 22
 
     def __init__(self, metric: DistanceMetric, dim: Optional[int] = None):
@@ -65,6 +65,11 @@ class WindowBuffer:
         #: call or pairwise tile); the batched refresh engine exists to
         #: shrink this number, see ``repro.metrics.profiling``
         self.kernel_calls: int = 0
+        #: distances those launches computed.  ``distance_rows`` is what
+        #: the scans charge for -- ``distances_from`` charges its whole
+        #: range, ``pairwise_block`` callers charge their own walk -- so
+        #: ``distance_rows <= kernel_cells`` and the gap is kernel waste
+        self.kernel_cells: int = 0
 
     # ------------------------------------------------------------------ size
 
@@ -281,6 +286,7 @@ class WindowBuffer:
         if hi is None:
             hi = block.shape[0]
         self.distance_rows += max(hi - lo, 0)
+        self.kernel_cells += max(hi - lo, 0)
         self.kernel_calls += 1
         q = np.asarray(values, dtype=np.float64)
         return self.metric.to_block(q, block[lo:hi])
@@ -292,9 +298,10 @@ class WindowBuffer:
 
         This is the batched-refresh kernel: one (or a few tiled) numpy
         calls replace one ``distances_from`` launch per evaluated point.
-        ``distance_rows`` accounting is preserved -- every row of the
-        returned matrix counts exactly as it would have through
-        ``distances_from``.  Row ``i`` is bit-identical to
+        It counts what it computes (``kernel_calls``, ``kernel_cells``);
+        the caller charges ``distance_rows`` for the part its walk pays
+        for -- the scan engine per logical chunk, as the per-point walk
+        pays through ``distances_from``.  Row ``i`` is bit-identical to
         ``distances_from(queries[i], lo, hi)`` (see
         :meth:`DistanceMetric.pairwise`).
         """
@@ -304,7 +311,7 @@ class WindowBuffer:
         n_cols = max(hi - lo, 0)
         queries = np.asarray(queries, dtype=np.float64)
         n_rows = queries.shape[0]
-        self.distance_rows += n_rows * n_cols
+        self.kernel_cells += n_rows * n_cols
         if n_rows == 0 or n_cols == 0:
             return np.empty((n_rows, n_cols), dtype=np.float64)
         # tiled over query rows: bounds transient memory; one

@@ -98,6 +98,7 @@ def test_metrics_schema_and_monotonicity():
             # a computed one
             assert 0 < engine_work["soa_insert_rows"] <= (
                 engine_work["near_candidates"]) <= engine_work["distance_rows"]
+            assert engine_work["distance_rows"] <= engine_work["kernel_cells"]
             await client.close()
 
     run_async(scenario())

@@ -36,6 +36,7 @@ from repro import (
     WindowSpec,
     make_synthetic_points,
     parse_workload,
+    points_from_array,
 )
 from repro.bench import ScaledRanges, build_workload, default_ranges
 from repro.checkpoint import load_checkpoint, save_checkpoint
@@ -292,6 +293,186 @@ def test_tile_stops_follow_the_check_cadence(ks, want_stop, want_left):
     _, lit_stop, lit_pending = _sequential_row(
         row, [0] * n_layers, template, plan.allowed_layer, plan.k_max)
     assert lit_stop == want_stop and len(lit_pending) == want_left
+
+
+# ------------------------------------------------------------ wide tiles
+
+
+def _chunked_literal(row, counts, pending, allowed, k_max, chunk):
+    """``_sequential_row`` one logical chunk of ``chunk`` candidates at a
+    time: stored layers and pending sub-groups carry over, the
+    ``_CHECK_EVERY`` count restarts after each chunk-end ``check()``, and
+    a check that resolves everything ends the scan at its chunk's bottom.
+    Returns what ``resolve_entries`` reports for a ``len(row)``-wide
+    tile: inserted columns, the terminating column (or the inner chunk's
+    last one; ``None`` past the tile) and the final ``pending``."""
+    counts = list(counts)
+    inserted = []
+    for a in range(0, len(row), chunk):
+        ins, stop, pending = _sequential_row(row[a:a + chunk], counts,
+                                             pending, allowed, k_max)
+        inserted += [a + s for s in ins]
+        for s in ins:
+            counts[row[a + s]] += 1
+        if stop is not None:
+            return inserted, a + stop, pending
+        if not pending and a + chunk < len(row):
+            return inserted, a + chunk - 1, pending
+    return inserted, None, pending
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(_tile_case(), st.data())
+def test_wide_tile_resolve_matches_chunked_literal_loop(case, data):
+    """A tile of several logical chunks resolves as the literal loop
+    walking them one by one: same inserts, stops and ``pending``, with
+    the template and with the degenerate empty one.  Hot cases put the
+    cadence regime's checks on both sides of chunk ends."""
+    plan, rows, full_reach = case
+    width = len(rows[0][2])
+    chunk = data.draw(st.integers(1, width), label="chunk")
+    template = [(sg.min_layer, sg.k) for sg in plan.subgroups]
+    limits = insert_limits(plan.allowed_layer, plan.k_max, plan.n_layers)
+    csum = np.cumsum([counts for (counts, _), _, _, _ in rows], axis=1)
+    reach = np.asarray([
+        max((GRID[m] for m in range(plan.n_layers)
+             if full_reach or c[m] < plan.k_max), default=-np.inf)
+        for c in csum])
+    r_i, s_i, lay = near_entries(
+        np.asarray([d for _, _, d, _ in rows]),
+        np.asarray([o for _, _, _, o in rows]), reach, plan.grid)
+    empty = np.empty(0, dtype=np.int64)
+    for sub_layers, sub_ks in ((plan.subgroup_min_layers, plan.subgroup_ks),
+                               (empty, empty)):
+        rank = sub_ks - csum[:, sub_layers]
+        ins, stop, pending = resolve_entries(
+            r_i, s_i, lay, width, csum, rank, limits, sub_layers, chunk)
+        for r, ((counts, members), layers, _, _) in enumerate(rows):
+            want_ins, want_stop, want_pending = _chunked_literal(
+                layers[::-1], counts,
+                [template[g] for g in members] if len(sub_ks) else [],
+                plan.allowed_layer, plan.k_max, chunk)
+            assert (int(stop[r]) if stop[r] < width else None) == want_stop
+            assert s_i[ins & (r_i == r)].tolist() == want_ins
+            assert [template[g] for g in np.flatnonzero(pending[r])] == (
+                want_pending)
+
+
+@pytest.fixture
+def tile_log(monkeypatch):
+    """Every ``scan_batched`` call's kernel tiles as ``(rows, cols)``,
+    one list per call (the reference runner never builds a tile)."""
+    from repro.streams.buffer import WindowBuffer
+
+    calls = []
+    scan, kernel = (VectorizedSkybandEngine.scan_batched,
+                    WindowBuffer.pairwise_block)
+
+    def scan_batched(self, rows, buffer, lo):
+        calls.append([])
+        return scan(self, rows, buffer, lo)
+
+    def pairwise_block(self, queries, lo=0, hi=None):
+        calls[-1].append((len(queries), (len(self) if hi is None else hi)
+                          - lo))
+        return kernel(self, queries, lo, hi)
+
+    monkeypatch.setattr(VectorizedSkybandEngine, "scan_batched",
+                        scan_batched)
+    monkeypatch.setattr(WindowBuffer, "pairwise_block", pairwise_block)
+    return calls
+
+
+def _assert_tiles_capped(calls, chunk):
+    """A group's first tile is one chunk; each later one spans twice the
+    last tile's chunks or fewer, and never more cells than the first."""
+    for tiles in calls:
+        if not tiles:
+            continue
+        rows0, cols0 = tiles[0]
+        assert cols0 <= chunk
+        span = 1
+        for rows, cols in tiles[1:]:
+            assert rows * cols <= rows0 * cols0
+            assert cols <= 2 * span * chunk
+            span = -(-cols // chunk)
+
+
+def test_wide_tiles_exact_regime_lockstep(tile_log):
+    """Long windows, few sub-groups, small chunks: the outlier rows of a
+    group run through three or more doubled tiles, entry for entry equal
+    to the reference walk."""
+    group = QueryGroup([
+        OutlierQuery(r=r, k=k, window=WindowSpec(win=1200, slide=300))
+        for r, k in [(300.0, 4), (500.0, 8), (900.0, 6)]])
+    assert len(parse_workload(group).subgroups) <= _Resolution._EXACT_LIMIT
+    lockstep_reference(group, _stream(), chunk_size=16)
+    _assert_tiles_capped(tile_log, 16)
+    # some rows cross three doubled tiles in a row: 32, 64, 128 wide
+    assert any(any(cols[i:i + 4] == [16, 32, 64, 128]
+                   for i in range(len(cols)))
+               for cols in ([c for _, c in tiles] for tiles in tile_log))
+
+
+def test_wide_tiles_cadence_regime_lockstep(tile_log, monkeypatch):
+    """Twelve sub-groups (``k`` = 40..51) and an evaluated point whose
+    newest candidates are far away and whose older ones all neighbour
+    it: its scan reaches the dense past in a wide tile still in the
+    ``_CHECK_EVERY`` cadence regime, and every sub-group resolves
+    between two checks -- so where it stops depends on the chunk-end
+    checks inside the tile.  Entry for entry equal to the reference."""
+    import repro.engine.refresh as refresh
+
+    moved = []
+    resolve = refresh.resolve_entries
+
+    def spy(*args):
+        out = resolve(*args)
+        if len(args) > 8 and args[8] < args[3]:
+            # the same tile read as one chunk: a different stop proves
+            # an inner chunk end decided it
+            moved.append((out[1] != resolve(*args[:8])[1]).any())
+        return out
+
+    monkeypatch.setattr(refresh, "resolve_entries", spy)
+    rng = np.random.default_rng(5)
+    near, far = rng.normal(0, 20, (1200, 2)), rng.normal(5000, 20, (1200, 2))
+    tail = np.where((np.arange(600) % 25 == 0)[:, None], near[600:],
+                    far[600:])
+    points = points_from_array(np.concatenate((near[:600], tail)))
+    group = QueryGroup([
+        OutlierQuery(r=150.0, k=k, window=WindowSpec(win=1200, slide=100))
+        for k in range(40, 52)])
+    assert len(parse_workload(group).subgroups) > _Resolution._EXACT_LIMIT
+    lockstep_reference(group, points, chunk_size=16)
+    _assert_tiles_capped(tile_log, 16)
+    assert any(moved)
+
+
+def test_wide_tiles_empty_template_lockstep():
+    """The degenerate empty template ends every scan in its first
+    (one-chunk) tile, at the first insert or the first chunk's bottom --
+    with the wide-tile sweep as with the reference walk."""
+    from conftest import INVARIANT_STATS, evidence
+
+    group = build_workload("D", n_queries=4, seed=3,
+                           ranges=default_ranges())
+    config = DetectorConfig(chunk_size=16)
+    det = SOPDetector(group, config=config)
+    ref = _reference_detector(group, config)
+    eng = det.skyband_engine
+    eng._pending = ref.refresh_engine.runner._pending = []
+    eng._sub_layers = eng._sub_ks = np.empty(0, dtype=np.int64)
+    for t, batch in batches_by_boundary(_stream(n=800), group.swift.slide,
+                                        group.kind):
+        assert det.step(t, batch) == ref.step(t, batch), t
+        assert evidence(det) == evidence(ref), t
+    for key in INVARIANT_STATS:
+        assert det.stats[key] == ref.stats[key], key
+    assert det.buffer.distance_rows == ref.buffer.distance_rows
+    assert det.buffer.distance_rows <= det.buffer.kernel_cells
 
 
 # --------------------------------------------- full-detector lockstep

@@ -3,6 +3,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import (
     DistanceMetric,
@@ -15,6 +18,8 @@ from repro import (
     points_from_array,
     register_metric,
 )
+from repro.core.lsky_soa import near_entries
+from repro.core.parser import RGrid
 
 
 class TestPoint:
@@ -101,6 +106,93 @@ class TestMetrics:
     def test_register_rejects_non_metric(self):
         with pytest.raises(TypeError):
             register_metric(lambda a, b: 0)
+
+
+BUILT_IN = (euclidean, manhattan, chebyshev)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _coordinates(draw):
+    """Query and block rows at one dimension (1-16) and one magnitude
+    (1-1e8)."""
+    dim = draw(st.integers(1, 16))
+    mag = draw(st.sampled_from([10.0 ** e for e in range(9)]))
+    values = st.floats(-mag, mag, allow_nan=False, allow_infinity=False)
+    queries = draw(arrays(np.float64, (draw(st.integers(1, 4)), dim),
+                          elements=values))
+    block = draw(arrays(np.float64, (draw(st.integers(1, 6)), dim),
+                        elements=values))
+    return queries, block
+
+
+class TestExactArithmetic:
+    """``scalar``, ``to_block`` and ``pairwise`` are one left-to-right
+    fold over the coordinates: bit-identical at every dimension, so a
+    distance at exactly ``r`` is the same tie on every path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coordinates())
+    def test_three_forms_agree_bit_for_bit(self, case):
+        queries, block = case
+        for metric in BUILT_IN:
+            tile = metric.pairwise(queries, block)
+            assert tile.shape == (len(queries), len(block))
+            for i, q in enumerate(queries):
+                assert (_bits(metric.to_block(q, block)) == _bits(tile[i])
+                        ).all(), metric
+                scalar = [metric(tuple(q.tolist()), tuple(b.tolist()))
+                          for b in block]
+                assert (_bits(scalar) == _bits(tile[i])).all(), metric
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 16), axis=st.data(),
+           r=st.floats(1.0, 1e8, allow_nan=False))
+    def test_ties_at_r_classify_alike(self, dim, axis, r):
+        """A neighbour at exactly ``r`` and one ulp either side: every
+        form returns the distance exactly, ``RGrid.layers_of`` and
+        ``near_entries`` put ``r`` and the ulp below in ``r``'s layer
+        (``d <= r`` is a neighbour) and the ulp above out of it."""
+        c = axis.draw(st.integers(0, dim - 1))
+        ties = np.asarray([r, np.nextafter(r, -np.inf),
+                           np.nextafter(r, np.inf)])
+        block = np.zeros((3, dim))
+        block[:, c] = ties
+        origin = np.zeros(dim)
+        grid = RGrid([r / 2, r, 2 * r])
+        for metric in BUILT_IN:
+            tile = metric.pairwise(origin[None], block)
+            assert (_bits(tile[0]) == _bits(ties)).all(), metric
+            assert (_bits(metric.to_block(origin, block)) == _bits(ties)
+                    ).all(), metric
+            assert [metric(origin, b) for b in block] == ties.tolist()
+            assert grid.layers_of(tile).tolist() == [[1, 1, 2]]
+            # reach r: the tie and the ulp below are near, in r's layer
+            _, s_i, lay = near_entries(tile, np.asarray([-1]),
+                                       np.asarray([r]), grid)
+            assert sorted(zip((2 - s_i).tolist(), lay.tolist())) == [
+                (0, 1), (1, 1)]
+            # reach 2r: all three, hashed as layers_of hashes them
+            _, s_i, lay = near_entries(tile, np.asarray([-1]),
+                                       np.asarray([2 * r]), grid)
+            assert lay.tolist() == grid.layers_of(tile[0, 2 - s_i]).tolist()
+
+    @pytest.mark.parametrize("metric", BUILT_IN, ids=lambda m: m.name)
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_arity_mismatch_raises(self, metric, dim):
+        """A query/block arity mismatch is an error on every path, never
+        a distance over the first few coordinates."""
+        with pytest.raises(ValueError):
+            metric.to_block(np.zeros(dim), np.zeros((3, dim + 1)))
+        with pytest.raises(ValueError):
+            metric.to_block(np.zeros(dim + 1), np.zeros((3, dim)))
+        with pytest.raises(ValueError):
+            metric.pairwise(np.zeros((2, dim)), np.zeros((3, dim + 1)))
+        with pytest.raises(ValueError):
+            metric(tuple([0.0] * dim), tuple([0.0] * (dim + 1)))
 
 
 class TestPointsFromArray:

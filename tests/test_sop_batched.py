@@ -354,6 +354,10 @@ def test_refresh_profile_records_boundaries():
     # committed entry, at most every kernel cell
     assert prof.soa_insert_rows <= prof.near_candidates < (
         det.buffer.distance_rows)
+    # distance_rows charges what the walk pays for; the tiles computed
+    # at least that (wide tiles run past some rows' stops)
+    assert det.buffer.distance_rows <= prof.kernel_cells == (
+        det.buffer.kernel_cells)
     # the reference scans examine the same L candidates (the paper's
     # path-independent count) without touching the engine's counters
     ref = use_reference_scans(
@@ -368,7 +372,7 @@ def test_refresh_profile_records_boundaries():
     work = det.work_stats()
     for key in ("refresh_boundaries", "refresh_ns", "kernel_launches",
                 "batch_rows", "python_insert_iters", "soa_insert_rows",
-                "near_candidates"):
+                "near_candidates", "kernel_cells"):
         assert work[key] == prof.as_dict()[key]
     assert work["distance_rows"] == det.buffer.distance_rows
 
