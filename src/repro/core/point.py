@@ -18,8 +18,10 @@ yield the strict order the proofs rely on.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +85,26 @@ class Point:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         vals = ", ".join(f"{v:g}" for v in self.values)
         return f"Point(seq={self.seq}, t={self.time:g}, ({vals}))"
+
+
+def unchecked_points(seqs: Sequence[int],
+                     values: Sequence[Tuple[float, ...]],
+                     times: Sequence[float]) -> List[Point]:
+    """:class:`Point` objects built without re-running ``__post_init__``.
+
+    For callers that have already validated and normalized the fields
+    (:meth:`~repro.streams.IngestGuard.filter`): each ``seq`` an
+    ``int``, each ``values`` a non-empty tuple of finite Python floats,
+    each ``time`` a float.  Point ``i`` equals
+    ``Point(seq=seqs[i], values=values[i], time=times[i])``.
+    """
+    points = list(map(object.__new__, repeat(Point, len(seqs))))
+    # field by field, in ``__init__``'s order, as ``__init__`` does: the
+    # instances keep the class's shared-key attribute layout.  A
+    # zero-length deque drains each ``map`` at C speed, no list built
+    for name, column in (("seq", seqs), ("values", values), ("time", times)):
+        deque(map(object.__setattr__, points, repeat(name), column), 0)
+    return points
 
 
 class DistanceMetric:

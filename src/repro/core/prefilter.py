@@ -46,8 +46,10 @@ When the suffix is small enough (``pairwise_budget``), the screen skips
 anchors entirely and computes the *exact* within-suffix succeeding
 neighbor count with one vectorized pairwise tile -- the saturated limit
 of the anchor scheme (every suffix point an anchor, ball radius zero),
-and the information-theoretic best a suffix screen can certify.
-The tile reuses the batched refresh kernel
+and the information-theoretic best a suffix screen can certify.  The
+tile's rows are only the suffix rows not yet fully safe (the refresh
+never reads the mask of the others) and its columns the whole suffix.
+For non-euclidean metrics the tile reuses the batched refresh kernel
 (:meth:`~repro.streams.WindowBuffer.pairwise_block`), so its distances
 are bit-identical to the scans it replaces and its volume is charged
 to ``distance_rows`` (and counted in ``kernel_cells``) like any other
@@ -186,9 +188,9 @@ class QnScreen:
 
         Returns ``None`` when the screen sits this boundary out (window
         too small, or adaptive backoff); otherwise a bool array aligned
-        with ``det.buffer`` live indexes.  Rows already fully safe may be
-        flagged too -- the refresh partition skips them first, so the
-        flag is never acted on.
+        with ``det.buffer`` live indexes.  The mask of rows already fully
+        safe is never read (the refresh partition skips them first): the
+        exact tile leaves them False, the anchor ladder may flag them.
         """
         boundary = self._boundary
         self._boundary = boundary + 1
@@ -211,12 +213,14 @@ class QnScreen:
             return None
         mat = buf.matrix()
         tail_n = n - lo
+        mask = np.zeros(n, dtype=bool)
         if tail_n * tail_n <= self.pairwise_budget:
-            bound = self._certify_exact(buf, mat, lo)
+            # the refresh reads the mask only at rows not yet fully safe
+            rows = lo + np.flatnonzero(~det.table.safe[lo:])
+            mask[rows] = self._certify_exact(buf, mat, lo, rows) >= self._k_max
         else:
             bound = self._certify(buf, mat, lo, self._anchor_rows(mat, lo))
-        mask = np.zeros(n, dtype=bool)
-        mask[lo:] = bound >= self._k_max
+            mask[lo:] = bound >= self._k_max
         return mask
 
     def observe(self, screened: int, pruned: int) -> None:
@@ -289,14 +293,19 @@ class QnScreen:
                 np.maximum(bound, np.where(eligible, succ, 0), out=bound)
         return bound
 
-    def _certify_exact(self, buf, mat: np.ndarray, lo: int) -> np.ndarray:
-        """Exact within-suffix succeeding neighbor counts via one
+    def _certify_exact(self, buf, mat: np.ndarray, lo: int,
+                       rows: np.ndarray) -> np.ndarray:
+        """Exact within-suffix succeeding neighbor counts of live rows
+        ``rows`` (ascending, all ``>= lo``) via one ``rows x suffix``
         pairwise tile.
+
+        A row's count reads only its own tile row, so restricting the
+        tile to the rows the caller will act on changes no count.
 
         For the euclidean metric the tile uses the BLAS squared-distance
         expansion ``|a|^2 + |b|^2 - 2ab``, whose dominant term is one
-        ``dgemm`` instead of ``dim`` elementwise passes over the ``n x n``
-        tile.  The expansion's
+        ``dgemm`` instead of ``dim`` elementwise passes over the tile.
+        The expansion's
         cancellation error is bounded by a few ulps of the largest
         centered squared norm, so comparing against a threshold shaved
         by ``1e-12`` of that norm keeps the test *conservative*: it can
@@ -306,23 +315,30 @@ class QnScreen:
         whose rows are bit-identical to the scans' ``distances_from``.
         """
         tail = mat[lo:]
+        n = tail.shape[0]
+        r = rows - lo
+        cells = len(r) * n
         if buf.metric.name == "euclidean":
             c = tail - tail.mean(axis=0)
             sq = np.einsum("ij,ij->i", c, c)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (c @ c.T)
+            # (sq_i + sq_j) - 2 G_ij, composed in place
+            d2 = np.add.outer(sq[r], sq)
+            g = c[r] @ c.T
+            g *= 2.0
+            d2 -= g
             max_sq = float(sq.max()) if sq.size else 0.0
             thresh = (self._r_min * self._r_min * (1.0 - _REACH_SHAVE)
                       - 1e-12 * max_sq)
-            close = d2 <= thresh
-            buf.distance_rows += tail.shape[0] * tail.shape[0]
-            buf.kernel_cells += tail.shape[0] * tail.shape[0]
+            close = np.less_equal(d2, thresh)
+            buf.kernel_cells += cells
             buf.kernel_calls += 1
         else:
-            d = buf.pairwise_block(tail, lo, mat.shape[0])
-            buf.distance_rows += d.size
-            close = d <= self._r_min
-        np.fill_diagonal(close, False)
-        return np.triu(close, k=1).sum(axis=1, dtype=np.int64)
+            close = buf.pairwise_block(mat[rows], lo, mat.shape[0]) \
+                <= self._r_min
+        buf.distance_rows += cells
+        # successors only: columns strictly after the row's own
+        close &= np.arange(n) > r[:, None]
+        return np.count_nonzero(close, axis=1)
 
 
 def build_prefilter(config, plan) -> Optional[QnScreen]:

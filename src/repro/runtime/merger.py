@@ -16,12 +16,12 @@ the identity the 1-shard oracle tests pin down.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Sequence
 
 from ..metrics.meters import CpuMeter, MemoryMeter
 from ..metrics.results import OutputKey, RunResult, merge_work
 
-__all__ = ["Merger"]
+__all__ = ["Merger", "union_outputs"]
 
 Outputs = Dict[int, FrozenSet[int]]
 
@@ -32,7 +32,8 @@ class Merger:
     ``owners`` maps point ``seq`` to its owner shard; the runtime keeps
     it current as the partitioner routes batches.  Seqs without an entry
     (never routed by this runtime, e.g. points preloaded by a legacy
-    restore) are kept by whichever shard reports them.
+    restore, or expired from every shard once a stepped runtime has
+    filtered their outputs) are kept by whichever shard reports them.
     """
 
     def __init__(self, owners: Mapping[int, int]):
@@ -47,15 +48,17 @@ class Merger:
         no points still contributes its (empty) due-query verdicts and
         the merged boundary reports every due query exactly once.
         """
+        return union_outputs(self.own(per_shard))
+
+    def own(self, per_shard: Sequence[Outputs]) -> List[Outputs]:
+        """Each shard's outputs cut down to the seqs it owns."""
         owners = self.owners
-        merged: Dict[int, set] = {}
-        for shard_id, outputs in enumerate(per_shard):
-            for qi, seqs in outputs.items():
-                acc = merged.setdefault(qi, set())
-                for seq in seqs:
-                    if owners.get(seq, shard_id) == shard_id:
-                        acc.add(seq)
-        return {qi: frozenset(seqs) for qi, seqs in merged.items()}
+        return [
+            {qi: frozenset([seq for seq in seqs
+                            if owners.get(seq, shard_id) == shard_id])
+             for qi, seqs in outputs.items()}
+            for shard_id, outputs in enumerate(per_shard)
+        ]
 
     # ------------------------------------------------------------- results
 
@@ -95,3 +98,12 @@ class Merger:
             failed_shards=tuple(failed),
         )
         return merged
+
+
+def union_outputs(per_shard: Sequence[Outputs]) -> Outputs:
+    """Per-query union of already ownership-filtered shard outputs."""
+    merged: Dict[int, set] = {}
+    for outputs in per_shard:
+        for qi, seqs in outputs.items():
+            merged.setdefault(qi, set()).update(seqs)
+    return {qi: frozenset(seqs) for qi, seqs in merged.items()}

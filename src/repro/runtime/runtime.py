@@ -46,7 +46,7 @@ from ..metrics.results import RunResult, merge_work
 from ..streams.source import (IngestGuard, batches_by_boundary,
                               stream_end_boundary)
 from .backends import Backend, make_backend
-from .merger import Merger
+from .merger import Merger, union_outputs
 from .partitioner import StreamPartitioner
 from .shard import ShardExecutor
 
@@ -121,6 +121,8 @@ class Runtime:
         else:
             self.partitioner = StreamPartitioner(self.n_shards, radius)
         self.subscribers: List = []
+        #: owner shard of every seq a live shard may still report; empty
+        #: with one shard, where the merger keeps everything anyway
         self._owners: Dict[int, int] = {}
         self._merger = Merger(self._owners)
         self._shards: Optional[List[ShardExecutor]] = None
@@ -158,7 +160,11 @@ class Runtime:
         return subscriber
 
     def owner_of(self, seq: int) -> Optional[int]:
-        """Owner shard of a routed point (None if never routed)."""
+        """Owner shard of a routed point a shard still buffers (None if
+        never routed or expired from every shard; always 0 with one
+        shard)."""
+        if self.n_shards == 1:
+            return 0
         return self._owners.get(seq)
 
     # ------------------------------------------------------------ stepping
@@ -188,16 +194,51 @@ class Runtime:
         """
         self.partitioner.ensure_bounds(batch)
         shard_batches, owners = self.partitioner.split(batch)
-        self._owners.update(owners)
+        if self.n_shards > 1:
+            self._owners.update(owners)
         per_shard = [
             shard.step(t, shard_batches[shard.shard_id])
             for shard in self.shards
         ]
-        merged = self._merger.merge_boundary(per_shard)
+        if self.n_shards > 1:
+            per_shard = self._merger.own(per_shard)
+            # each shard archives only what it owns: the archives split
+            # the merged history between them (one copy of it), and
+            # ``finish`` needs no owner of a seq forgotten below
+            for shard, outputs in zip(self.shards, per_shard):
+                archive = shard.result.outputs
+                for qi, seqs in outputs.items():
+                    archive[(qi, t)] = seqs
+            self._forget_expired()
+        merged = union_outputs(per_shard)
         self.last_boundary = t
         for sub in self.subscribers:
             sub.on_boundary_end(t, merged)
         return merged
+
+    def _forget_expired(self) -> None:
+        """Drop the owners of seqs no shard buffers any more: a shard
+        only reports points in its window, so they are never looked up
+        again.  Owners are inserted in seq order, so the stale ones are
+        a prefix."""
+        oldest = None
+        for shard in self.shards:
+            buffer = getattr(shard.detector, "buffer", None)
+            if buffer is None:
+                return
+            if len(buffer) and (oldest is None or buffer[0].seq < oldest):
+                oldest = buffer[0].seq
+        owners = self._owners
+        if oldest is None:
+            owners.clear()
+            return
+        stale = []
+        for seq in owners:
+            if seq >= oldest:
+                break
+            stale.append(seq)
+        for seq in stale:
+            del owners[seq]
 
     def finish(self) -> RunResult:
         """Finalize every shard, merge, and fire ``on_stream_end``."""
@@ -249,7 +290,8 @@ class Runtime:
             return self.finish()
         # whole-stream backend: one task per shard, notifications replayed
         shard_points, owners = self.partitioner.split(points)
-        self._owners.update(owners)
+        if self.n_shards > 1:
+            self._owners.update(owners)
         tasks = [
             (self.factory, self.group, tuple(shard_points[i]), until)
             for i in range(self.n_shards)
@@ -299,15 +341,19 @@ class Runtime:
         self._shards = [
             ShardExecutor(i, det) for i, det in enumerate(detectors)
         ]
+        if self.n_shards == 1:
+            return
+        owners = {}
         for shard in self._shards:
             buffer = getattr(shard.detector, "buffer", None)
             if buffer is None:
                 continue
             for p in buffer.points:
-                self._owners[p.seq] = (
+                owners[p.seq] = (
                     self.partitioner.shard_of(p.values)
                     if self.partitioner.initialized else 0
                 )
+        self._owners.update(sorted(owners.items()))
 
     def resume(self, points: Sequence[Point],
                until: Optional[int] = None) -> RunResult:
@@ -388,7 +434,8 @@ class Runtime:
             return
         self.partitioner.ensure_bounds(points)
         shard_batches, owners = self.partitioner.split(points)
-        self._owners.update(owners)
+        if self.n_shards > 1:
+            self._owners.update(owners)
         for shard in self.shards:
             batch = shard_batches[shard.shard_id]
             if batch:

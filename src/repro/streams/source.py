@@ -20,11 +20,16 @@ clean stream would have produced.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Mapping
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.point import Point
+import numpy as np
+
+from ..core.point import Point, unchecked_points
 from .windows import COUNT, TIME
 
 __all__ = [
@@ -39,6 +44,21 @@ __all__ = [
 #: newest quarantined ``(record, reason)`` pairs an :class:`IngestGuard`
 #: keeps (a long-lived service session must not grow without bound)
 _QUARANTINE_LOG_CAP = 1024
+
+#: records :meth:`IngestGuard.filter` checks per array pass (bounds the
+#: transient arrays: a long stream is never converted whole)
+_FILTER_CHUNK = 4096
+
+#: record and value containers the array check reads (exact types: a
+#: namedtuple, a mapping or a ``Point`` goes through ``admit``)
+_PLAIN = frozenset((tuple, list))
+#: coordinate and timestamp types whose float conversion numpy and
+#: ``float()`` agree on
+_NUMBERS = frozenset((float, int))
+
+_seq_of = itemgetter(0)
+_values_of = itemgetter(1)
+_time_of = itemgetter(2)
 
 
 def positions(points: Iterable[Point], kind: str) -> List[float]:
@@ -191,17 +211,134 @@ class IngestGuard:
         return point
 
     def filter(self, records: Iterable) -> List[Point]:
-        """Admit a record sequence; the clean, in-order Point list."""
+        """Admit a record sequence; the clean, in-order Point list.
+
+        Equal to ``[admit(r) for r in records]`` with the ``None``s
+        removed, leaving the same quarantine log, counts and validation
+        state.  Plain ``(seq, values[, time])`` tuples and lists are
+        checked a chunk at a time in array passes and each clean run is
+        admitted in one go; every record the check does not clear goes
+        through :meth:`admit`, the one definition of the rules, and the
+        check resumes after it.
+        """
         out: List[Point] = []
-        for record in records:
-            point = self.admit(record)
+        records = iter(records)
+        while True:
+            chunk = list(islice(records, _FILTER_CHUNK))
+            if not chunk:
+                return out
+            self._filter_chunk(chunk, out)
+
+    def _filter_chunk(self, chunk: list, out: List[Point]) -> None:
+        """Admit one chunk of :meth:`filter`'s records into ``out``."""
+        admit = self.admit
+        i = 0
+        # the first admission fixes the dimensionality the check needs
+        while self.expect_dim is None and i < len(chunk):
+            point = admit(chunk[i])
+            i += 1
             if point is not None:
                 out.append(point)
-        return out
+        block = chunk[i:] if i else chunk
+        if not block:
+            return
+        checked = self._check_block(block)
+        if checked is None:
+            out.extend(p for p in map(admit, block) if p is not None)
+            return
+        clear, seqs, times, values, breaks = checked
+        n = len(block)
+        j = 0
+        while j < n:
+            last_seq, last_time = self._last_seq, self._last_time
+            if clear[j] and (last_seq is None or seqs[j] > last_seq) and (
+                    last_time is None or times[j] >= last_time):
+                end = breaks[bisect_right(breaks, j)]
+                out.extend(unchecked_points(seqs[j:end], values[j:end],
+                                            times[j:end]))
+                self._last_seq, self._last_time = seqs[end - 1], times[end - 1]
+                j = end
+                if j == n:
+                    return
+            point = admit(block[j])
+            if point is not None:
+                out.append(point)
+            j += 1
+
+    def _check_block(self, block: list):
+        """Array-check a chunk: ``(clear, seqs, times, values, breaks)``,
+        or None when it defeats the conversion (an int past int64 or
+        float range; ``admit`` then decides every record).
+
+        ``clear[j]`` means record ``j`` is a plain tuple/list of the
+        chunk's arity with an ``int`` seq, ``expect_dim`` finite
+        float/int coordinates and, at arity 3, a finite float/int time:
+        ``admit`` would take it if it follows the last admitted record.
+        ``seqs``, ``times`` (effective) and ``values`` are the fields
+        ``admit`` would build.  ``breaks``, ascending and ending with
+        ``len(block)``, holds every ``j`` that cannot extend a clean run
+        through ``j - 1``.
+        """
+        n, dim = len(block), self.expect_dim
+        first = block[0]
+        arity = (len(first) if type(first) in _PLAIN
+                 and len(first) in (2, 3) else 2)
+        clear = np.ones(n, dtype=bool)
+        blank = (0.0,) * dim
+        if not (set(map(type, block)) <= _PLAIN
+                and set(map(len, block)) == {arity}):
+            block = _sift(block, lambda r: type(r) in _PLAIN
+                          and len(r) == arity, (0, blank, 0.0)[:arity], clear)
+        seqs = list(map(_seq_of, block))
+        if set(map(type, seqs)) != {int}:
+            seqs = _sift(seqs, lambda v: type(v) is int, 0, clear)
+        values = list(map(_values_of, block))
+        boxes = set(map(type, values))
+        if not (boxes <= _PLAIN and set(map(len, values)) == {dim}):
+            values = _sift(values, lambda v: type(v) in _PLAIN
+                           and len(v) == dim, blank, clear)
+            boxes = set(map(type, values))
+        kinds = set(map(type, chain.from_iterable(values)))
+        if not kinds <= _NUMBERS:
+            values = _sift(values, lambda v: set(map(type, v)) <= _NUMBERS,
+                           blank, clear)
+            kinds = set(map(type, chain.from_iterable(values)))
+        try:
+            seq_arr = np.fromiter(seqs, np.int64, n)
+            coords = np.fromiter(chain.from_iterable(values), np.float64,
+                                 n * dim).reshape(n, dim)
+            if arity == 3:
+                stamps = list(map(_time_of, block))
+                if not set(map(type, stamps)) <= _NUMBERS:
+                    stamps = _sift(stamps, lambda v: type(v) in _NUMBERS,
+                                   0.0, clear)
+                time_arr = np.fromiter(stamps, np.float64, n)
+                clear &= np.isfinite(time_arr)
+            else:
+                time_arr = seq_arr.astype(np.float64)
+        except OverflowError:
+            return None
+        clear &= np.isfinite(coords).all(axis=1)
+        if not (boxes == {tuple} and kinds == {float}):
+            # admit() would build a fresh tuple of Python floats
+            values = list(map(tuple, coords.tolist()))
+        extends = (clear[1:] & (seq_arr[1:] > seq_arr[:-1])
+                   & (time_arr[1:] >= time_arr[:-1]))
+        breaks = (np.flatnonzero(~extends) + 1).tolist()
+        breaks.append(n)
+        return clear.tolist(), seqs, time_arr.tolist(), values, breaks
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IngestGuard(quarantined={self.total_quarantined}, "
                 f"counts={self.counts})")
+
+
+def _sift(items: list, keep, blank, clear: np.ndarray) -> list:
+    """``items`` with every item failing ``keep`` replaced by ``blank``
+    and its ``clear`` flag dropped (the slow path of a mixed chunk)."""
+    kept = list(map(keep, items))
+    clear &= np.array(kept, dtype=bool)
+    return [item if ok else blank for item, ok in zip(items, kept)]
 
 
 def stream_end_boundary(points: Sequence[Point], slide: int,
@@ -248,23 +385,34 @@ def batches_by_boundary(
         raise ValueError(
             f"start must be a non-negative multiple of slide, got "
             f"start={start} slide={slide}")
-    pos = positions(points, kind)
-    for earlier, later in zip(pos, pos[1:]):
-        if later < earlier:
-            raise ValueError("stream positions must be non-decreasing")
+    pos = np.asarray(positions(points, kind), dtype=np.float64)
+    if np.any(pos[1:] < pos[:-1]):
+        raise ValueError("stream positions must be non-decreasing")
     if until is None:
         if not points:
             return
         until = stream_end_boundary(points, slide, kind)
-    i = 0
-    n = len(points)
-    while i < n and pos[i] < start:
-        i += 1
+    points = points if isinstance(points, list) else list(points)
+    # no boundary passes a NaN position: the points from the first one
+    # on are never delivered
+    stuck = np.flatnonzero(np.isnan(pos))
+    if len(stuck):
+        pos = pos[:stuck[0]]
+    # boundaries past the last position all cut at len(pos): search only
+    # up to the first of them, the rest are empty batches
+    last = 0
+    if len(pos):
+        # clamped, so an infinite last position stays arithmetic
+        top = min(max(float(pos[-1]), start - slide), until)
+        last = int(max(0, min((until - start) // slide,
+                              (top - start) // slide + 1)))
+    bounds = start + slide * np.arange(1, last + 1, dtype=np.int64)
+    i = int(np.searchsorted(pos, start))
     t = start + slide
+    for cut in np.searchsorted(pos, bounds).tolist():
+        yield t, points[i:cut]
+        i = cut
+        t += slide
     while t <= until:
-        batch: List[Point] = []
-        while i < n and pos[i] < t:
-            batch.append(points[i])
-            i += 1
-        yield t, batch
+        yield t, []
         t += slide

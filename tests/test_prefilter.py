@@ -45,7 +45,9 @@ from repro.checkpoint import (
     save_checkpoint,
     save_sharded_checkpoint,
 )
+from repro.core.point import get_metric
 from repro.core.prefilter import QnScreen, build_prefilter, windowed_qn_scale
+from repro.streams import WindowBuffer
 from repro.streams.source import batches_by_boundary
 from repro.testing import use_reference_scans
 
@@ -292,6 +294,124 @@ def test_exact_tile_and_anchor_paths_both_exact(screen):
         got = det.run(pts)
         assert got.outputs == base.outputs, f"budget={budget}"
         assert det.profile.prefilter_pruned > 0, f"budget={budget}"
+
+
+# ------------------------------------------------- exact tile, row subset
+
+
+def _screen_for(metric, r_min, k=3):
+    group = QueryGroup([OutlierQuery(
+        r=r_min, k=k, window=WindowSpec(win=512, slide=64, kind="count"))])
+    det = SOPDetector(group, config=DetectorConfig(prefilter="qn",
+                                                   metric=metric))
+    return det.prefilter
+
+
+def _buffer_of(metric, values):
+    buf = WindowBuffer(get_metric(metric))
+    buf.extend(Point(seq=i, values=tuple(map(float, v)))
+               for i, v in enumerate(values))
+    return buf
+
+
+def _full_tile_bound(screen, mat, lo):
+    """The euclidean exact tile as it was before the row restriction
+    (every suffix row, ``np.triu`` over the full square), verbatim."""
+    tail = mat[lo:]
+    c = tail - tail.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (c @ c.T)
+    max_sq = float(sq.max()) if sq.size else 0.0
+    thresh = (screen._r_min * screen._r_min * (1.0 - 1e-9)
+              - 1e-12 * max_sq)
+    close = d2 <= thresh
+    np.fill_diagonal(close, False)
+    return np.triu(close, k=1).sum(axis=1, dtype=np.int64)
+
+
+tile_cases = st.tuples(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+             min_size=1, max_size=70),
+    st.integers(0, 69),                       # suffix start
+    st.lists(st.booleans(), min_size=70, max_size=70),  # rows kept
+    st.sampled_from([1.0, 2.0, 3.0, 5.0]),    # r_min, hit exactly by ties
+    st.sampled_from([-1, 0, 1]),              # nextafter direction
+    st.booleans(),                            # jitter off the grid
+)
+
+
+def _assert_tile_rows(values, lo, rows, r):
+    n = len(values)
+    for metric in ("manhattan", "chebyshev", "euclidean"):
+        screen = _screen_for(metric, r)
+        buf = _buffer_of(metric, values)
+        mat = buf.matrix()
+        rows0, cells0 = buf.distance_rows, buf.kernel_cells
+        got = screen._certify_exact(buf, mat, lo, rows)
+        assert buf.distance_rows - rows0 == len(rows) * (n - lo)
+        assert buf.kernel_cells - cells0 == len(rows) * (n - lo)
+        if metric == "euclidean":
+            want = _full_tile_bound(screen, mat, lo)[rows - lo]
+        else:
+            d = buf.pairwise_block(mat[lo:], lo, n)
+            want = np.array([
+                int(np.count_nonzero(d[i - lo, i - lo + 1:] <= r))
+                for i in rows], dtype=np.int64)
+        assert got.tolist() == want.tolist(), metric
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=tile_cases)
+def test_exact_tile_rows_match_brute_force_and_full_tile(case):
+    """The exact tile over a subset of suffix rows counts, per row, what
+    the full square counted: for manhattan/chebyshev a brute-force
+    succeeding-neighbour count from ``pairwise_block`` (ties exactly at
+    ``r_min`` and one ulp either side of it), for euclidean the old full
+    tile's bound at the same rows.  It charges ``rows x suffix``."""
+    values, lo, keep, r, step, jitter = case
+    n = len(values)
+    lo = min(lo, n - 1)
+    if jitter:
+        values = [(x + 0.25 * ((i * 7) % 3), y) for i, (x, y)
+                  in enumerate(values)]
+    if step:
+        r = float(np.nextafter(r, step * np.inf))
+    _assert_tile_rows(values, lo, lo + np.flatnonzero(keep[:n - lo]), r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_tile_rows_on_dense_grids(seed):
+    """The same check on grids dense enough that many pairs tie at
+    ``r_min`` exactly, for every rung of ties and a random row subset."""
+    rng = np.random.default_rng(seed)
+    values = [tuple(v) for v in rng.integers(0, 7, (160, 2)).tolist()]
+    lo = int(rng.integers(0, 60))
+    rows = lo + np.flatnonzero(rng.random(160 - lo) < 0.6)
+    for r in (1.0, 2.0, 3.0, 5.0):
+        for step in (-1, 0, 1):
+            _assert_tile_rows(values, lo, rows, float(
+                np.nextafter(r, step * np.inf)) if step else r)
+
+
+def test_exact_tile_skips_rows_already_safe():
+    """``prune_mask`` builds the tile over the not-yet-safe suffix rows
+    only; the mask stays False at safe rows, and the rows it does cover
+    get the full tile's verdict."""
+    pts = _stream(n=400, seed=5, outlier_rate=0.0, cluster_spread=20)
+    group = QueryGroup([OutlierQuery(
+        r=400.0, k=3, window=WindowSpec(win=512, slide=64, kind="count"))])
+    det = SOPDetector(group, config=DetectorConfig(prefilter="qn"))
+    det.warm_start(pts)
+    screen = det.prefilter
+    n = len(det.buffer)
+    det.table.safe[: n // 2] = True
+    rows0 = det.buffer.distance_rows
+    mask = screen.prune_mask(det)
+    assert not mask[: n // 2].any()
+    assert det.buffer.distance_rows - rows0 == (n - n // 2) * n
+    full = _full_tile_bound(screen, det.buffer.matrix(), 0)
+    assert (mask[n // 2:] == (full[n // 2:] >= screen._k_max)).all()
+    assert mask.any()
 
 
 # --------------------------------------------------------------- sharded

@@ -357,6 +357,38 @@ class TestRunModes:
         stepped = rt.finish()
         assert stepped.outputs == whole.outputs
 
+    def test_owner_map_stays_within_the_buffered_windows(self):
+        """A long stepped 2-shard run forgets the owners of seqs every
+        shard has expired: the map never outgrows what the shards
+        buffer, the shards keep one copy of the output history, and
+        every boundary's outputs (and the finished result) equal the
+        unsharded run's.  One shard keeps no map at all."""
+        points = make_synthetic_points(4000, dim=2, outlier_rate=0.05,
+                                       seed=5)
+        group = small_workload()
+        reference = StreamExecutor(SOPDetector(group))
+        rt = Runtime(group, shards=2)
+        one = Runtime(group)
+        slide, kind = rt.swift.slide, rt.group.kind
+        rt.partitioner.ensure_bounds(points)
+        one.partitioner.ensure_bounds(points)
+        for t, batch in batches_by_boundary(points, slide, kind):
+            want = reference.step(t, batch)
+            assert rt.step(t, batch) == want
+            assert one.step(t, batch) == want
+            buffered = sum(len(s.detector.buffer) for s in rt.shards)
+            assert len(rt._owners) <= buffered
+            assert not one._owners
+        assert len(rt._owners) < len(points) // 4
+        # one output history: the shards archive only what they own, so
+        # their archives together hold each merged seq exactly once
+        archived = sum(len(seqs) for shard in rt.shards
+                       for seqs in shard.result.outputs.values())
+        assert archived == sum(
+            len(seqs) for seqs in reference.result.outputs.values())
+        assert rt.finish().outputs == reference.finish().outputs
+        assert one.finish().outputs == reference.result.outputs
+
     def test_process_backend_cannot_step(self):
         rt = Runtime(small_workload(), shards=2, backend="process")
         with pytest.raises(RuntimeError, match="stepped"):

@@ -1,9 +1,13 @@
 """Unit tests for stream sources and boundary batching."""
 
-import pytest
+import itertools
 
-from repro import COUNT, TIME, ListSource, batches_by_boundary
-from repro.streams.source import positions
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import COUNT, TIME, ListSource, Point, batches_by_boundary
+from repro.streams.source import positions, stream_end_boundary
 
 from conftest import line_points
 
@@ -89,3 +93,97 @@ class TestBatchesByBoundary:
         batches = dict(batches_by_boundary(pts, 4, TIME))
         assert [p.seq for p in batches[4]] == []
         assert [p.seq for p in batches[8]] == [0, 1]
+
+
+# ------------------------------------------- batching against the loop
+
+
+def loop_batches(points, slide, kind, until=None, start=0):
+    """The per-point append loop ``batches_by_boundary`` replaced, kept
+    verbatim as the oracle."""
+    if slide <= 0:
+        raise ValueError("slide must be positive")
+    if start < 0 or start % slide != 0:
+        raise ValueError(
+            f"start must be a non-negative multiple of slide, got "
+            f"start={start} slide={slide}")
+    pos = positions(points, kind)
+    for earlier, later in zip(pos, pos[1:]):
+        if later < earlier:
+            raise ValueError("stream positions must be non-decreasing")
+    if until is None:
+        if not points:
+            return
+        until = stream_end_boundary(points, slide, kind)
+    i = 0
+    n = len(points)
+    while i < n and pos[i] < start:
+        i += 1
+    t = start + slide
+    while t <= until:
+        batch = []
+        while i < n and pos[i] < t:
+            batch.append(points[i])
+            i += 1
+        yield t, batch
+        t += slide
+
+
+def _outcome(gen, limit=200):
+    try:
+        return list(itertools.islice(gen, limit)), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def batching_cases(draw):
+    kind = draw(st.sampled_from([COUNT, TIME]))
+    slide = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 30))
+    # steps of 0 repeat a position; on a slide multiple they sit exactly
+    # on a boundary; a rare negative step is an unsorted stream
+    steps = draw(st.lists(st.sampled_from([0, 0.5, 1, 1, 2, slide, 3.25, -1]),
+                          min_size=n, max_size=n))
+    pos = float(draw(st.integers(-3, 6)))
+    points = []
+    for i, step in enumerate(steps):
+        pos += step
+        if kind == COUNT:
+            points.append(Point(seq=int(pos), values=(0.0,)))
+        else:
+            points.append(Point(seq=i, values=(0.0,), time=pos))
+    start = slide * draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        start += draw(st.sampled_from([1, -slide]))  # rejected
+    until = draw(st.one_of(st.none(), st.integers(-2, 60)))
+    return points, slide, kind, until, start, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batching_cases())
+def test_batches_equal_the_append_loop(case):
+    points, slide, kind, until, start, as_tuple = case
+    if as_tuple:
+        points = tuple(points)
+    want, err = _outcome(loop_batches(points, slide, kind, until, start))
+    got, got_err = _outcome(
+        batches_by_boundary(points, slide, kind, until, start))
+    assert got_err == err
+    assert got == want
+    if got:
+        assert all(type(batch) is list for _, batch in got)
+
+
+def test_batches_equal_the_loop_with_stuck_positions():
+    """NaN and +inf positions never pass a boundary (the loop stops
+    delivering at the first NaN) and -inf ones sit before every start."""
+    nan, inf = float("nan"), float("inf")
+    for times in ([1.0, nan, 2.0, 9.0], [0.5, 3.0, inf, inf],
+                  [-inf, 1.0, 7.0], [nan], [inf, nan, 1.0], [-inf],
+                  [-inf, -inf, inf], [inf]):
+        pts = [Point(seq=i, values=(0.0,), time=t)
+               for i, t in enumerate(times)]
+        for until in (4, 12):
+            assert (list(batches_by_boundary(pts, 2, TIME, until))
+                    == list(loop_batches(pts, 2, TIME, until)))
