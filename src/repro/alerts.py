@@ -171,10 +171,10 @@ class AlertRouter:
 class AlertSubscriber(ExecutorSubscriber):
     """Subscriber that routes boundary outputs to an AlertRouter.
 
-    Dispatch happens at ``on_boundary_end`` (after the driver archived
-    the boundary's outputs); the router's sinks are closed when the
-    stream ends.  Attaches to a :class:`~repro.engine.StreamExecutor` or
-    a :class:`~repro.runtime.Runtime` alike -- on a sharded runtime the
+    Dispatch happens at ``on_boundary_end`` (after the driver metered
+    the boundary); the router's sinks are closed when the stream ends.
+    Attaches to a :class:`~repro.engine.StreamExecutor` or a
+    :class:`~repro.runtime.Runtime` alike -- on a sharded runtime the
     outputs it sees are the merged (exact, ownership-deduped) ones.
     """
 

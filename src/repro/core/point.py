@@ -206,9 +206,17 @@ def _row_of(pairwise):
     return to_block
 
 
+def _check_arity(a: Sequence[float], b: Sequence[float]) -> None:
+    """A distance over the first few coordinates is never an answer."""
+    if len(a) != len(b):
+        raise ValueError(
+            f"distance between {len(a)}- and {len(b)}-attribute points")
+
+
 def _euclidean_scalar(a: Sequence[float], b: Sequence[float]) -> float:
+    _check_arity(a, b)
     acc = 0.0
-    for x, y in zip(a, b, strict=True):
+    for x, y in zip(a, b):
         d = x - y
         acc += d * d
     return math.sqrt(acc)
@@ -222,8 +230,9 @@ def _euclidean_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _manhattan_scalar(a: Sequence[float], b: Sequence[float]) -> float:
+    _check_arity(a, b)
     acc = 0.0
-    for x, y in zip(a, b, strict=True):
+    for x, y in zip(a, b):
         acc += abs(x - y)
     return acc
 
@@ -233,8 +242,8 @@ def _manhattan_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_scalar(a: Sequence[float], b: Sequence[float]) -> float:
-    return max((abs(x - y) for x, y in zip(a, b, strict=True)),
-               default=0.0)
+    _check_arity(a, b)
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
 
 def _chebyshev_pairwise(queries: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -122,15 +122,18 @@ class StreamExecutor:
     """Drive one detector through boundary-aligned batches with metering.
 
     The executor owns the :class:`~repro.metrics.results.RunResult`: CPU
-    is metered around each boundary, memory is sampled after it, and due
-    outputs are archived under ``(query_index, boundary)`` keys -- exactly
-    the accounting the legacy per-consumer loops performed, so results are
-    byte-identical to pre-executor runs.
+    is metered around each boundary and memory is sampled after it --
+    exactly the accounting the legacy per-consumer loops performed, so
+    results are byte-identical to pre-executor runs.
 
     Use :meth:`run` for a finite stream, or :meth:`step` to push
     boundaries one at a time (long-running deployments); call
     :meth:`finish` after the last step to finalize work counters and fire
-    ``on_stream_end``.
+    ``on_stream_end``.  A step returns and dispatches its boundary's
+    outputs and keeps no copy: only :meth:`run`, which owns a finite
+    loop, collects them into ``result.outputs`` under ``(query_index,
+    boundary)`` keys.  A stepping caller that wants the history keeps it
+    (the sharded :class:`~repro.runtime.Runtime` keeps one merged copy).
     """
 
     def __init__(self, detector,
@@ -151,7 +154,10 @@ class StreamExecutor:
     # ------------------------------------------------------------- stepping
 
     def step(self, t: int, batch: Sequence[Point]) -> Outputs:
-        """Process one boundary: pipeline stages, metering, hooks."""
+        """Process one boundary: pipeline stages, metering, hooks.
+
+        Returns the due outputs; ``result.outputs`` is not written.
+        """
         detector = self.detector
         result = self.result
         result.cpu.start()
@@ -162,8 +168,6 @@ class StreamExecutor:
         result.boundaries += 1
         result.memory.sample(detector.memory_units(),
                              detector.tracked_points())
-        for qi, seqs in outputs.items():
-            result.outputs[(qi, t)] = frozenset(seqs)
         self.hooks.on_boundary_end(t, outputs)
         return outputs
 
@@ -176,10 +180,12 @@ class StreamExecutor:
         once).
         """
         detector = self.detector
+        archive = self.result.outputs
         for t, batch in batches_by_boundary(
             points, detector.swift.slide, detector.group.kind, until
         ):
-            self.step(t, batch)
+            for qi, seqs in self.step(t, batch).items():
+                archive[(qi, t)] = frozenset(seqs)
         return self.finish()
 
     def finish(self) -> RunResult:

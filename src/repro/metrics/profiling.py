@@ -4,9 +4,8 @@ The refresh stage (see ``repro.engine.refresh``) runs every K-SKY scan
 as a ``scan_batched`` tile sweep, turning O(live points) numpy kernel
 launches per boundary into O(tiles) -- fewer than the logical chunks a
 scan walks, because a row group's tiles after its first double in
-width.  To *prove* that -- and to keep it
-provable as the code evolves -- :class:`RefreshProfile` records, per
-processed boundary:
+width.  To *prove* that -- and to keep it provable as the code evolves
+-- :class:`RefreshProfile` totals, over every processed boundary:
 
 * ``refresh_ns`` -- wall time spent inside ``SOPDetector._refresh``;
 * ``kernel_launches`` -- numpy distance-kernel launches during the refresh
@@ -42,36 +41,30 @@ processed boundary:
   certified inliers it pruned scan-free (all 0 with ``prefilter="none"``
   or when the screen sits a boundary out).  The screen's anchor kernels
   are *not* netted out of ``kernel_launches``/``refresh_ns`` -- the
-  tier's own cost stays visible in the same sample.
+  tier's own cost stays visible in the same totals.
 
-Aggregates are cheap to keep and are surfaced through
-``SOPDetector.work_stats()`` into ``RunResult.work``.  No decision in the
-refresh stage reads a clock, so every key but ``refresh_ns`` repeats
-exactly across runs.
+Only the running totals are kept -- nothing grows per boundary -- and
+they are surfaced through ``SOPDetector.work_stats()`` into
+``RunResult.work``.  No decision in the refresh stage reads a clock, so
+every key but ``refresh_ns`` repeats exactly across runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 __all__ = ["RefreshProfile"]
 
-#: one per-boundary sample: (refresh_ns, kernel_launches, batch_rows,
-#: python_insert_iters, soa_insert_rows, near_candidates,
-#: prefilter_screened, prefilter_suspects, prefilter_pruned, kernel_cells)
-BoundarySample = Tuple[int, int, int, int, int, int, int, int, int, int]
-
 
 class RefreshProfile:
-    """Accumulates per-boundary refresh samples plus running totals."""
+    """Running totals of the refresh stage's per-boundary samples."""
 
     __slots__ = ("boundaries", "refresh_ns", "kernel_launches", "batch_rows",
                  "python_insert_iters", "soa_insert_rows",
                  "near_candidates", "prefilter_screened", "prefilter_suspects",
-                 "prefilter_pruned", "kernel_cells", "samples",
-                 "keep_samples")
+                 "prefilter_pruned", "kernel_cells")
 
-    def __init__(self, keep_samples: bool = True):
+    def __init__(self):
         self.boundaries: int = 0
         self.refresh_ns: int = 0
         self.kernel_launches: int = 0
@@ -83,9 +76,6 @@ class RefreshProfile:
         self.prefilter_suspects: int = 0
         self.prefilter_pruned: int = 0
         self.kernel_cells: int = 0
-        self.keep_samples = keep_samples
-        #: per-boundary samples (only when ``keep_samples``)
-        self.samples: List[BoundarySample] = []
 
     def record(self, refresh_ns: int, kernel_launches: int, batch_rows: int,
                python_insert_iters: int, soa_insert_rows: int = 0,
@@ -106,13 +96,6 @@ class RefreshProfile:
         self.prefilter_suspects += prefilter_suspects
         self.prefilter_pruned += prefilter_pruned
         self.kernel_cells += kernel_cells
-        if self.keep_samples:
-            self.samples.append(
-                (refresh_ns, kernel_launches, batch_rows,
-                 python_insert_iters, soa_insert_rows, near_candidates,
-                 prefilter_screened, prefilter_suspects, prefilter_pruned,
-                 kernel_cells)
-            )
 
     # ------------------------------------------------------------ summaries
 

@@ -9,7 +9,7 @@ equivalence check the test suite applies across detectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .meters import CpuMeter, MemoryMeter
 
@@ -40,6 +40,10 @@ class RunResult:
     work: Dict[str, int] = field(default_factory=dict)
     #: shards dropped by a degraded run; empty for every exact result
     failed_shards: Tuple[int, ...] = ()
+    #: outlier reports tallied by a producer that kept no ``outputs``
+    #: (a :class:`~repro.runtime.Runtime` built with
+    #: ``keep_outputs=False``); None when ``outputs`` holds every report
+    reports: Optional[int] = None
 
     # ------------------------------------------------------------ summaries
 
@@ -77,6 +81,8 @@ class RunResult:
 
     def total_outliers(self) -> int:
         """Total outlier reports across all queries and boundaries."""
+        if self.reports is not None:
+            return self.reports
         return sum(len(v) for v in self.outputs.values())
 
     def outliers_for_query(self, query_idx: int) -> Dict[int, FrozenSet[int]]:

@@ -16,7 +16,7 @@ the identity the 1-shard oracle tests pin down.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence
+from typing import Dict, FrozenSet, Mapping, Sequence
 
 from ..metrics.meters import CpuMeter, MemoryMeter
 from ..metrics.results import OutputKey, RunResult, merge_work
@@ -42,28 +42,33 @@ class Merger:
     # ------------------------------------------------------------- outputs
 
     def merge_boundary(self, per_shard: Sequence[Outputs]) -> Outputs:
-        """One boundary's merged outputs: ownership filter, then union.
+        """One boundary's merged outputs: each shard's verdicts cut down
+        to the seqs it owns, then unioned per query.
 
         The key set is the union across shards, so a shard that received
         no points still contributes its (empty) due-query verdicts and
         the merged boundary reports every due query exactly once.
         """
-        return union_outputs(self.own(per_shard))
-
-    def own(self, per_shard: Sequence[Outputs]) -> List[Outputs]:
-        """Each shard's outputs cut down to the seqs it owns."""
         owners = self.owners
-        return [
-            {qi: frozenset([seq for seq in seqs
-                            if owners.get(seq, shard_id) == shard_id])
-             for qi, seqs in outputs.items()}
-            for shard_id, outputs in enumerate(per_shard)
-        ]
+        merged: Dict[int, set] = {}
+        for shard_id, outputs in enumerate(per_shard):
+            for qi, seqs in outputs.items():
+                bucket = merged.setdefault(qi, set())
+                for seq in seqs:
+                    if owners.get(seq, shard_id) == shard_id:
+                        bucket.add(seq)
+        return {qi: frozenset(seqs) for qi, seqs in merged.items()}
 
     # ------------------------------------------------------------- results
 
     def merge_results(self, results: Sequence[RunResult]) -> RunResult:
         """Combine finished per-shard results into the workload answer.
+
+        Meters and work counters are summed; outputs are ownership-filtered
+        and unioned per ``(query, boundary)`` key.  Only whole-stream
+        workers (``Backend.run_tasks``) return outputs -- a stepped shard
+        keeps none, and the stepping runtime hands its own merged history
+        to the result instead.
 
         Failed-shard flags propagate as a union: if any input is a
         degraded placeholder (``failed_shards`` non-empty, see

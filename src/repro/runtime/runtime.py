@@ -31,6 +31,12 @@ Runtime-level subscribers receive the *merged* boundary outputs --
 :class:`~repro.alerts.AlertSubscriber` plugs in unchanged, and
 :class:`~repro.checkpoint.ShardedCheckpointSubscriber` persists per-shard
 segments under one manifest.
+
+Output history: the shard executors keep none.  A stepping runtime
+records each boundary's merged outputs once, under ``(query, boundary)``
+keys, and :meth:`finish` hands that dict to the returned result; with
+``keep_outputs=False`` (the long-lived service) it keeps only a count of
+the reports, so nothing grows per boundary but the meters.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from ..core.point import Point
 from ..core.queries import QueryGroup
 from ..core.sop import SOPDetector
 from ..engine.config import DetectorConfig
-from ..metrics.results import RunResult, merge_work
+from ..metrics.results import OutputKey, RunResult, merge_work
 from ..streams.source import (IngestGuard, batches_by_boundary,
                               stream_end_boundary)
 from .backends import Backend, make_backend
@@ -69,6 +75,12 @@ class Runtime:
     (``r_max``) or the sharded answer could miss cross-border neighbors;
     the auto value (0.0) resolves to exactly ``r_max`` and anything
     smaller fails loudly at construction.
+
+    ``keep_outputs`` decides whether a stepped run keeps its merged
+    output history for :meth:`finish` (the default, for finite runs) or
+    only counts the reports (a service that pushes every boundary's
+    outputs and must not grow with the stream).  Whole-stream backends
+    always return the history their workers collected.
     """
 
     def __init__(
@@ -81,6 +93,8 @@ class Runtime:
         replication_radius: Optional[float] = None,
         partitioner: Optional[StreamPartitioner] = None,
         subscribers: Sequence = (),
+        *,
+        keep_outputs: bool = True,
     ):
         if not isinstance(group, QueryGroup):
             group = QueryGroup([q for q in group])
@@ -125,6 +139,11 @@ class Runtime:
         #: with one shard, where the merger keeps everything anyway
         self._owners: Dict[int, int] = {}
         self._merger = Merger(self._owners)
+        self.keep_outputs = keep_outputs
+        #: merged outputs of every stepped boundary (``keep_outputs``)
+        self._outputs: Dict[OutputKey, FrozenSet[int]] = {}
+        #: outlier reports of every stepped boundary (no ``keep_outputs``)
+        self._reports = 0
         self._shards: Optional[List[ShardExecutor]] = None
         self.last_boundary = 0
         self.result: Optional[RunResult] = None
@@ -201,16 +220,16 @@ class Runtime:
             for shard in self.shards
         ]
         if self.n_shards > 1:
-            per_shard = self._merger.own(per_shard)
-            # each shard archives only what it owns: the archives split
-            # the merged history between them (one copy of it), and
-            # ``finish`` needs no owner of a seq forgotten below
-            for shard, outputs in zip(self.shards, per_shard):
-                archive = shard.result.outputs
-                for qi, seqs in outputs.items():
-                    archive[(qi, t)] = seqs
+            merged = self._merger.merge_boundary(per_shard)
             self._forget_expired()
-        merged = union_outputs(per_shard)
+        else:
+            merged = union_outputs(per_shard)
+        if self.keep_outputs:
+            history = self._outputs
+            for qi, seqs in merged.items():
+                history[(qi, t)] = seqs
+        else:
+            self._reports += sum(len(seqs) for seqs in merged.values())
         self.last_boundary = t
         for sub in self.subscribers:
             sub.on_boundary_end(t, merged)
@@ -241,16 +260,19 @@ class Runtime:
             del owners[seq]
 
     def finish(self) -> RunResult:
-        """Finalize every shard, merge, and fire ``on_stream_end``."""
-        results = [shard.finish() for shard in self.shards]
-        return self._finalize(results)
-
-    def _finalize(self, results: Sequence[RunResult]) -> RunResult:
-        self.result = self._merger.merge_results(results)
-        self._note_quarantine(self.result)
+        """Finalize every shard, merge meters and work counters, attach
+        the stepped boundaries' merged outputs, and fire
+        ``on_stream_end``."""
+        result = self._merger.merge_results(
+            [shard.finish() for shard in self.shards])
+        result.outputs = self._outputs
+        if not self.keep_outputs:
+            result.reports = self._reports
+        self.result = result
+        self._note_quarantine(result)
         for sub in self.subscribers:
-            sub.on_stream_end(self.result)
-        return self.result
+            sub.on_stream_end(result)
+        return result
 
     def _note_quarantine(self, result: RunResult) -> None:
         """Surface the ingest guard's quarantine counts in the merged

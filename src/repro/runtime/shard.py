@@ -20,7 +20,9 @@ __all__ = ["ShardExecutor"]
 
 
 class ShardExecutor:
-    """One shard's executor: detector, drive loop, and accumulated result.
+    """One shard's executor: detector, drive loop, and metered result
+    (meters and work counters only -- the runtime merges the outputs
+    each step returns, so the shard keeps none).
 
     A thin composition, deliberately: everything below the shard boundary
     is the classic single-executor stack, which is what makes the 1-shard

@@ -26,6 +26,11 @@ that true:
   boundaries up to ``stream_end_boundary`` are flushed with empty
   batches, exactly like ``Runtime.run`` drives a finite stream out.
 
+The engine keeps no output history: every pumped boundary's outputs
+are returned to the caller (the server pushes them to subscribers) and
+its runtimes are built with ``keep_outputs=False``, so a long-lived
+service does not grow with the stream.
+
 Registration changes route through the same
 :class:`~repro.core.dynamic.QueryRegistry` the dynamic detector uses:
 the engine rebuilds its runtime at the next boundary, carrying the
@@ -128,6 +133,8 @@ class ServiceEngine:
         engine.registry.seed(list(runtime.group.queries))
         engine.registry.mark_fresh()
         engine._cache_kind()
+        # nothing stepped yet: switching history off here keeps it empty
+        runtime.keep_outputs = False
         engine.runtime = runtime
         engine.last_boundary = int(last_boundary)
         log.info("resumed from %s at boundary %d with %d quer(ies)",
@@ -232,7 +239,8 @@ class ServiceEngine:
                 self.runtime = None
                 self.registry.mark_fresh()
                 return None
-            self.runtime = Runtime(group, config=self.config)
+            self.runtime = Runtime(group, config=self.config,
+                                   keep_outputs=False)
             if retained:
                 self.runtime.preload(retained)
             self.registry.mark_fresh()

@@ -358,36 +358,47 @@ class TestRunModes:
         assert stepped.outputs == whole.outputs
 
     def test_owner_map_stays_within_the_buffered_windows(self):
-        """A long stepped 2-shard run forgets the owners of seqs every
-        shard has expired: the map never outgrows what the shards
-        buffer, the shards keep one copy of the output history, and
-        every boundary's outputs (and the finished result) equal the
-        unsharded run's.  One shard keeps no map at all."""
-        points = make_synthetic_points(4000, dim=2, outlier_rate=0.05,
+        """Soak: a stepped 2-shard run over 200+ boundaries.  The owner
+        map forgets the owners of seqs every shard has expired, so it
+        never outgrows what the shards buffer; one shard keeps no map
+        at all.  No shard executor archives outputs at any boundary:
+        ``finish`` hands back the runtime's one merged history, equal
+        to the unsharded run's, and with ``keep_outputs=False`` the
+        runtime holds no output keys and only counts the reports."""
+        points = make_synthetic_points(5100, dim=2, outlier_rate=0.05,
                                        seed=5)
         group = small_workload()
-        reference = StreamExecutor(SOPDetector(group))
+        reference = StreamExecutor(SOPDetector(group)).run(points)
+        by_boundary = {}
+        for (qi, t), seqs in reference.outputs.items():
+            by_boundary.setdefault(t, {})[qi] = seqs
         rt = Runtime(group, shards=2)
+        bare = Runtime(group, shards=2, keep_outputs=False)
         one = Runtime(group)
         slide, kind = rt.swift.slide, rt.group.kind
-        rt.partitioner.ensure_bounds(points)
-        one.partitioner.ensure_bounds(points)
+        for runtime in (rt, bare, one):
+            runtime.partitioner.ensure_bounds(points)
+        boundaries = 0
         for t, batch in batches_by_boundary(points, slide, kind):
-            want = reference.step(t, batch)
+            want = by_boundary.get(t, {})
             assert rt.step(t, batch) == want
+            assert bare.step(t, batch) == want
             assert one.step(t, batch) == want
+            boundaries += 1
             buffered = sum(len(s.detector.buffer) for s in rt.shards)
             assert len(rt._owners) <= buffered
             assert not one._owners
+            for shard in rt.shards + bare.shards + one.shards:
+                assert shard.result.outputs == {}
+            assert bare._outputs == {}
+        assert boundaries >= 200
         assert len(rt._owners) < len(points) // 4
-        # one output history: the shards archive only what they own, so
-        # their archives together hold each merged seq exactly once
-        archived = sum(len(seqs) for shard in rt.shards
-                       for seqs in shard.result.outputs.values())
-        assert archived == sum(
-            len(seqs) for seqs in reference.result.outputs.values())
-        assert rt.finish().outputs == reference.finish().outputs
-        assert one.finish().outputs == reference.result.outputs
+        assert reference.total_outliers() > 0
+        assert rt.finish().outputs == reference.outputs
+        assert one.finish().outputs == reference.outputs
+        done = bare.finish()
+        assert done.outputs == {}
+        assert done.total_outliers() == reference.total_outliers()
 
     def test_process_backend_cannot_step(self):
         rt = Runtime(small_workload(), shards=2, backend="process")
