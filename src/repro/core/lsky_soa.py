@@ -35,7 +35,7 @@ function of those positions alone: the stop point needs no replay.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,21 +68,29 @@ def insert_limits(allowed_layer: Sequence[int], k_max: int,
 
 
 def near_entries(dists: np.ndarray, own: np.ndarray, radius: np.ndarray,
-                 grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 grid, widths: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact one distance tile into the cells its rows can use.
 
     ``dists[R, W]`` holds the tile in buffer (arrival-ascending) order,
     so scan position ``s`` is column ``W - 1 - s``; ``own[R]`` is the
     column of each row's own point (outside ``[0, W)``: not in this tile
     -- Def. 5 ranges over ``D_W - p``); ``radius[R]`` is each row's
-    reach, at most the grid's largest ``r``.  ``dists <= radius`` is the
-    grid's own classification (:meth:`~repro.core.parser.RGrid.layers_of`
-    hashes with ``side="left"``: a distance exactly at ``r`` sits in
-    ``r``'s layer).  Returns ``(r_i, s_i, lay)``: row, scan position and
-    layer of every near cell, by row, then scan order.
+    reach, at most the grid's largest ``r``; ``widths[R]`` (default: all
+    ``W``) is how many scan positions are each row's candidates -- a row
+    whose range ends inside the tile has none below it.  ``dists <=
+    radius`` is the grid's own classification
+    (:meth:`~repro.core.parser.RGrid.layers_of` hashes with
+    ``side="left"``: a distance exactly at ``r`` sits in ``r``'s layer).
+    Returns ``(r_i, s_i, lay)``: row, scan position and layer of every
+    near cell, by row, then scan order.
     """
     width = dists.shape[1]
     near = dists <= radius[:, None]
+    if widths is not None and widths.min(initial=width) < width:
+        # scan position s is column width - 1 - s: a row's candidates are
+        # its last widths[r] columns
+        near &= np.arange(width) >= (width - widths)[:, None]
     at = ((own >= 0) & (own < width)).nonzero()[0]
     near[at, own[at]] = False
     # (a flat index split by hand: 2-D ``nonzero`` costs twice as much)
@@ -93,8 +101,9 @@ def near_entries(dists: np.ndarray, own: np.ndarray, radius: np.ndarray,
 
 
 def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
-                    width: int, csum: np.ndarray, rank: np.ndarray,
-                    limits: np.ndarray, sub_layers: np.ndarray,
+                    width: Union[int, np.ndarray], csum: np.ndarray,
+                    rank: np.ndarray, limits: np.ndarray,
+                    sub_layers: np.ndarray,
                     chunk: Optional[int] = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alg. 2 over a tile's near entries: what the sequential loop
@@ -102,7 +111,9 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     ``skyEvaluate`` and ``_Resolution`` in closed form.
 
     ``r_i``/``s_i``/``lay`` come from :func:`near_entries` over a tile
-    ``width`` candidates wide; ``csum[R, n_layers]`` is each row's
+    ``width`` candidates wide -- one width for every row, or one per row
+    (``width[r]``: a row whose candidate range ends inside the tile, which
+    is that row's tile bottom); ``csum[R, n_layers]`` is each row's
     cumulative stored layer count (``csum[:, m]`` = entries at layers
     ``<= m``); ``rank[R, G]`` is how many more entries at layers ``<=
     sub_layers[g]`` each row needs to resolve sub-group ``g`` of the
@@ -133,20 +144,22 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
 
     A tile may span several logical chunks of ``chunk`` candidates each
     (default: one chunk, the whole tile), counted from scan position 0;
-    each ends in a ``check()``.  That check is a no-op in the exact
-    regime (every insert was checked); in the cadence regime it restarts
-    the ``_CHECK_EVERY`` count and, when it resolves everything, ends the
-    scan at that chunk's bottom.  The empty template's first check ends
-    it at the first chunk's bottom.
+    each ends in a ``check()`` -- the last one at the row's own tile
+    bottom.  That check is a no-op in the exact regime (every insert was
+    checked); in the cadence regime it restarts the ``_CHECK_EVERY``
+    count and, when it resolves everything, ends the scan at that chunk's
+    bottom.  The empty template's first check ends it at the first
+    chunk's bottom.
     Returns ``(ins, stop, pending)``: the inserted entries up to and
     including each row's stop, its scan position -- the terminating
     candidate, or the last position of the inner chunk whose check ended
-    the scan; ``width`` = the row runs the tile out -- and the
+    the scan; the row's width = it runs the tile out -- and the
     sub-groups still pending after the tile's last ``check()`` (none for
     a row that stopped).
     """
-    chunk = width if chunk is None else chunk
     n_rows, n_layers = csum.shape
+    widths = np.broadcast_to(np.asarray(width, dtype=np.intp), (n_rows,))
+    chunk = int(widths.max(initial=0)) if chunk is None else chunk
     n_ent = len(r_i)
     entry = np.arange(n_ent)
     bases = r_i.searchsorted(np.arange(n_rows + 1))
@@ -194,27 +207,27 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     #: each row's terminating entry (``n_ent``: none)
     stop = tau.max(axis=1, initial=-1)
     #: ... or the scan position of the inner logical chunk bottom whose
-    #: boundary check ended the row (``width``: none)
-    bottom = np.full(n_rows, width, dtype=np.intp)
+    #: boundary check ended the row (its width: none)
+    bottom = widths.copy()
     idle = (n_pending == 0).nonzero()[0]
     if len(idle):
         first = np.append(ins.nonzero()[0], n_ent)
         first = first[np.searchsorted(first, starts[idle])]
         stop[idle] = np.where(first < ends[idle], first, n_ent)
-        if chunk < width:
-            # the empty template's first check -- at the first chunk's
-            # end -- ends the scan
-            bottom[idle] = chunk - 1
+        # the empty template's first check -- at the first chunk's end,
+        # if the row's range reaches past it -- ends the scan
+        bottom[idle] = np.where(chunk < widths[idle], chunk - 1,
+                                widths[idle])
     if alive.shape[1] > _Resolution._EXACT_LIMIT:
         for r in (n_pending > _Resolution._EXACT_LIMIT).nonzero()[0].tolist():
             a = starts[r]
             stop[r], bottom[r] = _cadence_stop(
                 tau[r, alive[r]], a + ins[a:ends[r]].nonzero()[0], s_i,
-                n_ent, chunk, width)
+                n_ent, chunk, int(widths[r]))
     stop_at = bottom
     hit = stop < n_ent
     stop_at[hit] = np.minimum(s_i[stop[hit]], bottom[hit])
-    stopped = stop_at < width
+    stopped = stop_at < widths
     pending = alive & (tau == n_ent) & ~stopped[:, None]
     if stopped.any():
         ins &= s_i <= stop_at[r_i]

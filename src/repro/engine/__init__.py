@@ -13,10 +13,10 @@ explicit architecture instead of an implementation detail of one class:
   (``on_ingest`` / ``on_expire`` / ``on_refresh`` / ``on_evaluate`` /
   ``on_boundary_end``) that metering, checkpointing, and alert routing
   subscribe to instead of re-implementing their own loops;
-* :class:`RefreshEngine` -- the K-SKY refresh stage: partition the
-  evidence table's rows into row groups, run one
-  :class:`VectorizedSkybandEngine` ``scan_batched`` sweep per group (one
-  pairwise kernel per tile), commit them all at once, profile;
+* :class:`RefreshEngine` -- the K-SKY refresh stage: give each of the
+  evidence table's rows to refresh its start, run one
+  :class:`VectorizedSkybandEngine` ``scan_batched`` sweep over all of
+  them (one pairwise kernel per tile), commit them all at once, profile;
 * :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) in its
   counting form, as a separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification

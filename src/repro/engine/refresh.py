@@ -7,14 +7,15 @@ examination, Alg. 1 / Lemma 2).  *What* is scanned is fixed by the paper;
 *how* is ours, and every step is an array pass over the detector's
 :class:`~repro.core.evidence.EvidenceTable`::
 
-    partition -> one ``scan_batched`` tile sweep per row group
-    -> one group commit -> one profile sample
+    per-row starts -> one ``scan_batched`` tile sweep -> one commit
+    -> one profile sample
 
-The rows of a group (all from-scratch points; all survivors sharing a
-first-unseen arrival) scan the same candidate range, so their evidence is
+Every scanned row -- from scratch or a survivor -- walks down from the
+buffer top to its own first candidate, so all of a boundary's evidence is
 one ``(rows x candidates)`` matrix computed with a single pairwise kernel
-per tile -- whatever the group's size; a tile spans one logical chunk,
-then twice the last tile's chunks.  Scan order, chunk boundaries and
+per tile, whatever the number of rows or of distinct starts; a tile spans
+one logical chunk, then twice the last tile's chunks, and a row leaves the
+sweep at its own start.  Scan order, chunk boundaries and
 termination cadence replicate the paper's per-point walk exactly, and the
 commit merges every scanned row at once (DESIGN.md section 15); the
 lockstep suites hold both bit-exact against the literal per-row refresh
@@ -25,7 +26,7 @@ work counters of a run repeat exactly.
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,13 +36,20 @@ from .safety import layer_counts
 
 __all__ = ["RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
 
+#: cells of a sweep's first tile (one logical chunk per row): more rows
+#: than fit are swept in blocks, so a boundary's transient memory does not
+#: grow with its row count
+_SWEEP_CELLS = 1 << 16
+
 
 class ScanBatch(NamedTuple):
-    """The flat result of one row group's scans.
+    """The flat result of one boundary's scans.
 
-    Entries are sorted by ``owner`` (the row's index in the group), each
-    row's in scan (arrival-descending) order; ``examined`` and
-    ``terminated`` are per row.
+    Entries are sorted by ``owner`` (the row's index in the scanned
+    rows), each row's in scan (arrival-descending) order; ``examined``
+    and ``terminated`` are per row.  ``counts[row, layer]`` is how many of
+    a row's entries sit at each layer -- what the scan engine kept to
+    decide its inserts (``None``: the commit counts the entries).
     """
 
     owner: np.ndarray
@@ -50,6 +58,7 @@ class ScanBatch(NamedTuple):
     layer: np.ndarray
     examined: np.ndarray
     terminated: np.ndarray
+    counts: Optional[np.ndarray] = None
 
 
 class RefreshEngine:
@@ -102,21 +111,15 @@ class RefreshEngine:
 
         # survivors scan from their first unseen arrival (a searchsorted,
         # not base-offset arithmetic: shard streams skip seqs); the rest
-        # from scratch.  A stable sort by that start makes each group a run.
-        seen = table.seen[active]
+        # from scratch.  (No rows at all is one empty scan: the rebuild
+        # still drops the entries of rows the screen certified.)
+        rows = active
+        seen = table.seen[rows]
         surv = (seen >= 0) if det.use_least_examination else (
-            np.zeros(len(active), dtype=bool))
-        lo = np.zeros(len(active), dtype=np.intp)
+            np.zeros(len(rows), dtype=bool))
+        lo = np.zeros(len(rows), dtype=np.intp)
         lo[surv] = np.searchsorted(seq_arr, seen[surv] + 1)
-        order = np.argsort(lo, kind="stable")
-        rows, lo, surv = active[order], lo[order], surv[order]
-        edges = [0] + (np.flatnonzero(np.diff(lo)) + 1).tolist()
-        edges.append(len(rows))
-        # (no rows at all is one empty group: the rebuild still drops the
-        # entries of rows the screen certified)
-        scan = _concat([
-            self._scan(det, rows[a:b], int(lo[a]) if a < b else 0)
-            for a, b in zip(edges, edges[1:])], edges)
+        scan = self._scan(det, rows, lo)
 
         examined, safe, owner, src = self._commit(det, rows, surv, scan,
                                                   window_start)
@@ -144,11 +147,12 @@ class RefreshEngine:
             kernel_cells=buf.kernel_cells - cells0,
         )
 
-    def _scan(self, det, rows: np.ndarray, lo: int) -> ScanBatch:
-        """Scan one row group (live indexes ``rows``) over live indexes
-        ``[lo, end)`` -- the hook ``repro.testing.ReferenceRefresh``
-        overrides.  ``lo`` is 0 for from-scratch rows and the group's
-        shared first-unseen index for survivors."""
+    def _scan(self, det, rows: np.ndarray, lo: np.ndarray) -> ScanBatch:
+        """Scan every row (live indexes ``rows``), row ``j`` over live
+        indexes ``[lo[j], end)`` -- the hook
+        ``repro.testing.ReferenceRefresh`` overrides.  ``lo[j]`` is 0 for
+        a from-scratch row and its first unseen arrival for a
+        survivor."""
         det.stats["batched_scans"] += len(rows)
         return det.skyband_engine.scan_batched(rows, det.buffer, lo)
 
@@ -180,7 +184,10 @@ class RefreshEngine:
         examined = scan.examined + np.bincount(o_row, minlength=n_rows)
         # Def. 6 condition 2 against the new arrivals alone: an old entry
         # is dominated once k_max new entries sit at or below its layer
-        new_at = layer_counts(scan.owner, scan.layer, n_rows, plan.n_layers)
+        # (the scan engine's own per-row layer counts, when it kept them)
+        new_at = (layer_counts(scan.owner, scan.layer, n_rows, plan.n_layers)
+                  if scan.counts is None
+                  else np.cumsum(scan.counts, axis=1, dtype=np.int32))
         kept = new_at[o_row, table.layer[o_idx]] < plan.k_max
         o_idx, o_row = o_idx[kept], o_row[kept]
 
@@ -209,16 +216,6 @@ class RefreshEngine:
         return examined, safe, seq_arr[key[order]], src
 
 
-def _concat(scans: List[ScanBatch], starts: List[int]) -> ScanBatch:
-    """One boundary's group results as one batch, owners offset by each
-    group's first row."""
-    if len(scans) == 1:
-        return scans[0]
-    return ScanBatch(
-        np.concatenate([s.owner + a for s, a in zip(scans, starts)]),
-        *(np.concatenate(cols) for cols in list(zip(*scans))[1:]))
-
-
 # ------------------------------------------------------------ the scan engine
 
 
@@ -239,8 +236,9 @@ class VectorizedSkybandEngine:
     point as order statistics of one running count per layer
     (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
     replayed.  :meth:`scan_batched` feeds it each tile with the row state
-    (stored layer counts, exit index) held in arrays and returns the
-    inserted entries flat, as one :class:`ScanBatch` for the group.
+    (start, stored layer counts, exit index) held in arrays and returns
+    the inserted entries flat, as one :class:`ScanBatch` for the
+    boundary.
 
     ``py_iters`` (the profile's ``python_insert_iters``) counts the
     interpreted steps left: one per resolved tile and one per row in the
@@ -277,29 +275,39 @@ class VectorizedSkybandEngine:
         #: near tile cells resolved (the profile's ``near_candidates``)
         self.near = 0
 
-    def scan_batched(self, row_indexes, buffer, lo: int) -> ScanBatch:
-        """Chunk-synchronous batched scans over live indexes ``[lo, end)``.
+    def scan_batched(self, row_indexes, buffer, lo) -> ScanBatch:
+        """Chunk-synchronous batched scans, row ``j`` over live indexes
+        ``[lo[j], end)`` (``lo`` per row, or one start for every row).
 
         ``row_indexes`` gives the live-buffer index of each evaluated
-        point; the result's ``owner`` indexes it.  All rows share the
-        same candidate range, so each tile costs one ``pairwise_block``
-        kernel over the still-active rows, one compaction of that tile to
-        its near entries and one
+        point; the result's ``owner`` indexes it.  Every row walks down
+        from the buffer top, so one sweep of tiles serves them all: each
+        tile costs one ``pairwise_block`` kernel over the still-active
+        rows, one compaction of that tile to its near entries and one
         :func:`~repro.core.lsky_soa.resolve_entries` over them -- rows
-        that terminate drop out of subsequent tiles.
+        that terminate, and rows whose own range ends inside a tile, drop
+        out of subsequent tiles.  A sweep takes at most ``_SWEEP_CELLS //
+        chunk_size`` rows; more are swept in blocks of that many, ordered
+        by start so the rows with the longest ranges share their later
+        tiles.  A tile's columns below a row's start
+        are not that row's candidates: the compaction drops them and the
+        resolve reads the row's tile bottom at its start (DESIGN.md
+        section 12).
 
         The first tile is one logical chunk (``chunk_size`` candidates,
         anchored at the buffer top); each later one spans twice the last
-        tile's chunks, capped so that it never holds more cells than the
-        first -- a row group's transient memory never exceeds its first
-        chunk's.  The logical chunk stays the unit of the paper's walk:
-        the resolve runs each chunk's boundary check inside a wide tile
-        (DESIGN.md section 12), and each row charges ``distance_rows``
-        for the chunks up to and including the one it stops in, which
-        keeps it identical to running ``KSkyRunner.scan_new_arrivals``
-        per row (the per-point walk pays for a whole chunk before
-        consuming it); the cells a wide tile computed past a row's stop
-        show only in ``kernel_cells``.
+        tile's chunks, capped so that it never holds more cells than one
+        chunk for every row whose range reaches past the first tile -- a
+        sweep's transient memory never exceeds its first chunk's.  The
+        logical chunk stays the unit of the paper's walk: the resolve
+        runs each chunk's boundary check inside a wide tile (DESIGN.md
+        section 12), and each row charges ``distance_rows`` for the
+        chunks up to and including the one it stops in, the last one cut
+        at its start, which keeps it identical to running
+        ``KSkyRunner.scan_new_arrivals`` per row (the per-point walk pays
+        for a whole chunk before consuming it); the cells a wide tile
+        computed past a row's stop, or below its start, show only in
+        ``kernel_cells``.
 
         Only cells that could change a row's skyband are compacted (and
         hashed, and counted in ``near``): a candidate at layer ``m`` is
@@ -316,7 +324,8 @@ class VectorizedSkybandEngine:
         where the reference walk does).  ``examined`` needs no running
         tally: a scan examines everything newer than the live index it
         exits at (its terminating candidate, the bottom of the chunk
-        whose boundary check ended it, or ``lo``), bar the point itself.
+        whose boundary check ended it, or its start), bar the point
+        itself.
         """
         plan = self.plan
         n_layers = plan.n_layers
@@ -326,6 +335,8 @@ class VectorizedSkybandEngine:
         n = len(row_indexes)
         mat = buffer.matrix()
         self_idx = np.asarray(row_indexes, dtype=np.intp)
+        starts = np.minimum(np.broadcast_to(
+            np.asarray(lo, dtype=np.intp), (n,)), hi)
         # degenerate empty sub-group template: the reference walk
         # terminates such rows at the first boundary check, which the
         # zero-selection fold would elide
@@ -334,25 +345,37 @@ class VectorizedSkybandEngine:
 
         counts = np.zeros((n, n_layers), dtype=np.int32)
         #: live index each scan stopped at: its terminating candidate, the
-        #: bottom of the chunk whose boundary check ended it, or ``lo``
-        exit_at = np.full(n, min(lo, hi), dtype=np.intp)
+        #: bottom of the chunk whose boundary check ended it, or its start
+        exit_at = starts.copy()
         terminated = np.zeros(n, dtype=bool)
-        act = np.arange(n)
+        #: rows with candidates, swept ``per_sweep`` at a time -- by start,
+        #: so the rows with the longest ranges share their later tiles
+        todo = (starts < hi).nonzero()[0]
+        per_sweep = max(1, _SWEEP_CELLS // chunk)
+        if len(todo) > per_sweep:
+            todo = todo[np.argsort(starts[todo], kind="stable")]
+        act = todo[:0]
         #: inserted entries per tile: owning row, live index, layer
         owners = [np.empty(0, dtype=np.intp)]
         lives = [np.empty(0, dtype=np.intp)]
         layers = [np.empty(0, dtype=self.layer_dtype)]
-        q_mat: Optional[np.ndarray] = None
-        #: the group's first tile (one logical chunk): no later tile
-        #: holds more cells
-        first_cells = n * chunk
-        span = 0
-        block_hi = hi
-        while block_hi > lo and len(act):
+        while len(act) or len(todo):
+            if not len(act):
+                # a sweep starts at the buffer top with one logical chunk
+                act, todo = todo[:per_sweep], todo[per_sweep:]
+                q_mat: Optional[np.ndarray] = None
+                #: cells of a later tile: at most one chunk per row whose
+                #: range reaches past the first tile
+                cap = chunk * int(np.count_nonzero(starts[act] < hi - chunk))
+                span = 0
+                block_hi = hi
             # logical chunks in this tile: one, then twice the last tile's
-            span = min(2 * span, first_cells // (len(act) * chunk)) or 1
-            block_lo = max(lo, block_hi - span * chunk)
+            span = min(2 * span, cap // (len(act) * chunk)) or 1
+            a_lo = starts[act]
+            block_lo = max(int(a_lo.min()), block_hi - span * chunk)
             n_cols = block_hi - block_lo
+            #: each row's candidates in the tile: down to its own start
+            widths = block_hi - np.maximum(a_lo, block_lo)
             own = self_idx[act]
             if q_mat is None:
                 q_mat = mat[own]
@@ -365,45 +388,53 @@ class VectorizedSkybandEngine:
             # rejects.
             r_i, s_i, lay = near_entries(
                 dists, own - block_lo,
-                self._reach[(csum < k_max).sum(axis=1)], plan.grid)
-            block_hi = block_lo
+                self._reach[(csum < k_max).sum(axis=1)], plan.grid, widths)
+            del dists
             if has_template and not len(r_i):
-                buffer.distance_rows += len(act) * n_cols
-                continue
-            rank = self._sub_ks - csum[:, self._sub_layers]
-            ins, stop, pending = resolve_entries(
-                r_i, s_i, lay, n_cols, csum, rank, self._limits,
-                self._sub_layers, chunk)
-            # each row pays for the logical chunks up to the one it stops
-            # in, as the per-point walk does; the resolve consumed the
-            # near entries up to its stop
-            buffer.distance_rows += int(np.minimum(
-                (stop // chunk + 1) * chunk, n_cols).sum())
-            self.near += int(np.count_nonzero(s_i <= stop[r_i]))
-            self.py_iters += 1
-            if cadence:
-                hit = np.zeros(len(act), dtype=bool)
-                hit[r_i] = True
-                self.py_iters += int(np.count_nonzero(
-                    hit & ((rank > 0).sum(axis=1) > _Resolution._EXACT_LIMIT)))
-            sel = ins.nonzero()[0]
-            r_sel, l_sel = r_i[sel], lay[sel]
-            owners.append(act[r_sel])
-            lives.append(block_lo + (n_cols - 1) - s_i[sel])
-            layers.append(l_sel.astype(self.layer_dtype))
-            counts[act] += np.bincount(
-                r_sel * n_layers + l_sel,
-                minlength=len(act) * n_layers).reshape(len(act), n_layers)
-            stopped = stop < n_cols
-            done = (stopped | ~pending.any(axis=1)).nonzero()[0]
-            if len(done):
-                # a row exits at its stop -- a terminating candidate or an
-                # inner chunk's bottom -- or, when the tile's last check
-                # ended it (stop == n_cols), at the tile bottom
-                exit_at[act[done]] = block_lo + np.where(
-                    stopped[done], (n_cols - 1) - stop[done], 0)
-                terminated[act[done]] = True
-                act = act[~terminated[act]]
+                buffer.distance_rows += int(widths.sum())
+            else:
+                rank = self._sub_ks - csum[:, self._sub_layers]
+                ins, stop, pending = resolve_entries(
+                    r_i, s_i, lay, widths, csum, rank, self._limits,
+                    self._sub_layers, chunk)
+                # each row pays for the logical chunks up to the one it
+                # stops in, as the per-point walk does; the resolve
+                # consumed the near entries up to its stop
+                buffer.distance_rows += int(np.minimum(
+                    (stop // chunk + 1) * chunk, widths).sum())
+                self.near += int(np.count_nonzero(s_i <= stop[r_i]))
+                self.py_iters += 1
+                if cadence:
+                    hit = np.zeros(len(act), dtype=bool)
+                    hit[r_i] = True
+                    self.py_iters += int(np.count_nonzero(
+                        hit & ((rank > 0).sum(axis=1)
+                               > _Resolution._EXACT_LIMIT)))
+                sel = ins.nonzero()[0]
+                r_sel, l_sel = r_i[sel], lay[sel]
+                owners.append(act[r_sel])
+                lives.append((block_hi - 1) - s_i[sel])
+                layers.append(l_sel.astype(self.layer_dtype))
+                counts[act] += np.bincount(
+                    r_sel * n_layers + l_sel,
+                    minlength=len(act) * n_layers).reshape(len(act),
+                                                           n_layers)
+                stopped = stop < widths
+                done = (stopped | ~pending.any(axis=1)).nonzero()[0]
+                if len(done):
+                    # a row exits at its stop -- a terminating candidate
+                    # or an inner chunk's bottom -- or, when its last
+                    # check in the tile ended it (stop == its width), at
+                    # its tile bottom
+                    exit_at[act[done]] = block_hi - np.where(
+                        stopped[done], stop[done] + 1, widths[done])
+                    terminated[act[done]] = True
+            block_hi = block_lo
+            # a row whose range ended in this tile unresolved keeps its
+            # start as exit point
+            going = ~terminated[act] & (a_lo < block_lo)
+            if not going.all():
+                act = act[going]
                 q_mat = None
 
         # everything newer than the exit point was examined, bar the
@@ -416,7 +447,8 @@ class VectorizedSkybandEngine:
         return ScanBatch(owner[order].astype(np.int32),
                          buffer.seq_array()[live],
                          buffer.pos_array(self.by_time)[live],
-                         np.concatenate(layers)[order], examined, terminated)
+                         np.concatenate(layers)[order], examined, terminated,
+                         counts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorizedSkybandEngine(chunk_size={self.chunk_size})"

@@ -4,9 +4,9 @@ The paper reports two metrics per experiment:
 
 * **CPU time per window** -- "the total amount of system time resources
   used to process the queries on the data in one window", averaged over
-  all windows.  :class:`CpuMeter` accumulates a wall-clock sample per
-  processed boundary (pure-Python detectors are single-threaded and
-  CPU-bound, so wall time tracks CPU time).
+  all windows.  :class:`CpuMeter` meters the wall-clock time of each
+  processed boundary as running totals (pure-Python detectors are
+  single-threaded and CPU-bound, so wall time tracks CPU time).
 * **Peak memory (MEM)** -- "the memory required to store the information
   for each active object (i.e. the skyband points) and the outliers".
   Measuring Python-object RSS would mostly measure interpreter overhead,
@@ -20,7 +20,7 @@ The paper reports two metrics per experiment:
 from __future__ import annotations
 
 import time
-from typing import List, Sequence
+from typing import Sequence
 
 __all__ = ["CpuMeter", "MemoryMeter", "EVIDENCE_ENTRY_BYTES", "POINT_STATE_BYTES"]
 
@@ -31,56 +31,71 @@ POINT_STATE_BYTES = 48
 
 
 class CpuMeter:
-    """Accumulates per-boundary processing-time samples."""
+    """Per-boundary processing time as running totals: sum, count, max.
+
+    Nothing grows with the stream -- a long-lived service meters every
+    boundary for as long as it runs.
+    """
 
     def __init__(self) -> None:
-        self.samples_ns: List[int] = []
+        self.total_ns: int = 0
+        #: boundaries metered
+        self.count: int = 0
+        self.max_ns: int = 0
+        #: the most recent boundary's time
+        self.last_ns: int = 0
         self._started_at: int = 0
 
     def start(self) -> None:
         self._started_at = time.perf_counter_ns()
 
     def stop(self) -> None:
-        self.samples_ns.append(time.perf_counter_ns() - self._started_at)
+        self.add(time.perf_counter_ns() - self._started_at)
+
+    def add(self, ns: int) -> None:
+        """Meter one boundary that took ``ns`` nanoseconds."""
+        self.total_ns += ns
+        self.count += 1
+        self.last_ns = ns
+        if ns > self.max_ns:
+            self.max_ns = ns
 
     @property
     def total_seconds(self) -> float:
-        return sum(self.samples_ns) / 1e9
+        return self.total_ns / 1e9
 
     @property
     def mean_ms_per_window(self) -> float:
         """Average processing time per window in milliseconds (paper's CPU)."""
-        if not self.samples_ns:
+        if not self.count:
             return 0.0
-        return sum(self.samples_ns) / len(self.samples_ns) / 1e6
+        return self.total_ns / self.count / 1e6
 
     @property
     def max_ms(self) -> float:
-        if not self.samples_ns:
-            return 0.0
-        return max(self.samples_ns) / 1e6
+        return self.max_ns / 1e6
 
     def __len__(self) -> int:
-        return len(self.samples_ns)
+        return self.count
 
     @classmethod
     def merge(cls, meters: Sequence["CpuMeter"]) -> "CpuMeter":
-        """Combine per-shard meters: boundary-aligned sample sums.
+        """Combine per-shard meters of one boundary schedule.
 
-        Shards of one runtime process the same boundary schedule, so
-        sample ``i`` of every meter measures the same boundary; the merged
-        sample is the total CPU spent on that boundary across shards
-        (shards of unequal length -- a shard that joined late -- pad with
-        zero).  Merging a single meter reproduces it exactly.
+        The total is the sum and the count the longest meter's (a shard
+        that joined late metered fewer boundaries), so the mean is the
+        CPU spent per boundary across shards.  Which boundary each
+        shard's maximum fell on is not kept, so the merged maximum is the
+        sum of the shards' maxima: an upper bound on the costliest
+        boundary (a stepping :class:`~repro.runtime.Runtime` meters its
+        own boundary-aligned sums instead).  Merging a single meter
+        reproduces it exactly.
         """
         out = cls()
-        if not meters:
-            return out
-        width = max(len(m.samples_ns) for m in meters)
-        for i in range(width):
-            out.samples_ns.append(sum(
-                m.samples_ns[i] for m in meters if i < len(m.samples_ns)
-            ))
+        for m in meters:
+            out.total_ns += m.total_ns
+            out.count = max(out.count, m.count)
+            out.max_ns += m.max_ns
         return out
 
 

@@ -3,8 +3,7 @@
 The refresh stage (see ``repro.engine.refresh``) runs every K-SKY scan
 as a ``scan_batched`` tile sweep, turning O(live points) numpy kernel
 launches per boundary into O(tiles) -- fewer than the logical chunks a
-scan walks, because a row group's tiles after its first double in
-width.  To *prove* that -- and to keep it provable as the code evolves
+scan walks, because a sweep's tiles after its first double in width.  To *prove* that -- and to keep it provable as the code evolves
 -- :class:`RefreshProfile` totals, over every processed boundary:
 
 * ``refresh_ns`` -- wall time spent inside ``SOPDetector._refresh``;

@@ -14,6 +14,10 @@ for owned points -- equal the global ones.
 uniform-grid math, one cell per shard (cell width = range width /
 shards): ``shard_of`` is the clamped ``floor((v - lo) / width)`` and the
 replica span is the pair of cells covering ``[v - radius, v + radius]``.
+:meth:`~StreamPartitioner.split` routes a whole batch at once: one
+``floor`` over its axis values (the same IEEE operations as the scalar
+``_cell``, so the same cells, ties on cell edges and clamped tails
+included) and one ``(shards x records)`` span mask.
 
 Exactness argument (see DESIGN.md §9)
 -------------------------------------
@@ -39,7 +43,9 @@ above is clamp-invariant.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.point import Point
 
@@ -67,6 +73,10 @@ class StreamPartitioner:
         self.n_shards = int(n_shards)
         self.radius = float(replication_radius)
         self.axis = int(axis)
+        #: what :meth:`split` adds to the axis values for the owner cell
+        #: and both replica-span bounds, and the shard ids it tests
+        self._offsets = np.array([[0.0], [-self.radius], [self.radius]])
+        self._shard_ids = np.arange(self.n_shards)[:, None]
         self._lo: Optional[float] = None
         #: cell (= owned range) width; 0.0 for a degenerate value range
         self._width = 0.0
@@ -112,13 +122,16 @@ class StreamPartitioner:
         """
         if self._lo is not None:
             return
-        values = sorted(p.values[self.axis] for p in points)
-        if not values:
-            return
+        values = np.fromiter((p.values[self.axis] for p in points),
+                             dtype=np.float64)
         n = len(values)
-        lo = values[min(int(self.TAIL_CLIP * n), n - 1)]
-        hi = values[max(n - 1 - int(self.TAIL_CLIP * n), 0)]
-        self._set_bounds(lo, hi)
+        if not n:
+            return
+        # the two clip order statistics, selected rather than sorted
+        at = (min(int(self.TAIL_CLIP * n), n - 1),
+              max(n - 1 - int(self.TAIL_CLIP * n), 0))
+        values.partition(at)
+        self._set_bounds(values[at[0]], values[at[1]])
 
     # ---------------------------------------------------------- assignment
 
@@ -128,6 +141,17 @@ class StreamPartitioner:
             return 0
         cell = int(math.floor((v - self._lo) / self._width))
         return min(max(cell, 0), self.n_shards - 1)
+
+    def cells(self, v: np.ndarray) -> np.ndarray:
+        """The clamped cell (= owner shard) of every value in ``v``:
+        :meth:`_cell`'s subtraction, division, ``floor`` and clamp, as one
+        array pass (a quotient past the float range, where ``_cell``
+        raises, clamps like any other tail)."""
+        if not self._width > 0:
+            return np.zeros(v.shape, dtype=np.intp)
+        cell = (v - self._lo) / self._width
+        np.floor(cell, out=cell)
+        return cell.clip(0, self.n_shards - 1, out=cell).astype(np.intp)
 
     def shard_of(self, values: Sequence[float]) -> int:
         """The shard that *owns* a point with these attribute values."""
@@ -152,39 +176,52 @@ class StreamPartitioner:
         return (self._cell(v - self.radius), self._cell(v + self.radius))
 
     def split(self, batch: Sequence[Point]
-              ) -> Tuple[List[List[Point]], Dict[int, int]]:
-        """Route one batch: per-shard sub-batches plus the ownership map.
+              ) -> Tuple[List[List[Point]], List[List[int]]]:
+        """Route one batch: per-shard sub-batches plus each shard's
+        replicas.
 
         Each point lands in every shard of its replica span (arrival
         order is preserved within each shard, so shard buffers keep their
-        increasing-seq invariant); the returned dict maps each point's
-        ``seq`` to its owner shard -- the merger's dedup key.  An empty
-        batch yields ``n_shards`` empty sub-batches.
+        increasing-seq invariant); ``replicas[s]`` lists, in arrival
+        order, the seqs shard ``s`` receives but does not own -- the
+        merger drops their verdicts.  An empty batch yields ``n_shards``
+        empty sub-batches and replica lists.
         """
-        shard_batches: List[List[Point]] = [[] for _ in range(self.n_shards)]
-        owners: Dict[int, int] = {}
+        n_shards = self.n_shards
+        replicas: List[List[int]] = [[] for _ in range(n_shards)]
         if not batch:
-            return shard_batches, owners
+            return [[] for _ in range(n_shards)], replicas
         if self._lo is None:
             raise RuntimeError(
                 "partitioner has no bounds yet; call ensure_bounds first"
             )
-        if self.n_shards == 1:
+        if n_shards == 1:
             # one shard owns and receives everything: no cell math.  Axis
             # 0 exists on every point (a point has at least one attribute)
             if self.axis:
                 for p in batch:
                     self._check_axis(p)
-            return [list(batch)], dict.fromkeys([p.seq for p in batch], 0)
-        for p in batch:
-            self._check_axis(p)
-            v = p.values[self.axis]
-            owners[p.seq] = self._cell(v)
-            lo = self._cell(v - self.radius)
-            hi = self._cell(v + self.radius)
-            for s in range(lo, hi + 1):
-                shard_batches[s].append(p)
-        return shard_batches, owners
+            return [list(batch)], replicas
+        n = len(batch)
+        try:
+            v = np.fromiter((p.values[self.axis] for p in batch),
+                            dtype=np.float64, count=n)
+        except IndexError:
+            for p in batch:
+                self._check_axis(p)
+            raise
+        # the owner cell and both replica-span bounds (``v + 0.0`` and ``v
+        # + (-radius)`` are exactly ``v`` and ``v - radius``)
+        own, first, last = self.cells(v + self._offsets)
+        # (shard, record) of every delivery, by shard, then arrival
+        shard = self._shard_ids
+        to, rec = ((first <= shard) & (last >= shard)).nonzero()
+        cuts = to.searchsorted(shard.ravel()).tolist() + [len(to)]
+        routed = [batch[i] for i in rec.tolist()]
+        rep = (own[rec] != to).nonzero()[0]
+        for i, s in zip(rep.tolist(), to[rep].tolist()):
+            replicas[s].append(routed[i].seq)
+        return [routed[a:b] for a, b in zip(cuts, cuts[1:])], replicas
 
     def _check_axis(self, p: Point) -> None:
         if self.axis >= p.dim:

@@ -36,7 +36,9 @@ Output history: the shard executors keep none.  A stepping runtime
 records each boundary's merged outputs once, under ``(query, boundary)``
 keys, and :meth:`finish` hands that dict to the returned result; with
 ``keep_outputs=False`` (the long-lived service) it keeps only a count of
-the reports, so nothing grows per boundary but the meters.
+the reports, so nothing grows per boundary.  Its CPU meter sums the
+shards' per-boundary times as they happen (running totals, boundary
+aligned).
 """
 
 from __future__ import annotations
@@ -44,15 +46,18 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.point import Point
 from ..core.queries import QueryGroup
 from ..core.sop import SOPDetector
 from ..engine.config import DetectorConfig
+from ..metrics.meters import CpuMeter
 from ..metrics.results import OutputKey, RunResult, merge_work
 from ..streams.source import (IngestGuard, batches_by_boundary,
                               stream_end_boundary)
 from .backends import Backend, make_backend
-from .merger import Merger, union_outputs
+from .merger import Merger
 from .partitioner import StreamPartitioner
 from .shard import ShardExecutor
 
@@ -135,10 +140,12 @@ class Runtime:
         else:
             self.partitioner = StreamPartitioner(self.n_shards, radius)
         self.subscribers: List = []
-        #: owner shard of every seq a live shard may still report; empty
-        #: with one shard, where the merger keeps everything anyway
-        self._owners: Dict[int, int] = {}
-        self._merger = Merger(self._owners)
+        #: per-shard replica sets (the ownership filter); empty with one
+        #: shard, where the merger keeps everything anyway
+        self._merger = Merger(self.n_shards)
+        #: boundary-aligned CPU of a stepped run: the shards' per-boundary
+        #: times summed as each boundary completes
+        self._cpu = CpuMeter()
         self.keep_outputs = keep_outputs
         #: merged outputs of every stepped boundary (``keep_outputs``)
         self._outputs: Dict[OutputKey, FrozenSet[int]] = {}
@@ -178,14 +185,6 @@ class Runtime:
         self.subscribers.append(subscriber)
         return subscriber
 
-    def owner_of(self, seq: int) -> Optional[int]:
-        """Owner shard of a routed point a shard still buffers (None if
-        never routed or expired from every shard; always 0 with one
-        shard)."""
-        if self.n_shards == 1:
-            return 0
-        return self._owners.get(seq)
-
     # ------------------------------------------------------------ stepping
 
     def step(self, t: int, batch: Sequence[Point]) -> Outputs:
@@ -212,18 +211,18 @@ class Runtime:
         regressions), so their loops enter here directly.
         """
         self.partitioner.ensure_bounds(batch)
-        shard_batches, owners = self.partitioner.split(batch)
-        if self.n_shards > 1:
-            self._owners.update(owners)
+        shard_batches, replicas = self.partitioner.split(batch)
+        merger = self._merger
+        merger.add(replicas)
+        shards = self.shards
         per_shard = [
             shard.step(t, shard_batches[shard.shard_id])
-            for shard in self.shards
+            for shard in shards
         ]
+        self._cpu.add(sum(shard.result.cpu.last_ns for shard in shards))
+        merged = merger.merge_boundary(per_shard)
         if self.n_shards > 1:
-            merged = self._merger.merge_boundary(per_shard)
             self._forget_expired()
-        else:
-            merged = union_outputs(per_shard)
         if self.keep_outputs:
             history = self._outputs
             for qi, seqs in merged.items():
@@ -236,28 +235,14 @@ class Runtime:
         return merged
 
     def _forget_expired(self) -> None:
-        """Drop the owners of seqs no shard buffers any more: a shard
-        only reports points in its window, so they are never looked up
-        again.  Owners are inserted in seq order, so the stale ones are
-        a prefix."""
-        oldest = None
+        """Drop each shard's replicas older than its oldest buffered
+        point: a shard only reports points in its window."""
         for shard in self.shards:
             buffer = getattr(shard.detector, "buffer", None)
-            if buffer is None:
-                return
-            if len(buffer) and (oldest is None or buffer[0].seq < oldest):
-                oldest = buffer[0].seq
-        owners = self._owners
-        if oldest is None:
-            owners.clear()
-            return
-        stale = []
-        for seq in owners:
-            if seq >= oldest:
-                break
-            stale.append(seq)
-        for seq in stale:
-            del owners[seq]
+            if buffer is not None:
+                self._merger.forget_before(
+                    shard.shard_id,
+                    int(buffer.seq_array()[0]) if len(buffer) else None)
 
     def finish(self) -> RunResult:
         """Finalize every shard, merge meters and work counters, attach
@@ -266,6 +251,7 @@ class Runtime:
         result = self._merger.merge_results(
             [shard.finish() for shard in self.shards])
         result.outputs = self._outputs
+        result.cpu = self._cpu
         if not self.keep_outputs:
             result.reports = self._reports
         self.result = result
@@ -311,9 +297,8 @@ class Runtime:
                 self._step_clean(t, batch)
             return self.finish()
         # whole-stream backend: one task per shard, notifications replayed
-        shard_points, owners = self.partitioner.split(points)
-        if self.n_shards > 1:
-            self._owners.update(owners)
+        shard_points, replicas = self.partitioner.split(points)
+        self._merger.add(replicas)
         tasks = [
             (self.factory, self.group, tuple(shard_points[i]), until)
             for i in range(self.n_shards)
@@ -351,8 +336,9 @@ class Runtime:
         """Wrap restored (warm-started) detectors as this runtime's shards.
 
         Used by sharded checkpoint restore: ownership of every live
-        buffered point is recomputed from the partitioner, so merging
-        resumes exactly where the checkpointed runtime left off.
+        buffered point is recomputed from the partitioner -- each shard's
+        replica set -- so merging resumes exactly where the checkpointed
+        runtime left off.
         """
         if len(detectors) != self.n_shards:
             raise ValueError(
@@ -365,17 +351,18 @@ class Runtime:
         ]
         if self.n_shards == 1:
             return
-        owners = {}
+        part = self.partitioner
+        replicas: List[List[int]] = []
         for shard in self._shards:
             buffer = getattr(shard.detector, "buffer", None)
-            if buffer is None:
+            if buffer is None or not len(buffer):
+                replicas.append([])
                 continue
-            for p in buffer.points:
-                owners[p.seq] = (
-                    self.partitioner.shard_of(p.values)
-                    if self.partitioner.initialized else 0
-                )
-        self._owners.update(sorted(owners.items()))
+            own = (part.cells(buffer.matrix()[:, part.axis])
+                   if part.initialized else np.zeros(len(buffer), np.intp))
+            replicas.append(
+                buffer.seq_array()[own != shard.shard_id].tolist())
+        self._merger.add(replicas)
 
     def resume(self, points: Sequence[Point],
                until: Optional[int] = None) -> RunResult:
@@ -455,9 +442,8 @@ class Runtime:
         if not points:
             return
         self.partitioner.ensure_bounds(points)
-        shard_batches, owners = self.partitioner.split(points)
-        if self.n_shards > 1:
-            self._owners.update(owners)
+        shard_batches, replicas = self.partitioner.split(points)
+        self._merger.add(replicas)
         for shard in self.shards:
             batch = shard_batches[shard.shard_id]
             if batch:

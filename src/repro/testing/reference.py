@@ -64,11 +64,11 @@ class ReferenceRefresh(RefreshEngine):
     def __init__(self, plan, chunk_size: int = 256):
         self.runner = KSkyRunner(plan, chunk_size)
 
-    def _scan(self, det, rows, lo: int) -> ScanBatch:
+    def _scan(self, det, rows, lo) -> ScanBatch:
         buf = det.buffer
         results = [self.runner.scan_new_arrivals(buf[i].values, buf[i].seq,
-                                                 buf, lo)
-                   for i in rows.tolist()]
+                                                 buf, start)
+                   for i, start in zip(rows.tolist(), lo.tolist())]
         cols = [r.lsky.as_arrays() for r in results]
         return ScanBatch(
             np.repeat(np.arange(len(rows), dtype=np.int32),

@@ -19,7 +19,8 @@ class TestCpuMeter:
 
     def test_mean_ms(self):
         meter = CpuMeter()
-        meter.samples_ns = [1_000_000, 3_000_000]
+        meter.add(1_000_000)
+        meter.add(3_000_000)
         assert meter.mean_ms_per_window == pytest.approx(2.0)
         assert meter.max_ms == pytest.approx(3.0)
 

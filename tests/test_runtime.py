@@ -103,8 +103,10 @@ class TestStreamPartitioner:
     def test_split_owners_and_replicas(self):
         part = StreamPartitioner(2, 0.5, bounds=(0.0, 4.0))
         pts = line_points([0.5, 1.8, 2.5, 3.9])
-        shard_batches, owners = part.split(pts)
-        assert owners == {0: 0, 1: 0, 2: 1, 3: 1}
+        shard_batches, replicas = part.split(pts)
+        assert [part.shard_of(p.values) for p in pts] == [0, 0, 1, 1]
+        # shard 1 holds 1.8 (owned by shard 0) as a replica
+        assert replicas == [[], [1]]
         # 1.8 is strictly within 0.5 of the border at 2.0 -> both shards;
         # 2.5 spans down to exactly 2.0, which is already shard 1 territory
         # (any shard-0-owned neighbor is strictly below 2.0, so strictly
@@ -115,9 +117,18 @@ class TestStreamPartitioner:
     def test_every_neighbor_within_radius_lands_on_owner_shard(self):
         part = StreamPartitioner(5, 1.0, bounds=(0.0, 10.0))
         pts = line_points([i * 0.13 for i in range(77)])
-        shard_batches, owners = part.split(pts)
+        shard_batches, replicas = part.split(pts)
         holders = {p.seq: {s for s in range(5)
                            if p in shard_batches[s]} for p in pts}
+        # every point is held by exactly one shard that does not list it
+        # as a replica: its owner
+        owners = {}
+        for s in range(5):
+            for p in shard_batches[s]:
+                if p.seq not in replicas[s]:
+                    assert p.seq not in owners
+                    owners[p.seq] = s
+        assert owners == {p.seq: part.shard_of(p.values) for p in pts}
         for p in pts:
             for q in pts:
                 if abs(p.values[0] - q.values[0]) <= 1.0:
@@ -125,14 +136,14 @@ class TestStreamPartitioner:
 
     def test_empty_batch_and_degenerate_bounds(self):
         part = StreamPartitioner(3, 1.0)
-        batches, owners = part.split([])
-        assert batches == [[], [], []] and owners == {}
+        batches, replicas = part.split([])
+        assert batches == [[], [], []] and replicas == [[], [], []]
         # all values equal: width 0, everything owned by shard 0
         part.ensure_bounds(line_points([5.0, 5.0, 5.0]))
-        shard_batches, owners = part.split(line_points([5.0, 5.0]))
+        shard_batches, replicas = part.split(line_points([5.0, 5.0]))
         assert [p.seq for p in shard_batches[0]] == [0, 1]
         assert shard_batches[1] == [] and shard_batches[2] == []
-        assert set(owners.values()) == {0}
+        assert replicas == [[], [], []]
 
     def test_axis_out_of_range_is_loud(self):
         part = StreamPartitioner(2, 0.5, bounds=(0.0, 4.0), axis=3)
@@ -152,10 +163,10 @@ class TestStreamPartitioner:
                enumerate([0.5, 9.0, -3.0, 2.0, 2.0])]
         part = StreamPartitioner(1, 0.5, axis=axis)
         part.ensure_bounds(pts)
-        shard_batches, owners = part.split(pts)
+        shard_batches, replicas = part.split(pts)
         assert shard_batches == [pts]
-        assert owners == {p.seq: 0 for p in pts}
-        assert part.split([]) == ([[]], {})
+        assert replicas == [[]]
+        assert part.split([]) == ([[]], [[]])
         with pytest.raises(ValueError, match="axis 1 out of range"):
             StreamPartitioner(1, 0.5, bounds=(0.0, 1.0), axis=1).split(
                 pts + line_points([1.0], start_seq=5))
@@ -168,7 +179,8 @@ class TestStreamPartitioner:
 
 class TestMerger:
     def test_replica_verdicts_are_dropped(self):
-        merger = Merger({10: 0, 11: 1})
+        merger = Merger(2)
+        merger.add([[11], []])          # shard 0 holds 11 as a replica
         merged = merger.merge_boundary([
             {0: frozenset({10, 11})},   # shard 0 also reports replica 11
             {0: frozenset({11})},
@@ -176,7 +188,7 @@ class TestMerger:
         assert merged == {0: frozenset({10, 11})}
 
     def test_empty_shard_keeps_due_query_keys(self):
-        merger = Merger({})
+        merger = Merger(2)
         merged = merger.merge_boundary([
             {0: frozenset(), 1: frozenset()},
             {0: frozenset({5})},
@@ -187,7 +199,7 @@ class TestMerger:
         group = small_workload()
         points = make_synthetic_points(600, dim=2, seed=5)
         result = StreamExecutor(SOPDetector(group)).run(points)
-        merged = Merger({}).merge_results([result])
+        merged = Merger().merge_results([result])
         assert merged.outputs == result.outputs
         assert merged.work == result.work
         assert merged.boundaries == result.boundaries
@@ -195,7 +207,7 @@ class TestMerger:
 
     def test_merge_results_empty_is_loud(self):
         with pytest.raises(ValueError):
-            Merger({}).merge_results([])
+            Merger().merge_results([])
 
 
 # ------------------------------------------------------------- meter merging
@@ -203,11 +215,28 @@ class TestMerger:
 
 class TestMeterMerges:
     def test_cpu_merge_sums_boundary_aligned_samples(self):
+        """Whole-stream merges sum totals and maxima over the longest
+        schedule; a stepping runtime meters boundary-aligned sums."""
         a, b = CpuMeter(), CpuMeter()
-        a.samples_ns.extend([10, 20, 30])
-        b.samples_ns.extend([1, 2])
+        for ns in (10, 20, 30):
+            a.add(ns)
+        for ns in (1, 25):
+            b.add(ns)
         merged = CpuMeter.merge([a, b])
-        assert merged.samples_ns == [11, 22, 30]
+        assert (merged.total_ns, merged.count, merged.max_ns) == (86, 3, 55)
+        assert CpuMeter.merge([a]).max_ns == 30
+        # stepped: the runtime's meter holds the per-boundary shard sums
+        points = make_synthetic_points(600, dim=2, seed=2)
+        rt = Runtime(small_workload(), shards=2)
+        rt.partitioner.ensure_bounds(points)
+        sums = []
+        for t, batch in batches_by_boundary(points, rt.swift.slide,
+                                            rt.group.kind):
+            rt.step(t, batch)
+            sums.append(sum(s.result.cpu.last_ns for s in rt.shards))
+        cpu = rt.finish().cpu
+        assert (cpu.total_ns, cpu.count, cpu.max_ns) == (
+            sum(sums), len(sums), max(sums))
 
     def test_memory_merge_sums_peaks(self):
         a, b = MemoryMeter(), MemoryMeter()
@@ -270,7 +299,7 @@ class TestSingleShardOracle:
         assert result.boundaries == base.boundaries
         assert result.memory.peak_units == base.memory.peak_units
         assert result.memory.peak_points == base.memory.peak_points
-        assert len(result.cpu.samples_ns) == len(base.cpu.samples_ns)
+        assert len(result.cpu) == len(base.cpu) == base.boundaries
 
     def test_checkpoint_bytes_identical(self, tmp_path):
         group = small_workload()
@@ -358,10 +387,10 @@ class TestRunModes:
         assert stepped.outputs == whole.outputs
 
     def test_owner_map_stays_within_the_buffered_windows(self):
-        """Soak: a stepped 2-shard run over 200+ boundaries.  The owner
-        map forgets the owners of seqs every shard has expired, so it
-        never outgrows what the shards buffer; one shard keeps no map
-        at all.  No shard executor archives outputs at any boundary:
+        """Soak: a stepped 2-shard run over 200+ boundaries.  Each
+        shard's replica set forgets the seqs the shard has expired, so it
+        is exactly the buffered points the shard does not own; one shard
+        keeps no replicas at all.  No shard executor archives outputs at any boundary:
         ``finish`` hands back the runtime's one merged history, equal
         to the unsharded run's, and with ``keep_outputs=False`` the
         runtime holds no output keys and only counts the reports."""
@@ -385,14 +414,17 @@ class TestRunModes:
             assert bare.step(t, batch) == want
             assert one.step(t, batch) == want
             boundaries += 1
-            buffered = sum(len(s.detector.buffer) for s in rt.shards)
-            assert len(rt._owners) <= buffered
-            assert not one._owners
+            for shard, held in zip(rt.shards, rt._merger.replicas):
+                buf = shard.detector.buffer
+                assert held == {p.seq for p in buf.points
+                                if rt.partitioner.shard_of(p.values)
+                                != shard.shard_id}
+            assert not any(one._merger.replicas)
             for shard in rt.shards + bare.shards + one.shards:
                 assert shard.result.outputs == {}
             assert bare._outputs == {}
         assert boundaries >= 200
-        assert len(rt._owners) < len(points) // 4
+        assert sum(map(len, rt._merger.replicas)) < len(points) // 4
         assert reference.total_outliers() > 0
         assert rt.finish().outputs == reference.outputs
         assert one.finish().outputs == reference.outputs
