@@ -25,8 +25,9 @@ The single drive loop is :class:`~repro.engine.StreamExecutor`;
 
 from __future__ import annotations
 
+import time
 from abc import ABC
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.point import Point, get_metric
 from ..core.queries import QueryGroup
@@ -76,6 +77,30 @@ class Detector(ABC):
         outputs = self.step(t, batch)
         hooks.on_evaluate(t, outputs)
         return outputs
+
+    @classmethod
+    def run_boundaries(cls, detectors: Sequence["Detector"], t: int,
+                       batches: Sequence[Sequence[Point]], hooks: Sequence
+                       ) -> Iterator[Tuple[Dict[int, FrozenSet[int]], int]]:
+        """Process boundary ``t`` on several detectors of this class (the
+        shards of one runtime): ``batches[i]`` and ``hooks[i]`` belong to
+        ``detectors[i]``.
+
+        A generator: it yields ``(outputs, ns)`` per detector, in order
+        -- the detector's due outputs and the wall time charged to it --
+        and the caller (:meth:`StreamExecutor.step_all
+        <repro.engine.StreamExecutor.step_all>`) meters that detector and
+        fires its ``on_boundary_end`` before resuming it, so a
+        detector's first hook of the boundary follows the previous
+        detector's ``on_boundary_end``.  The default runs each
+        :meth:`run_boundary` in turn; a detector whose stages can share
+        work across detectors overrides it (SOP sweeps every shard's
+        K-SKY refresh at once).
+        """
+        for det, batch, sink in zip(detectors, batches, hooks):
+            start = time.perf_counter_ns()
+            outputs = det.run_boundary(t, batch, sink)
+            yield outputs, time.perf_counter_ns() - start
 
     def memory_units(self) -> int:
         """Current evidence-entry count (see ``repro.metrics.meters``)."""

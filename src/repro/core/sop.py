@@ -15,9 +15,10 @@ Execution model per swift boundary ``t`` (``slide = gcd`` of member slides,
    population.
 
 Since the staged-runtime refactor, that pipeline is explicit: the stages
-live in :meth:`SOPDetector.run_boundary` (driven by
-:class:`~repro.engine.StreamExecutor`, which fires lifecycle hooks after
-each stage), the refresh stage -- partition, scans, least-examination
+live in :meth:`SOPDetector.run_boundaries` (driven by
+:class:`~repro.engine.StreamExecutor`; lifecycle hooks fire after each
+stage), which runs each stage across every shard of a serial runtime at
+once -- one detector is its one-member case -- the refresh stage -- partition, scans, least-examination
 merge and safe-for-all commit -- is the :class:`~repro.engine.RefreshEngine`,
 the counting safe-for-all test is :class:`~repro.engine.SafetyTracker`,
 and due-query classification is :class:`~repro.engine.DueQueryEvaluator`.
@@ -63,6 +64,7 @@ from ..engine.config import DetectorConfig
 from ..engine.evaluator import DueQueryEvaluator
 from ..engine.refresh import RefreshEngine, VectorizedSkybandEngine
 from ..engine.safety import SafetyTracker
+from ..metrics.meters import LapClock
 from ..metrics.profiling import RefreshProfile
 from ..streams.buffer import WindowBuffer
 from .evidence import EvidenceTable, PointState
@@ -145,18 +147,65 @@ class SOPDetector(Detector):
 
     def run_boundary(self, t: int, batch: Sequence[Point], hooks
                      ) -> Dict[int, FrozenSet[int]]:
-        """Alg. 3 as an explicit stage pipeline, firing lifecycle hooks."""
-        self.ingest(t, batch)
-        hooks.on_ingest(t, batch)
-        evicted = self.expire(t)
-        hooks.on_expire(t, evicted)
-        due = self.group.due_members(t)
-        if self.eager or due:
-            self._refresh(float(max(0, t - self.swift.win)))
-            hooks.on_refresh(t)
-        out = self._evaluate_due(due, t) if due else {}
-        hooks.on_evaluate(t, out)
-        return out
+        """Alg. 3 as an explicit stage pipeline, firing lifecycle hooks:
+        the one-detector case of :meth:`run_boundaries`."""
+        [(outputs, _)] = self.run_boundaries([self], t, [batch], [hooks])
+        return outputs
+
+    @classmethod
+    def run_boundaries(cls, detectors, t, batches, hooks):
+        """Alg. 3 on several detectors of one workload, stage by stage:
+        ingest and expire on each, one refresh for all of them (a single
+        K-SKY tile sweep over every detector's rows), then one
+        evaluation pass over all of their tables -- yielding ``(outputs,
+        ns)`` per detector, in order (see :meth:`Detector.run_boundaries`).
+
+        The due set and the window start are shared (one group, one
+        swift schedule).  Hooks keep each detector's own order --
+        ingest, expire, refresh, evaluate -- and fire after their stage
+        is done: the first detector's ingest, expire and refresh hooks
+        once that stage has finished for every detector, the others' in
+        their turn, just before their ``on_evaluate``.  Each detector is
+        charged its own ingest and expire, the refresh time the refresh
+        engine attributes to it and the evaluation's time split by its
+        share of the evidence entries, so the charges sum to the
+        boundary's wall time.
+        """
+        # the first detector's hooks are charged to it by its next lap
+        laps = LapClock(len(detectors))
+        lead = detectors[0]
+        for i, (det, batch) in enumerate(zip(detectors, batches)):
+            det.ingest(t, batch)
+            laps.lap(i)
+        hooks[0].on_ingest(t, batches[0])
+        evicted = []
+        for i, det in enumerate(detectors):
+            evicted.append(det.expire(t))
+            laps.lap(i)
+        hooks[0].on_expire(t, evicted[0])
+        due = lead.group.due_members(t)
+        refreshed = bool(lead.eager or due)
+        if refreshed:
+            laps.lap(0)
+            lead.refresh_engine.refresh_all(
+                detectors, float(max(0, t - lead.swift.win)), laps)
+            hooks[0].on_refresh(t)
+        if due:
+            laps.lap(0)
+            outputs = lead.evaluator.evaluate_all(detectors, due, t)
+            laps.split([len(det.table) for det in detectors])
+        else:
+            outputs = [{} for _ in detectors]
+        for i, out in enumerate(outputs):
+            if i:
+                hooks[i].on_ingest(t, batches[i])
+                hooks[i].on_expire(t, evicted[i])
+                if refreshed:
+                    hooks[i].on_refresh(t)
+            hooks[i].on_evaluate(t, out)
+            laps.lap(i)
+            yield out, laps.ns[i]
+            laps.restart()
 
     # ----------------------------------------------------------- the stages
 
@@ -181,10 +230,6 @@ class SOPDetector(Detector):
             self.table.drop_rows(len(evicted),
                                  int(seqs[0]) if len(seqs) else None)
         return evicted
-
-    def _refresh(self, window_start: float) -> None:
-        """Stages 2+3: K-SKY refresh + safety, via the refresh engine."""
-        self.refresh_engine.refresh(self, window_start)
 
     def _evaluate_due(
         self, due: Sequence[int], t: int

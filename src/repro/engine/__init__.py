@@ -13,10 +13,14 @@ explicit architecture instead of an implementation detail of one class:
   (``on_ingest`` / ``on_expire`` / ``on_refresh`` / ``on_evaluate`` /
   ``on_boundary_end``) that metering, checkpointing, and alert routing
   subscribe to instead of re-implementing their own loops;
+  ``StreamExecutor.step_all`` steps a serial runtime's shards through a
+  boundary together, stage by stage;
 * :class:`RefreshEngine` -- the K-SKY refresh stage: give each of the
   evidence table's rows to refresh its start, run one
   :class:`VectorizedSkybandEngine` ``scan_batched`` sweep over all of
-  them (one pairwise kernel per tile), commit them all at once, profile;
+  them (one pairwise kernel per tile and detector -- the rows of every
+  shard of a boundary share one sweep), commit them all at once,
+  profile;
 * :class:`SafetyTracker` -- the safe-for-all test (Sec. 4.1/4.2) in its
   counting form, as a separable component;
 * :class:`DueQueryEvaluator` -- the vectorized due-query classification

@@ -154,22 +154,40 @@ class StreamExecutor:
     # ------------------------------------------------------------- stepping
 
     def step(self, t: int, batch: Sequence[Point]) -> Outputs:
-        """Process one boundary: pipeline stages, metering, hooks.
+        """Process one boundary: pipeline stages, metering, hooks -- the
+        one-executor case of :meth:`step_all`.
 
         Returns the due outputs; ``result.outputs`` is not written.
         """
-        detector = self.detector
-        result = self.result
-        result.cpu.start()
-        try:
-            outputs = detector.run_boundary(t, batch, self.hooks)
-        finally:
-            result.cpu.stop()
-        result.boundaries += 1
-        result.memory.sample(detector.memory_units(),
-                             detector.tracked_points())
-        self.hooks.on_boundary_end(t, outputs)
-        return outputs
+        return self.step_all([self], t, [batch])[0]
+
+    @staticmethod
+    def step_all(executors: Sequence["StreamExecutor"], t: int,
+                 batches: Sequence[Sequence[Point]]) -> List[Outputs]:
+        """Process boundary ``t`` on several executors whose detectors
+        share one class and workload (the shards of a runtime); returns
+        each one's due outputs, in order.
+
+        The detector class steps them together
+        (``run_boundaries``: SOP runs each stage across all of them,
+        other detectors one after another).  Each executor still meters
+        one CPU sample and one memory sample per boundary and fires its
+        hooks in its detector's stage order, ``on_boundary_end`` last,
+        before the next executor's first hook.
+        """
+        detectors = [ex.detector for ex in executors]
+        stages = type(detectors[0]).run_boundaries(
+            detectors, t, batches, [ex.hooks for ex in executors])
+        outs = []
+        for ex, (outputs, ns) in zip(executors, stages):
+            result = ex.result
+            result.cpu.add(ns)
+            result.boundaries += 1
+            result.memory.sample(ex.detector.memory_units(),
+                                 ex.detector.tracked_points())
+            ex.hooks.on_boundary_end(t, outputs)
+            outs.append(outputs)
+        return outs
 
     def run(self, points: Sequence[Point],
             until: Optional[int] = None) -> RunResult:

@@ -19,19 +19,22 @@ sweep at its own start.  Scan order, chunk boundaries and
 termination cadence replicate the paper's per-point walk exactly, and the
 commit merges every scanned row at once (DESIGN.md section 15); the
 lockstep suites hold both bit-exact against the literal per-row refresh
-(``repro.testing.ReferenceRefresh``).  No decision reads a clock, so the
-work counters of a run repeat exactly.
+(``repro.testing.ReferenceRefresh``).  The shards of a serial runtime
+refresh together (:meth:`RefreshEngine.refresh_all`): each prepares its
+rows, one sweep scans all of them -- every row down from its own
+buffer's top, so each keeps its lone walk -- and each commits its own.
+No decision reads a clock, so the work counters of a run repeat exactly.
 """
 
 from __future__ import annotations
 
-import time
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..core.ksky import _Resolution
 from ..core.lsky_soa import insert_limits, near_entries, resolve_entries
+from ..metrics.meters import LapClock
 from .safety import layer_counts
 
 __all__ = ["RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
@@ -50,6 +53,9 @@ class ScanBatch(NamedTuple):
     and ``terminated`` are per row.  ``counts[row, layer]`` is how many of
     a row's entries sit at each layer -- what the scan engine kept to
     decide its inserts (``None``: the commit counts the entries).
+    ``iters``, ``inserts`` and ``near`` are the scan engine's tallies for
+    these rows (interpreted resolve steps, entries committed, near tile
+    cells resolved -- 0 for the reference walk).
     """
 
     owner: np.ndarray
@@ -59,28 +65,94 @@ class ScanBatch(NamedTuple):
     examined: np.ndarray
     terminated: np.ndarray
     counts: Optional[np.ndarray] = None
+    iters: int = 0
+    inserts: int = 0
+    near: int = 0
+
+
+class _Prepared(NamedTuple):
+    """One detector's refresh between its prepare and its finish."""
+
+    det: object
+    rows: np.ndarray
+    surv: np.ndarray
+    lo: np.ndarray
+    newest_seq: int
+    kernels0: int
+    cells0: int
+    batched0: int
+    screened: int
+    pruned: int
 
 
 class RefreshEngine:
-    """Runs the refresh stage of one boundary."""
+    """Runs the refresh stage of one boundary -- of one detector, or of
+    several detectors over one plan (the shards of a runtime) in one
+    sweep: a per-detector prepare, one joint :meth:`_scan`, a
+    per-detector finish."""
 
     def refresh(self, det, window_start: float) -> None:
         """Run K-SKY for every live, non-fully-safe point of ``det``."""
+        self.refresh_all([det], window_start)
+
+    def refresh_all(self, dets: Sequence, window_start: float,
+                    laps: Optional[LapClock] = None) -> None:
+        """Refresh every detector of ``dets`` (one plan, one window start)
+        with one scan sweep over all of their rows.
+
+        Each detector's outcome -- evidence, stats, profile sample -- is
+        exactly what :meth:`refresh` alone gives it (the sweep keeps
+        every row's walk; DESIGN.md section 12), bar what depends on how
+        the joint sweep is tiled: the profile's ``python_insert_iters``
+        (a joint tile is one step, booked once), ``kernel_launches`` and
+        ``kernel_cells`` (one kernel per detector per joint tile) and
+        ``near_candidates`` (the reach is read once per tile).  Each
+        detector's refresh time -- its own prepare and finish plus its
+        rows' share of the joint scan -- is its ``refresh_ns`` sample and
+        is charged to it on ``laps`` (a clock over ``dets`` whose last lap
+        ends where the stage starts; default: one of its own), so the
+        samples sum to the stage's wall time.
+        """
+        if laps is None:
+            laps = LapClock(len(dets))
+        before = laps.ns[:]
+        prepared = []
+        #: the scanned detectors, their rows and starts; each detector's
+        #: share of the scan, by rows
+        scanned, rows, lo = [], [], []
+        weights = [0] * len(dets)
+        for i, det in enumerate(dets):
+            prep = self._prepare(det)
+            laps.lap(i)
+            if prep is not None:
+                prepared.append((i, prep))
+                scanned.append(det)
+                rows.append(prep.rows)
+                lo.append(prep.lo)
+                weights[i] = len(prep.rows)
+        if not prepared:
+            return
+        scans = self._scan(scanned, rows, lo)
+        laps.split(weights)
+        for (i, prep), scan in zip(prepared, scans):
+            self._finish(prep, scan, window_start)
+            laps.lap(i)
+            self._record(prep, scan, laps.ns[i] - before[i])
+
+    def _prepare(self, det) -> Optional[_Prepared]:
+        """The screen, the rows to scan and their starts (None: nothing
+        buffered, no refresh)."""
         buf = det.buffer
         table = det.table
         n = len(buf)
         if not n:
-            return
+            return None
         if len(table.seen) != n:
             raise RuntimeError(
                 f"evidence table holds {len(table.seen)} rows for {n} "
                 "buffered points; load points through warm_start()")
-        t0 = time.perf_counter_ns()
         kernels0, cells0 = buf.kernel_calls, buf.kernel_cells
         batched0 = det.stats["batched_scans"]
-        eng = det.skyband_engine
-        py0, soa0, near0 = eng.py_iters, eng.soa_rows, eng.near
-        stats = det.stats
         seq_arr = buf.seq_array()
         newest_seq = int(seq_arr[-1])
 
@@ -106,7 +178,7 @@ class RefreshEngine:
                 pf_pruned = len(certified)
                 table.safe[certified] = True
                 table.touch(certified, newest_seq)
-                stats["fully_safe_marked"] += pf_pruned
+                det.stats["fully_safe_marked"] += pf_pruned
             screen.observe(pf_screened, pf_pruned)
 
         # survivors scan from their first unseen arrival (a searchsorted,
@@ -119,42 +191,57 @@ class RefreshEngine:
             np.zeros(len(rows), dtype=bool))
         lo = np.zeros(len(rows), dtype=np.intp)
         lo[surv] = np.searchsorted(seq_arr, seen[surv] + 1)
-        scan = self._scan(det, rows, lo)
+        return _Prepared(det, rows, surv, lo, newest_seq, kernels0, cells0,
+                         batched0, pf_screened, pf_pruned)
 
-        examined, safe, owner, src = self._commit(det, rows, surv, scan,
+    def _finish(self, prep: _Prepared, scan: ScanBatch,
+                window_start: float) -> None:
+        """Commit one detector's scans: counters, safe flags, rebuild."""
+        det, rows = prep.det, prep.rows
+        table = det.table
+        stats = det.stats
+        examined, safe, owner, src = self._commit(det, rows, prep.surv, scan,
                                                   window_start)
         stats["ksky_runs"] += len(rows)
         stats["points_examined"] += int(examined.sum())
         stats["early_terminations"] += int(np.count_nonzero(scan.terminated))
         stats["fully_safe_marked"] += int(np.count_nonzero(safe))
         table.safe[rows[safe]] = True
-        table.touch(rows, newest_seq)
+        table.touch(rows, prep.newest_seq)
         table.rebuild(owner, src, scan.seq, scan.pos, scan.layer)
 
-        # ``python_insert_iters`` is the interpreted steps the scan engine
-        # actually spent (tiles resolved + cadence-regime rows), not the
-        # logical candidate count -- that is ``points_examined``
+    @staticmethod
+    def _record(prep: _Prepared, scan: ScanBatch, refresh_ns: int) -> None:
+        """One detector's profile sample.  ``python_insert_iters`` is the
+        interpreted steps the scan engine actually spent (tiles resolved
+        + cadence-regime rows), not the logical candidate count -- that
+        is ``points_examined``."""
+        det = prep.det
+        buf = det.buffer
         det.profile.record(
-            time.perf_counter_ns() - t0,
-            buf.kernel_calls - kernels0,
-            stats["batched_scans"] - batched0,
-            eng.py_iters - py0,
-            soa_insert_rows=eng.soa_rows - soa0,
-            near_candidates=eng.near - near0,
-            prefilter_screened=pf_screened,
-            prefilter_suspects=pf_screened - pf_pruned,
-            prefilter_pruned=pf_pruned,
-            kernel_cells=buf.kernel_cells - cells0,
+            refresh_ns,
+            buf.kernel_calls - prep.kernels0,
+            det.stats["batched_scans"] - prep.batched0,
+            scan.iters,
+            soa_insert_rows=scan.inserts,
+            near_candidates=scan.near,
+            prefilter_screened=prep.screened,
+            prefilter_suspects=prep.screened - prep.pruned,
+            prefilter_pruned=prep.pruned,
+            kernel_cells=buf.kernel_cells - prep.cells0,
         )
 
-    def _scan(self, det, rows: np.ndarray, lo: np.ndarray) -> ScanBatch:
-        """Scan every row (live indexes ``rows``), row ``j`` over live
-        indexes ``[lo[j], end)`` -- the hook
-        ``repro.testing.ReferenceRefresh`` overrides.  ``lo[j]`` is 0 for
-        a from-scratch row and its first unseen arrival for a
-        survivor."""
-        det.stats["batched_scans"] += len(rows)
-        return det.skyband_engine.scan_batched(rows, det.buffer, lo)
+    def _scan(self, dets: Sequence, rows: Sequence[np.ndarray],
+              lo: Sequence[np.ndarray]) -> List[ScanBatch]:
+        """Scan every detector's rows (live indexes ``rows[d]``), row
+        ``j`` of detector ``d`` over live indexes ``[lo[d][j], end)``, in
+        one sweep -- the hook ``repro.testing.ReferenceRefresh``
+        overrides.  ``lo[d][j]`` is 0 for a from-scratch row and its
+        first unseen arrival for a survivor.  One batch per detector."""
+        for det, r in zip(dets, rows):
+            det.stats["batched_scans"] += len(r)
+        return dets[0].skyband_engine.scan_batched(
+            rows, [det.buffer for det in dets], lo)
 
     def _commit(self, det, rows: np.ndarray, surv: np.ndarray,
                 scan: ScanBatch, window_start: float):
@@ -237,14 +324,14 @@ class VectorizedSkybandEngine:
     (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
     replayed.  :meth:`scan_batched` feeds it each tile with the row state
     (start, stored layer counts, exit index) held in arrays and returns
-    the inserted entries flat, as one :class:`ScanBatch` for the
-    boundary.
+    the inserted entries flat, as one :class:`ScanBatch` per detector.
 
-    ``py_iters`` (the profile's ``python_insert_iters``) counts the
-    interpreted steps left: one per resolved tile and one per row in the
-    ``_CHECK_EVERY`` cadence regime.  ``soa_rows`` counts the skyband
-    entries committed, ``near`` the tile cells the resolve consumed up to
-    each row's stop.
+    Each batch carries its detector's share of the engine's own tallies:
+    ``iters`` (the profile's ``python_insert_iters``) counts the
+    interpreted steps left -- one per resolved tile, booked once, and one
+    per row in the ``_CHECK_EVERY`` cadence regime; ``inserts`` the
+    skyband entries committed, ``near`` the tile cells the resolve
+    consumed up to each row's stop.
     """
 
     def __init__(self, plan, chunk_size: int = 256):
@@ -267,43 +354,49 @@ class VectorizedSkybandEngine:
         #: narrowest dtype holding a layer index, the ``n_layers``
         #: sentinel included (scan tiles and the evidence table use it)
         self.layer_dtype = np.min_scalar_type(plan.n_layers)
-        #: interpreted resolve steps (the profile's
-        #: ``python_insert_iters``)
-        self.py_iters = 0
-        #: skyband entries committed
-        self.soa_rows = 0
-        #: near tile cells resolved (the profile's ``near_candidates``)
-        self.near = 0
 
-    def scan_batched(self, row_indexes, buffer, lo) -> ScanBatch:
+    def scan_batched(self, row_indexes, buffer, lo):
         """Chunk-synchronous batched scans, row ``j`` over live indexes
-        ``[lo[j], end)`` (``lo`` per row, or one start for every row).
+        ``[lo[j], end)`` (``lo`` per row, or one start for every row);
+        returns one :class:`ScanBatch`.
+
+        Several detectors' rows share one sweep when ``row_indexes``,
+        ``buffer`` and ``lo`` are lists with one item per detector -- its
+        *segment*: its rows, its buffer and their starts.  The result is
+        then a list with one :class:`ScanBatch` per segment, each exactly
+        what the segment alone would have returned (below).
 
         ``row_indexes`` gives the live-buffer index of each evaluated
         point; the result's ``owner`` indexes it.  Every row walks down
-        from the buffer top, so one sweep of tiles serves them all: each
-        tile costs one ``pairwise_block`` kernel over the still-active
-        rows, one compaction of that tile to its near entries and one
+        from its own buffer top, so one sweep of tiles serves them all.
+        The sweep runs in *scan-position* space: position ``s`` of a row
+        is live index ``top - 1 - s`` of its own buffer, and a tile spans
+        the same positions for every row.  Each tile costs one
+        ``pairwise_block`` kernel per segment over its still-active rows
+        (a segment whose candidates end inside the tile fills the
+        columns past them with ``+inf``; none of its rows reaches them),
+        one compaction of the stacked tile to its near entries and one
         :func:`~repro.core.lsky_soa.resolve_entries` over them -- rows
         that terminate, and rows whose own range ends inside a tile, drop
-        out of subsequent tiles.  A sweep takes at most ``_SWEEP_CELLS //
-        chunk_size`` rows; more are swept in blocks of that many, ordered
-        by start so the rows with the longest ranges share their later
-        tiles.  A tile's columns below a row's start
-        are not that row's candidates: the compaction drops them and the
-        resolve reads the row's tile bottom at its start (DESIGN.md
-        section 12).
+        out of subsequent tiles.  With one segment the kernel's output is
+        the tile.  A sweep takes at most ``_SWEEP_CELLS // chunk_size``
+        rows; more are swept in blocks of that many, the rows with the
+        longest ranges first so they share their later tiles.  A tile's
+        positions past a row's start are not that row's candidates: the
+        compaction drops them and the resolve reads the row's tile bottom
+        at its start (DESIGN.md section 12).
 
-        The first tile is one logical chunk (``chunk_size`` candidates,
-        anchored at the buffer top); each later one spans twice the last
-        tile's chunks, capped so that it never holds more cells than one
-        chunk for every row whose range reaches past the first tile -- a
-        sweep's transient memory never exceeds its first chunk's.  The
-        logical chunk stays the unit of the paper's walk: the resolve
-        runs each chunk's boundary check inside a wide tile (DESIGN.md
-        section 12), and each row charges ``distance_rows`` for the
-        chunks up to and including the one it stops in, the last one cut
-        at its start, which keeps it identical to running
+        The first tile is one logical chunk (``chunk_size`` positions
+        from the top); each later one spans twice the last tile's chunks,
+        capped so that it never holds more cells than one chunk for every
+        row whose range reaches past the first tile -- a sweep's
+        transient memory never exceeds its first chunk's.  The logical
+        chunk stays the unit of the paper's walk, counted from each row's
+        own buffer top: the resolve runs each chunk's boundary check
+        inside a wide tile (DESIGN.md section 12), and each row charges
+        its own buffer's ``distance_rows`` for the chunks up to and
+        including the one it stops in, the last one cut at its start,
+        which keeps it identical to running
         ``KSkyRunner.scan_new_arrivals`` per row (the per-point walk pays
         for a whole chunk before consuming it); the cells a wide tile
         computed past a row's stop, or below its start, show only in
@@ -327,16 +420,43 @@ class VectorizedSkybandEngine:
         whose boundary check ended it, or its start), bar the point
         itself.
         """
+        if isinstance(buffer, (list, tuple)):
+            return self._sweep(row_indexes, buffer, lo)
+        return self._sweep([row_indexes], [buffer], [lo])[0]
+
+    def _sweep(self, row_indexes, buffers, lo) -> List[ScanBatch]:
+        """:meth:`scan_batched` over one segment per buffer.  Rows are
+        numbered segment by segment; with one segment every per-segment
+        split below is the identity and is skipped."""
         plan = self.plan
         n_layers = plan.n_layers
         k_max = plan.k_max
         chunk = self.chunk_size
-        hi = len(buffer)
-        n = len(row_indexes)
-        mat = buffer.matrix()
-        self_idx = np.asarray(row_indexes, dtype=np.intp)
-        starts = np.minimum(np.broadcast_to(
-            np.asarray(lo, dtype=np.intp), (n,)), hi)
+        n_seg = len(buffers)
+        one = n_seg == 1
+        his = [len(b) for b in buffers]
+        if one:
+            self_idx = np.asarray(row_indexes[0], dtype=np.intp)
+            n = len(self_idx)
+            top = his[0]
+            start = np.minimum(np.broadcast_to(
+                np.asarray(lo[0], dtype=np.intp), (n,)), top)
+        else:
+            idx = [np.asarray(r, dtype=np.intp) for r in row_indexes]
+            #: each segment's row range: ``first[s]:first[s + 1]``
+            first = np.zeros(n_seg + 1, dtype=np.intp)
+            np.cumsum([len(r) for r in idx], out=first[1:])
+            n = int(first[-1])
+            self_idx = np.concatenate(idx)
+            start = np.concatenate([
+                np.minimum(np.broadcast_to(np.asarray(s, dtype=np.intp),
+                                           (len(r),)), h)
+                for s, r, h in zip(lo, idx, his)])
+            #: each row's own buffer top
+            top = np.repeat(np.asarray(his, dtype=np.intp), np.diff(first))
+        #: each row's candidates: scan positions ``[0, end)``
+        end = top - start
+        mats = [b.matrix() for b in buffers]
         # degenerate empty sub-group template: the reference walk
         # terminates such rows at the first boundary check, which the
         # zero-selection fold would elide
@@ -344,16 +464,19 @@ class VectorizedSkybandEngine:
         cadence = len(self._pending) > _Resolution._EXACT_LIMIT
 
         counts = np.zeros((n, n_layers), dtype=np.int32)
-        #: live index each scan stopped at: its terminating candidate, the
-        #: bottom of the chunk whose boundary check ended it, or its start
-        exit_at = starts.copy()
+        #: scan position each scan stopped before: its terminating
+        #: candidate's, its stopping chunk's bottom's, or its end
+        exit_pos = end.copy()
         terminated = np.zeros(n, dtype=bool)
-        #: rows with candidates, swept ``per_sweep`` at a time -- by start,
-        #: so the rows with the longest ranges share their later tiles
-        todo = (starts < hi).nonzero()[0]
+        #: per segment: interpreted resolve steps and near cells resolved
+        iters = [0] * n_seg
+        near = [0] * n_seg
+        #: rows with candidates, swept ``per_sweep`` at a time -- the
+        #: longest ranges first, so they share their later tiles
+        todo = (end > 0).nonzero()[0]
         per_sweep = max(1, _SWEEP_CELLS // chunk)
         if len(todo) > per_sweep:
-            todo = todo[np.argsort(starts[todo], kind="stable")]
+            todo = todo[np.argsort(-end[todo], kind="stable")]
         act = todo[:0]
         #: inserted entries per tile: owning row, live index, layer
         owners = [np.empty(0, dtype=np.intp)]
@@ -361,25 +484,48 @@ class VectorizedSkybandEngine:
         layers = [np.empty(0, dtype=self.layer_dtype)]
         while len(act) or len(todo):
             if not len(act):
-                # a sweep starts at the buffer top with one logical chunk
+                # a sweep starts at the buffer tops with one logical chunk
                 act, todo = todo[:per_sweep], todo[per_sweep:]
-                q_mat: Optional[np.ndarray] = None
+                if not one:
+                    # each segment's rows contiguous, in segment order
+                    act = np.sort(act)
+                q_mats: Optional[list] = None
                 #: cells of a later tile: at most one chunk per row whose
                 #: range reaches past the first tile
-                cap = chunk * int(np.count_nonzero(starts[act] < hi - chunk))
+                cap = chunk * int(np.count_nonzero(end[act] > chunk))
                 span = 0
-                block_hi = hi
+                p0 = 0
             # logical chunks in this tile: one, then twice the last tile's
             span = min(2 * span, cap // (len(act) * chunk)) or 1
-            a_lo = starts[act]
-            block_lo = max(int(a_lo.min()), block_hi - span * chunk)
-            n_cols = block_hi - block_lo
+            a_end = end[act]
+            p1 = min(int(a_end.max()), p0 + span * chunk)
             #: each row's candidates in the tile: down to its own start
-            widths = block_hi - np.maximum(a_lo, block_lo)
+            widths = np.minimum(a_end, p1) - p0
             own = self_idx[act]
-            if q_mat is None:
-                q_mat = mat[own]
-            dists = buffer.pairwise_block(q_mat, block_lo, block_hi)
+            if one:
+                a_top = top
+                if q_mats is None:
+                    q_mats = [mats[0][own]]
+                dists = buffers[0].pairwise_block(q_mats[0], top - p1,
+                                                  top - p0)
+            else:
+                a_top = top[act]
+                #: each segment's slice of the tile's rows
+                cuts = act.searchsorted(first)
+                if q_mats is None:
+                    q_mats = [m[own[a:b]] for m, a, b in zip(mats, cuts,
+                                                              cuts[1:])]
+                dists = np.empty((len(act), p1 - p0))
+                for buf, q, h, a, b in zip(buffers, q_mats, his, cuts,
+                                           cuts[1:]):
+                    if a == b:
+                        continue
+                    # the segment's columns end at its rows' deepest
+                    # candidate; the positions past it are no row's
+                    cols = int(widths[a:b].max())
+                    dists[a:b, :p1 - p0 - cols] = np.inf
+                    dists[a:b, p1 - p0 - cols:] = buf.pairwise_block(
+                        q, h - p0 - cols, h - p0)
             csum = np.cumsum(counts[act], axis=1, dtype=np.int32)
             # a point is no candidate of its own scan (Def. 5 ranges over
             # D_W - p).  The reach is read once per tile; inserts inside
@@ -387,11 +533,11 @@ class VectorizedSkybandEngine:
             # at layers closed earlier in the tile, which the resolve
             # rejects.
             r_i, s_i, lay = near_entries(
-                dists, own - block_lo,
+                dists, own - (a_top - p1),
                 self._reach[(csum < k_max).sum(axis=1)], plan.grid, widths)
             del dists
             if has_template and not len(r_i):
-                buffer.distance_rows += int(widths.sum())
+                charge = widths
             else:
                 rank = self._sub_ks - csum[:, self._sub_layers]
                 ins, stop, pending = resolve_entries(
@@ -400,20 +546,31 @@ class VectorizedSkybandEngine:
                 # each row pays for the logical chunks up to the one it
                 # stops in, as the per-point walk does; the resolve
                 # consumed the near entries up to its stop
-                buffer.distance_rows += int(np.minimum(
-                    (stop // chunk + 1) * chunk, widths).sum())
-                self.near += int(np.count_nonzero(s_i <= stop[r_i]))
-                self.py_iters += 1
+                charge = np.minimum((stop // chunk + 1) * chunk, widths)
+                took = s_i <= stop[r_i]
+                # one interpreted step per tile, booked to its first
+                # segment's detector
+                if one:
+                    near[0] += int(np.count_nonzero(took))
+                    iters[0] += 1
+                else:
+                    _add(near, _by_segment(np.bincount(
+                        r_i[took], minlength=len(act)), cuts))
+                    iters[first.searchsorted(act[0], "right") - 1] += 1
                 if cadence:
                     hit = np.zeros(len(act), dtype=bool)
                     hit[r_i] = True
-                    self.py_iters += int(np.count_nonzero(
-                        hit & ((rank > 0).sum(axis=1)
-                               > _Resolution._EXACT_LIMIT)))
+                    slow = hit & ((rank > 0).sum(axis=1)
+                                  > _Resolution._EXACT_LIMIT)
+                    if one:
+                        iters[0] += int(np.count_nonzero(slow))
+                    else:
+                        _add(iters, _by_segment(slow, cuts))
                 sel = ins.nonzero()[0]
                 r_sel, l_sel = r_i[sel], lay[sel]
                 owners.append(act[r_sel])
-                lives.append((block_hi - 1) - s_i[sel])
+                lives.append(((a_top if one else a_top[r_sel]) - p0 - 1)
+                             - s_i[sel])
                 layers.append(l_sel.astype(self.layer_dtype))
                 counts[act] += np.bincount(
                     r_sel * n_layers + l_sel,
@@ -426,29 +583,62 @@ class VectorizedSkybandEngine:
                     # or an inner chunk's bottom -- or, when its last
                     # check in the tile ended it (stop == its width), at
                     # its tile bottom
-                    exit_at[act[done]] = block_hi - np.where(
+                    exit_pos[act[done]] = p0 + np.where(
                         stopped[done], stop[done] + 1, widths[done])
                     terminated[act[done]] = True
-            block_hi = block_lo
+            # each row charges its own buffer
+            if one:
+                buffers[0].distance_rows += int(charge.sum())
+            else:
+                for buf, rows in zip(buffers, _by_segment(charge, cuts)):
+                    buf.distance_rows += rows
+            p0 = p1
             # a row whose range ended in this tile unresolved keeps its
-            # start as exit point
-            going = ~terminated[act] & (a_lo < block_lo)
+            # end as exit point
+            going = ~terminated[act] & (a_end > p1)
             if not going.all():
                 act = act[going]
-                q_mat = None
+                q_mats = None
 
         # everything newer than the exit point was examined, bar the
         # evaluated point itself
-        examined = (hi - exit_at) - (exit_at <= self_idx)
+        examined = exit_pos - ((top - exit_pos) <= self_idx)
         owner = np.concatenate(owners)
         order = np.argsort(owner, kind="stable")
+        owner = owner[order]
         live = np.concatenate(lives)[order]
-        self.soa_rows += len(live)
-        return ScanBatch(owner[order].astype(np.int32),
-                         buffer.seq_array()[live],
-                         buffer.pos_array(self.by_time)[live],
-                         np.concatenate(layers)[order], examined, terminated,
-                         counts)
+        layer = np.concatenate(layers)[order]
+        if one:
+            buf = buffers[0]
+            return [ScanBatch(owner.astype(np.int32), buf.seq_array()[live],
+                              buf.pos_array(self.by_time)[live], layer,
+                              examined, terminated, counts, iters=iters[0],
+                              inserts=len(live), near=near[0])]
+        ends = owner.searchsorted(first)
+        out = []
+        for s, buf in enumerate(buffers):
+            a, b = ends[s], ends[s + 1]
+            r0, r1 = first[s], first[s + 1]
+            at = live[a:b]
+            out.append(ScanBatch(
+                (owner[a:b] - r0).astype(np.int32), buf.seq_array()[at],
+                buf.pos_array(self.by_time)[at], layer[a:b],
+                examined[r0:r1], terminated[r0:r1], counts[r0:r1],
+                iters=iters[s], inserts=int(b - a), near=near[s]))
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorizedSkybandEngine(chunk_size={self.chunk_size})"
+
+
+def _by_segment(values: np.ndarray, cuts: np.ndarray) -> List[int]:
+    """Sums of ``values`` over the row slices ``cuts`` delimits."""
+    total = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return np.diff(total[cuts]).tolist()
+
+
+def _add(into: List[int], values: List[int]) -> None:
+    """``into[s] += values[s]`` for every segment."""
+    for s, v in enumerate(values):
+        into[s] += v

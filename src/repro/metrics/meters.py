@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-__all__ = ["CpuMeter", "MemoryMeter", "EVIDENCE_ENTRY_BYTES", "POINT_STATE_BYTES"]
+__all__ = ["CpuMeter", "LapClock", "MemoryMeter", "EVIDENCE_ENTRY_BYTES", "POINT_STATE_BYTES"]
 
 #: cost model: one evidence entry ~ (neighbor id + position + layer/distance)
 EVIDENCE_ENTRY_BYTES = 24
@@ -97,6 +97,55 @@ class CpuMeter:
             out.count = max(out.count, m.count)
             out.max_ns += m.max_ns
         return out
+
+
+class LapClock:
+    """One stretch of wall time, charged to ``n`` members as it runs.
+
+    :meth:`lap` charges the time since the previous lap (or the clock's
+    start) to one member, :meth:`split` shares it out by weight; only
+    what lies between :meth:`restart` and the lap before it goes
+    uncharged.  A stage run jointly for several shards is metered this
+    way in per-shard samples (``ns``) that add up to its wall time.
+    """
+
+    def __init__(self, n: int) -> None:
+        #: nanoseconds charged to each member
+        self.ns = [0] * n
+        self._at = time.perf_counter_ns()
+
+    def restart(self) -> None:
+        """Leave the time since the last lap uncharged."""
+        self._at = time.perf_counter_ns()
+
+    def lap(self, i: int) -> None:
+        """Charge the time since the last lap to member ``i``."""
+        now = time.perf_counter_ns()
+        self.ns[i] += now - self._at
+        self._at = now
+
+    def split(self, weights: Sequence[int]) -> None:
+        """Charge the time since the last lap to every member in
+        proportion to ``weights`` (evenly when all are 0), in whole
+        nanoseconds that sum to it exactly."""
+        now = time.perf_counter_ns()
+        elapsed = rest = now - self._at
+        self._at = now
+        ns = self.ns
+        if len(ns) == 1:
+            ns[0] += elapsed
+            return
+        total = sum(weights)
+        if not total:
+            weights, total = [1] * len(ns), len(ns)
+        heaviest = 0
+        for i, w in enumerate(weights):
+            share = elapsed * w // total
+            ns[i] += share
+            rest -= share
+            if w > weights[heaviest]:
+                heaviest = i
+        ns[heaviest] += rest
 
 
 class MemoryMeter:

@@ -6,7 +6,9 @@ launches per boundary into O(tiles) -- fewer than the logical chunks a
 scan walks, because a sweep's tiles after its first double in width.  To *prove* that -- and to keep it provable as the code evolves
 -- :class:`RefreshProfile` totals, over every processed boundary:
 
-* ``refresh_ns`` -- wall time spent inside ``SOPDetector._refresh``;
+* ``refresh_ns`` -- wall time spent in the detector's refresh (a joint
+  refresh of several shards books each one its own prepare and finish
+  plus its share, by swept rows, of the one scan sweep);
 * ``kernel_launches`` -- numpy distance-kernel launches during the refresh
   (``WindowBuffer.kernel_calls`` delta: one per pairwise tile, not one
   per logical chunk -- a tile spans one chunk, then twice the last

@@ -15,9 +15,11 @@ uniform-grid math, one cell per shard (cell width = range width /
 shards): ``shard_of`` is the clamped ``floor((v - lo) / width)`` and the
 replica span is the pair of cells covering ``[v - radius, v + radius]``.
 :meth:`~StreamPartitioner.split` routes a whole batch at once: one
-``floor`` over its axis values (the same IEEE operations as the scalar
-``_cell``, so the same cells, ties on cell edges and clamped tails
-included) and one ``(shards x records)`` span mask.
+``floor`` over its axis values and one ``(shards x records)`` span
+mask.  The scalar ``shard_of`` and ``replica_span`` go through the same
+array arithmetic (:meth:`~StreamPartitioner.cells`), so every path gives
+the same cells -- ties on cell edges, clamped tails and quotients past
+the float range included.
 
 Exactness argument (see DESIGN.md §9)
 -------------------------------------
@@ -42,7 +44,6 @@ above is clamp-invariant.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,20 +137,18 @@ class StreamPartitioner:
     # ---------------------------------------------------------- assignment
 
     def _cell(self, v: float) -> int:
-        """Clamped grid cell of an axis value (== its shard id)."""
-        if not self._width > 0:
-            return 0
-        cell = int(math.floor((v - self._lo) / self._width))
-        return min(max(cell, 0), self.n_shards - 1)
+        """Clamped grid cell of one axis value (== its shard id)."""
+        return int(self.cells(np.asarray([v], dtype=np.float64))[0])
 
     def cells(self, v: np.ndarray) -> np.ndarray:
-        """The clamped cell (= owner shard) of every value in ``v``:
-        :meth:`_cell`'s subtraction, division, ``floor`` and clamp, as one
-        array pass (a quotient past the float range, where ``_cell``
-        raises, clamps like any other tail)."""
+        """The clamped cell (= owner shard) of every value in ``v``: the
+        subtraction, division, ``floor`` and clamp of every routing
+        decision, as one array pass.  A quotient past the float range
+        clamps into the edge shard like any other tail."""
         if not self._width > 0:
             return np.zeros(v.shape, dtype=np.intp)
-        cell = (v - self._lo) / self._width
+        with np.errstate(over="ignore"):
+            cell = (v - self._lo) / self._width
         np.floor(cell, out=cell)
         return cell.clip(0, self.n_shards - 1, out=cell).astype(np.intp)
 

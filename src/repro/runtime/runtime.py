@@ -52,6 +52,7 @@ from ..core.point import Point
 from ..core.queries import QueryGroup
 from ..core.sop import SOPDetector
 from ..engine.config import DetectorConfig
+from ..engine.executor import StreamExecutor
 from ..metrics.meters import CpuMeter
 from ..metrics.results import OutputKey, RunResult, merge_work
 from ..streams.source import (IngestGuard, batches_by_boundary,
@@ -215,10 +216,8 @@ class Runtime:
         merger = self._merger
         merger.add(replicas)
         shards = self.shards
-        per_shard = [
-            shard.step(t, shard_batches[shard.shard_id])
-            for shard in shards
-        ]
+        per_shard = StreamExecutor.step_all(
+            [shard.executor for shard in shards], t, shard_batches)
         self._cpu.add(sum(shard.result.cpu.last_ns for shard in shards))
         merged = merger.merge_boundary(per_shard)
         if self.n_shards > 1:

@@ -5,14 +5,13 @@ stream: its own detector instance (window buffer, evidence, stats) driven
 by its own :class:`~repro.engine.StreamExecutor` on the *global* swift
 schedule.  The runtime steps every shard at every boundary -- including
 boundaries where the shard received no points -- so shard windows stay
-aligned and every due query reports from every shard.
+aligned and every due query reports from every shard; a serial runtime
+steps all of its shards' executors together
+(:meth:`~repro.engine.StreamExecutor.step_all`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence
-
-from ..core.point import Point
 from ..engine.executor import StreamExecutor
 from ..metrics.results import RunResult
 
@@ -37,11 +36,6 @@ class ShardExecutor:
     @property
     def result(self) -> RunResult:
         return self.executor.result
-
-    def step(self, t: int, batch: Sequence[Point]
-             ) -> Dict[int, FrozenSet[int]]:
-        """Process one boundary on this shard (batch may be empty)."""
-        return self.executor.step(t, batch)
 
     def finish(self) -> RunResult:
         """Finalize this shard's result (work counters)."""

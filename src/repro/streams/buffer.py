@@ -136,12 +136,19 @@ class WindowBuffer:
             )
         if self.dim is None:
             self.dim = new[0].dim
-        for p in new:
-            if p.dim != self.dim:
-                raise ValueError(
-                    f"point seq={p.seq} has dim {p.dim}, buffer expects {self.dim}"
-                )
-        rows = np.asarray([p.values for p in new], dtype=np.float64)
+        # the batch's dimension is its matrix's width; only a wrong width,
+        # or a ragged batch numpy rejects, walks the points to name one
+        try:
+            rows = np.asarray([p.values for p in new], dtype=np.float64)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != self.dim:
+            for p in new:
+                if p.dim != self.dim:
+                    raise ValueError(
+                        f"point seq={p.seq} has dim {p.dim}, buffer "
+                        f"expects {self.dim}"
+                    )
         self._ensure_capacity(self._len + len(new))
         end = self._len + len(new)
         self._mat[self._len : end] = rows

@@ -64,7 +64,11 @@ class ReferenceRefresh(RefreshEngine):
     def __init__(self, plan, chunk_size: int = 256):
         self.runner = KSkyRunner(plan, chunk_size)
 
-    def _scan(self, det, rows, lo) -> ScanBatch:
+    def _scan(self, dets, rows, lo):
+        """The literal per-row walk, one detector at a time."""
+        return [self._walk(det, r, s) for det, r, s in zip(dets, rows, lo)]
+
+    def _walk(self, det, rows, lo) -> ScanBatch:
         buf = det.buffer
         results = [self.runner.scan_new_arrivals(buf[i].values, buf[i].seq,
                                                  buf, start)

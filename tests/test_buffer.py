@@ -41,6 +41,21 @@ class TestAppendExtend:
         with pytest.raises(ValueError, match="dim"):
             buf.append(Point(seq=5, values=(1.0, 2.0)))
 
+    def test_mixed_dim_batch_names_the_first_misfit(self):
+        buf = make_buffer([1.0])
+        batch = [Point(seq=5, values=(1.0,)), Point(seq=6, values=(1.0, 2.0)),
+                 Point(seq=7, values=(3.0,))]
+        with pytest.raises(ValueError, match="seq=6 has dim 2"):
+            buf.extend(batch)
+        assert len(buf) == 1
+
+    def test_wrong_dim_batch_rejected_whole(self):
+        buf = make_buffer([1.0])
+        with pytest.raises(ValueError, match="seq=5 has dim 2"):
+            buf.extend([Point(seq=5, values=(1.0, 2.0)),
+                        Point(seq=6, values=(3.0, 4.0))])
+        assert len(buf) == 1 and buf.matrix().shape == (1, 1)
+
     def test_empty_extend_noop(self):
         buf = make_buffer([1])
         buf.extend([])

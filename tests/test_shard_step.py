@@ -18,6 +18,7 @@ replaced over the same hypothesis-drawn input and asserts equal results:
 
 from __future__ import annotations
 
+import warnings
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -222,6 +223,8 @@ def test_one_sweep_matches_per_group_sweeps(case):
             eng._pending = []
             eng._sub_layers = eng._sub_ks = np.empty(0, dtype=np.int64)
         engines.append(eng)
+    # the counters the old engine kept on itself (the copy books to them)
+    engines[0].near = engines[0].py_iters = engines[0].soa_rows = 0
     rows, starts = np.asarray(rows), np.asarray(starts)
 
     before = buf.distance_rows
@@ -234,7 +237,7 @@ def test_one_sweep_matches_per_group_sweeps(case):
         batch = engines[1].scan_batched(rows, buf, starts)
     assert scan_rows(batch) == want
     assert buf.distance_rows - before == want_rows
-    assert engines[1].soa_rows == engines[0].soa_rows
+    assert batch.inserts == engines[0].soa_rows
     # the commit reuses the sweep's per-row layer counts
     assert batch.counts.tolist() == np.bincount(
         batch.owner.astype(np.intp) * plan.n_layers + batch.layer,
@@ -310,14 +313,20 @@ def test_routing_axis_errors_and_overflow():
     with pytest.raises(ValueError, match="axis 1 out of range"):
         part.split([Point(seq=0, values=(1.0, 2.0)),
                     Point(seq=1, values=(1.0,))])
-    # a quotient past the float range: the scalar path raises, the array
-    # path clamps it into the edge shard like any other tail
+    # a quotient past the float range clamps into the edge shard like any
+    # other tail, on the scalar path and the array path alike (and
+    # without an overflow warning)
     tiny = StreamPartitioner(2, 0.0, bounds=(0.0, 2e-300))
-    with pytest.raises(OverflowError):
-        tiny._cell(1e10)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [tiny._cell(v) for v in (-1e10, 1e-301, 1e10)] == [0, 0, 1]
+        assert tiny.shard_of((1e10,)) == 1
+        assert tiny.replica_span((-1e10,)) == (0, 0)
         cells = tiny.cells(np.asarray([-1e10, 1e-301, 1e10]))
-    assert cells.tolist() == [0, 0, 1]
+        assert cells.tolist() == [0, 0, 1]
+        shard_batches, _ = tiny.split([Point(seq=0, values=(1e10,)),
+                                       Point(seq=1, values=(-1e10,))])
+    assert [[p.seq for p in b] for b in shard_batches] == [[1], [0]]
 
 
 def _old_ensure_bounds(part, points):
