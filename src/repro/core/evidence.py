@@ -3,11 +3,13 @@
 Per row, aligned with the detector's ``WindowBuffer`` live rows: ``safe``
 (fully safe inlier: no evidence, never evaluated again) and ``seen`` (the
 newest seq in the window at the row's last refresh; -1 = no state yet).
-Per skyband entry: ``owner`` (the seq whose evidence it is), ``seq``,
-``pos`` and ``layer``, sorted by owner, each owner's entries
-arrival-descending.  Rows enter and leave with the buffer, so expired
-owners are a prefix of the entries; the refresh rebuilds the entry
-columns whole once per boundary (DESIGN.md section 15).
+Per skyband entry: ``seq``, ``pos`` and ``layer``, laid out row by row,
+each row's entries arrival-descending.  ``start`` holds the run offsets,
+one more than there are rows: row ``i`` owns entries
+``start[i]:start[i + 1]``, so no entry carries its owner and finding a
+row's run is two reads.  Rows enter and leave with the buffer, so expired
+rows' entries are a prefix of the columns; the refresh rebuilds the entry
+columns and the offsets whole once per boundary (DESIGN.md section 15).
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ class PointState(NamedTuple):
 
 
 class EvidenceTable:
-    """Row flags plus owner-sorted skyband entry columns."""
+    """Row flags plus skyband entry columns in per-row runs."""
 
     def __init__(self, layer_dtype):
         self.safe = np.zeros(0, dtype=bool)
         self.seen = np.zeros(0, dtype=np.int64)
-        self.owner = np.zeros(0, dtype=np.int64)
+        #: run offsets: row ``i``'s entries are ``start[i]:start[i + 1]``
+        self.start = np.zeros(1, dtype=np.intp)
         self.seq = np.zeros(0, dtype=np.int64)
         self.pos = np.zeros(0, dtype=np.float64)
         self.layer = np.zeros(0, dtype=layer_dtype)
@@ -46,27 +49,28 @@ class EvidenceTable:
 
     def __len__(self) -> int:
         """Skyband entries held (the paper's MEM metric)."""
-        return len(self.owner)
+        return len(self.seq)
 
     def append(self, n: int) -> None:
-        """``n`` new buffer rows, without state yet."""
+        """``n`` new buffer rows, without state yet (nor entries)."""
         if n:
             self.safe = np.concatenate((self.safe, np.zeros(n, dtype=bool)))
             self.seen = np.concatenate((self.seen,
                                         np.full(n, -1, dtype=np.int64)))
+            self.start = np.concatenate((self.start,
+                                         self.start[-1:].repeat(n)))
 
-    def drop_rows(self, n: int, first_live_seq: Optional[int]) -> None:
-        """Forget the ``n`` oldest rows and every entry they own
-        (``first_live_seq`` is None when no row is left)."""
+    def drop_rows(self, n: int) -> None:
+        """Forget the ``n`` oldest rows and every entry they own."""
         if not n:
             return
         self.tracked -= int(np.count_nonzero(self.seen[:n] >= 0))
         self.safe, self.seen = self.safe[n:], self.seen[n:]
-        cut = (len(self.owner) if first_live_seq is None
-               else int(np.searchsorted(self.owner, first_live_seq)))
+        cut = int(self.start[n])
+        self.start = self.start[n:] - cut if cut else self.start[n:]
         if cut:
-            self.owner, self.seq = self.owner[cut:], self.seq[cut:]
-            self.pos, self.layer = self.pos[cut:], self.layer[cut:]
+            self.seq, self.pos = self.seq[cut:], self.pos[cut:]
+            self.layer = self.layer[cut:]
 
     def touch(self, rows: np.ndarray, newest_seq: int) -> None:
         """Mark ``rows`` refreshed (or certified) with ``newest_seq`` the
@@ -74,24 +78,13 @@ class EvidenceTable:
         self.tracked += int(np.count_nonzero(self.seen[rows] < 0))
         self.seen[rows] = newest_seq
 
-    def rebuild(self, owner: np.ndarray, src: np.ndarray, seq: np.ndarray,
-                pos: np.ndarray, layer: np.ndarray) -> None:
-        """Replace the entry columns: entry ``i`` becomes entry ``src[i]``
-        of the new scan entries ``(seq, pos, layer)`` followed by the
-        current table.  Each old column is released as soon as its
-        successor is built."""
-        self.seq = np.concatenate((seq, self.seq))[src]
-        self.pos = np.concatenate((pos, self.pos))[src]
-        self.layer = np.concatenate((layer, self.layer))[src]
-        self.owner = owner
-
-    def state(self, row: int, seq: int) -> Optional[PointState]:
-        """The view of live row ``row``, whose point is ``seq``."""
+    def state(self, row: int) -> Optional[PointState]:
+        """The view of live row ``row``."""
         last = int(self.seen[row])
         if last < 0:
             return None
         if self.safe[row]:
             return PointState(True, last, None, None, None)
-        a, b = np.searchsorted(self.owner, (seq, seq + 1)).tolist()
+        a, b = int(self.start[row]), int(self.start[row + 1])
         return PointState(False, last, self.seq[a:b], self.pos[a:b],
                           self.layer[a:b])

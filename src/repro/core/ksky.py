@@ -33,6 +33,7 @@ from typing import List, Sequence, Tuple
 
 from ..streams.buffer import WindowBuffer
 from .lsky import LSky, SkybandEntry
+from .lsky_soa import CHECK_EVERY, EXACT_LIMIT
 from .parser import SkybandPlan
 
 __all__ = ["KSkyResult", "KSkyRunner", "sky_evaluate"]
@@ -88,8 +89,8 @@ class _Resolution:
 
     __slots__ = ("pending", "_since_check")
 
-    _EXACT_LIMIT = 8
-    _CHECK_EVERY = 32
+    _EXACT_LIMIT = EXACT_LIMIT
+    _CHECK_EVERY = CHECK_EVERY
 
     def __init__(self, plan: SkybandPlan,
                  pending: List[Tuple[int, int]] = None):

@@ -39,9 +39,15 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ksky import _Resolution
+__all__ = ["CHECK_EVERY", "EXACT_LIMIT", "insert_limits", "near_entries",
+           "resolve_entries"]
 
-__all__ = ["insert_limits", "near_entries", "resolve_entries"]
+#: the check cadence of a K-SKY scan (``repro.core.ksky._Resolution``
+#: reads both): a row with at most ``EXACT_LIMIT`` pending sub-groups
+#: checks them after every insert, one with more every ``CHECK_EVERY``
+#: inserts (and at chunk boundaries and the scan's end)
+EXACT_LIMIT = 8
+CHECK_EVERY = 32
 
 
 # ------------------------------------------------------------- tile resolve
@@ -135,10 +141,10 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     * ``tau[r, g]``, the insert that resolves sub-group ``g``, is the
       ``rank[r, g]``-th such entry at ``d_g``.
 
-    A row with at most ``_EXACT_LIMIT`` pending sub-groups is checked
+    A row with at most ``EXACT_LIMIT`` pending sub-groups is checked
     after every insert and stops at its largest pending ``tau``; a row
     with none (the degenerate empty template) stops at its first insert;
-    a row with more replays the ``_CHECK_EVERY`` cadence over ``tau``
+    a row with more replays the ``CHECK_EVERY`` cadence over ``tau``
     converted to insert counts (the one per-row loop, for that regime
     only).
 
@@ -146,7 +152,7 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
     (default: one chunk, the whole tile), counted from scan position 0;
     each ends in a ``check()`` -- the last one at the row's own tile
     bottom.  That check is a no-op in the exact regime (every insert was
-    checked); in the cadence regime it restarts the ``_CHECK_EVERY``
+    checked); in the cadence regime it restarts the ``CHECK_EVERY``
     count and, when it resolves everything, ends the scan at that chunk's
     bottom.  The empty template's first check ends it at the first
     chunk's bottom.
@@ -218,8 +224,8 @@ def resolve_entries(r_i: np.ndarray, s_i: np.ndarray, lay: np.ndarray,
         # if the row's range reaches past it -- ends the scan
         bottom[idle] = np.where(chunk < widths[idle], chunk - 1,
                                 widths[idle])
-    if alive.shape[1] > _Resolution._EXACT_LIMIT:
-        for r in (n_pending > _Resolution._EXACT_LIMIT).nonzero()[0].tolist():
+    if alive.shape[1] > EXACT_LIMIT:
+        for r in (n_pending > EXACT_LIMIT).nonzero()[0].tolist():
             a = starts[r]
             stop[r], bottom[r] = _cadence_stop(
                 tau[r, alive[r]], a + ins[a:ends[r]].nonzero()[0], s_i,
@@ -240,10 +246,10 @@ def _cadence_stop(tau: np.ndarray, at: np.ndarray, s_i: np.ndarray,
     inserts.  ``tau`` holds the resolving entry of each pending
     sub-group (``n_ent``: not in the tile), ``at`` the row's inserted
     entries in scan order.  Within each logical chunk the
-    ``_CHECK_EVERY`` count restarts, and the chunk ends in a ``check()``;
+    ``CHECK_EVERY`` count restarts, and the chunk ends in a ``check()``;
     a chunk without an insert holds no check that could change anything.
     Returns ``(stop, bottom)`` as :func:`resolve_entries` keeps them."""
-    every = _Resolution._CHECK_EVERY
+    every = CHECK_EVERY
     n_ins = len(at)
     # the insert count at which each pending sub-group resolves
     t = np.where(tau < n_ent, np.searchsorted(at, tau, side="right"),
@@ -254,7 +260,7 @@ def _cadence_stop(tau: np.ndarray, at: np.ndarray, s_i: np.ndarray,
         # checks at every ``every``-th insert of the chunk, then its end
         for check in [*range(a + every, b + 1, every), None]:
             t = t[t > (b if check is None else check)]
-            if len(t) > _Resolution._EXACT_LIMIT:
+            if len(t) > EXACT_LIMIT:
                 continue
             if len(t):
                 # the exact rule from here on: stop at the last resolve

@@ -27,7 +27,8 @@ This module keeps the state they share: the live window
 (:class:`~repro.streams.WindowBuffer`) and, aligned with its rows, the
 columnar evidence table (:class:`~repro.core.evidence.EvidenceTable`):
 per-row ``safe``/``seen`` flags plus every skyband entry as one row of
-owner-sorted ``(owner, seq, pos, layer)`` columns.  Points enter through
+``(seq, pos, layer)`` columns, laid out in per-row runs that the table's
+``start`` offsets delimit.  Points enter through
 :meth:`SOPDetector.warm_start` (which :meth:`~SOPDetector.ingest` calls)
 and leave through :meth:`~SOPDetector.expire`, so the two never drift;
 each refresh, evaluation and meter reading is an array pass over the
@@ -226,9 +227,7 @@ class SOPDetector(Detector):
         start = max(0, t - self.swift.win)
         evicted = self.buffer.evict_before(start, self.by_time)
         if evicted:
-            seqs = self.buffer.seq_array()
-            self.table.drop_rows(len(evicted),
-                                 int(seqs[0]) if len(seqs) else None)
+            self.table.drop_rows(len(evicted))
         return evicted
 
     def _evaluate_due(
@@ -260,4 +259,4 @@ class SOPDetector(Detector):
         i = self.buffer.first_index_at_or_after_seq(seq)
         if i >= len(self.buffer) or self.buffer.seq_array()[i] != seq:
             return None
-        return self.table.state(i, seq)
+        return self.table.state(i)

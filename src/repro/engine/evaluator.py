@@ -4,9 +4,9 @@ The evaluation stage of the pipeline (Alg. 3 step 4): for each member
 query due at boundary ``t``, classify its window population by counting
 skyband entries (inlier rule + Lemma 3).  It reads the detector's
 :class:`~repro.core.evidence.EvidenceTable` directly: the population is
-the rows not fully safe, and since the entry columns are sorted by owner,
-each row's entries are one run whose start is a ``searchsorted`` of the
-rows' seqs.  The due queries are then one ``(queries x entries)`` mask
+the rows not fully safe, and each row's entries are one run of the entry
+columns, read off the table's run offsets (``start[rows]``).  The due
+queries are then one ``(queries x entries)`` mask
 over the entry columns and one ``add.reduceat`` over the runs -- one pass
 for all of them, not one per query.  The shards of a serial runtime
 (one workload, one due set) share that pass too
@@ -80,7 +80,7 @@ class DueQueryEvaluator:
             rows = np.flatnonzero(~table.safe)
             seqs.append(buf.seq_array()[rows])
             ppos.append(buf.pos_array(det.by_time)[rows])
-            at = np.searchsorted(table.owner, seqs[-1])
+            at = table.start[rows]
             if n_entries:
                 # this table's entries follow the previous ones'
                 at += n_entries
@@ -95,8 +95,8 @@ class DueQueryEvaluator:
         n_rows = first[-1]
         seqs, ppos, starts = _joined(seqs), _joined(ppos), _joined(starts)
         layer, pos = _joined(layers), _joined(poss)
-        # every owner is one of these rows, so row i's entries run from
-        # its own start to row i + 1's; a row holding none counts 0
+        # only these rows own entries, so row i's entries run from its
+        # own start to row i + 1's; a row holding none counts 0
         held = starts < np.append(starts[1:], n_entries)
         at = starts[held]
 

@@ -22,22 +22,25 @@ lockstep suites hold both bit-exact against the literal per-row refresh
 (``repro.testing.ReferenceRefresh``).  The shards of a serial runtime
 refresh together (:meth:`RefreshEngine.refresh_all`): each prepares its
 rows, one sweep scans all of them -- every row down from its own
-buffer's top, so each keeps its lone walk -- and each commits its own.
+buffer's top, so each keeps its lone walk -- and one commit merges and
+rebuilds all of their tables, laid end to end, each row with its own
+table's entries only.
 No decision reads a clock, so the work counters of a run repeat exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.ksky import _Resolution
-from ..core.lsky_soa import insert_limits, near_entries, resolve_entries
+from ..core.lsky_soa import (EXACT_LIMIT, insert_limits, near_entries,
+                             resolve_entries)
 from ..metrics.meters import LapClock
+from .evaluator import _joined
 from .safety import layer_counts
 
-__all__ = ["RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
+__all__ = ["Commit", "RefreshEngine", "ScanBatch", "VectorizedSkybandEngine"]
 
 #: cells of a sweep's first tile (one logical chunk per row): more rows
 #: than fit are swept in blocks, so a boundary's transient memory does not
@@ -55,7 +58,9 @@ class ScanBatch(NamedTuple):
     decide its inserts (``None``: the commit counts the entries).
     ``iters``, ``inserts`` and ``near`` are the scan engine's tallies for
     these rows (interpreted resolve steps, entries committed, near tile
-    cells resolved -- 0 for the reference walk).
+    cells resolved -- 0 for the reference walk).  A *joint* batch -- the
+    scans of several detectors, rows numbered detector by detector --
+    holds one tally per detector in each.
     """
 
     owner: np.ndarray
@@ -65,9 +70,24 @@ class ScanBatch(NamedTuple):
     examined: np.ndarray
     terminated: np.ndarray
     counts: Optional[np.ndarray] = None
-    iters: int = 0
-    inserts: int = 0
-    near: int = 0
+    iters: Union[int, List[int]] = 0
+    inserts: Union[int, List[int]] = 0
+    near: Union[int, List[int]] = 0
+
+
+class Commit(NamedTuple):
+    """One boundary's commit over every refreshed detector, their scanned
+    rows and their tables laid end to end (detector ``d``'s rows and
+    table rows follow detector ``d - 1``'s): per scanned row, the
+    ``examined`` count and the ``safe`` (fully safe) flag; per table row,
+    the rebuilt run offsets ``start`` (one more than there are table
+    rows); per rebuilt entry, ``src``, its index into [scan entries |
+    every table's entries]."""
+
+    examined: np.ndarray
+    safe: np.ndarray
+    start: np.ndarray
+    src: np.ndarray
 
 
 class _Prepared(NamedTuple):
@@ -88,8 +108,8 @@ class _Prepared(NamedTuple):
 class RefreshEngine:
     """Runs the refresh stage of one boundary -- of one detector, or of
     several detectors over one plan (the shards of a runtime) in one
-    sweep: a per-detector prepare, one joint :meth:`_scan`, a
-    per-detector finish."""
+    sweep and one commit: a per-detector prepare, one joint :meth:`_scan`,
+    one joint :meth:`_commit`, a per-detector finish."""
 
     def refresh(self, det, window_start: float) -> None:
         """Run K-SKY for every live, non-fully-safe point of ``det``."""
@@ -98,46 +118,55 @@ class RefreshEngine:
     def refresh_all(self, dets: Sequence, window_start: float,
                     laps: Optional[LapClock] = None) -> None:
         """Refresh every detector of ``dets`` (one plan, one window start)
-        with one scan sweep over all of their rows.
+        with one scan sweep over all of their rows and one commit over all
+        of their tables.
 
         Each detector's outcome -- evidence, stats, profile sample -- is
         exactly what :meth:`refresh` alone gives it (the sweep keeps
-        every row's walk; DESIGN.md section 12), bar what depends on how
-        the joint sweep is tiled: the profile's ``python_insert_iters``
-        (a joint tile is one step, booked once), ``kernel_launches`` and
-        ``kernel_cells`` (one kernel per detector per joint tile) and
-        ``near_candidates`` (the reach is read once per tile).  Each
-        detector's refresh time -- its own prepare and finish plus its
-        rows' share of the joint scan -- is its ``refresh_ns`` sample and
-        is charged to it on ``laps`` (a clock over ``dets`` whose last lap
-        ends where the stage starts; default: one of its own), so the
-        samples sum to the stage's wall time.
+        every row's walk, DESIGN.md section 12; the commit merges each
+        row with its own table's entries only, section 15), bar what
+        depends on how the joint sweep is tiled: the profile's
+        ``python_insert_iters`` (a joint tile is one step, booked once),
+        ``kernel_launches`` and ``kernel_cells`` (one kernel per detector
+        per joint tile) and ``near_candidates`` (the reach is read once
+        per tile).  Each detector's refresh time -- its own prepare and
+        finish plus its rows' share of the joint scan and of the joint
+        commit -- is its ``refresh_ns`` sample and is charged to it on
+        ``laps`` (a clock over ``dets`` whose last lap ends where the
+        stage starts; default: one of its own), so the samples sum to the
+        stage's wall time.
         """
         if laps is None:
             laps = LapClock(len(dets))
         before = laps.ns[:]
-        prepared = []
-        #: the scanned detectors, their rows and starts; each detector's
-        #: share of the scan, by rows
-        scanned, rows, lo = [], [], []
+        #: the refreshed detectors' prepares, indexes in ``dets``, rows,
+        #: starts and tables; each detector's share of the scan and the
+        #: commit, by rows
+        prepared, members, rows, lo, tables = [], [], [], [], []
         weights = [0] * len(dets)
         for i, det in enumerate(dets):
             prep = self._prepare(det)
             laps.lap(i)
             if prep is not None:
-                prepared.append((i, prep))
-                scanned.append(det)
+                prepared.append(prep)
+                members.append(i)
                 rows.append(prep.rows)
                 lo.append(prep.lo)
+                tables.append(det.table)
                 weights[i] = len(prep.rows)
         if not prepared:
             return
-        scans = self._scan(scanned, rows, lo)
+        scan = self._scan([dets[i] for i in members], rows, lo)
         laps.split(weights)
-        for (i, prep), scan in zip(prepared, scans):
-            self._finish(prep, scan, window_start)
+        commit = self._commit(prepared, scan, window_start)
+        self._rebuild(tables, scan, commit)
+        laps.split(weights)
+        r0 = 0
+        for d, (i, prep) in enumerate(zip(members, prepared)):
+            self._finish(prep, scan, commit, r0)
+            r0 += len(prep.rows)
             laps.lap(i)
-            self._record(prep, scan, laps.ns[i] - before[i])
+            self._record(prep, scan, d, laps.ns[i] - before[i])
 
     def _prepare(self, det) -> Optional[_Prepared]:
         """The screen, the rows to scan and their starts (None: nothing
@@ -194,37 +223,59 @@ class RefreshEngine:
         return _Prepared(det, rows, surv, lo, newest_seq, kernels0, cells0,
                          batched0, pf_screened, pf_pruned)
 
-    def _finish(self, prep: _Prepared, scan: ScanBatch,
-                window_start: float) -> None:
-        """Commit one detector's scans: counters, safe flags, rebuild."""
+    @staticmethod
+    def _rebuild(tables: Sequence, scan: ScanBatch, commit: Commit) -> None:
+        """Give every table its slice of the rebuilt run offsets and entry
+        columns.  Each column is gathered once for all tables, and every
+        table's old column is released before the next one is built."""
+        start = commit.start
+        #: each table's first joint row and first rebuilt entry
+        bounds = [(0, 0)]
+        for table in tables:
+            b0, a = bounds[-1]
+            b1 = b0 + len(table.seen)
+            bounds.append((b1, int(start[b1])))
+            table.start = start[b0:b1 + 1] - a if a else start[b0:b1 + 1]
+        for name in ("seq", "pos", "layer"):
+            column = np.concatenate([getattr(scan, name)] + [
+                getattr(table, name) for table in tables])[commit.src]
+            for table, (_, a), (_, b) in zip(tables, bounds, bounds[1:]):
+                setattr(table, name, column[a:b])
+
+    def _finish(self, prep: _Prepared, scan: ScanBatch, commit: Commit,
+                r0: int) -> None:
+        """Apply one detector's part of the joint commit -- its scanned
+        rows are rows ``r0..`` of ``scan``: counters and safe flags."""
         det, rows = prep.det, prep.rows
         table = det.table
         stats = det.stats
-        examined, safe, owner, src = self._commit(det, rows, prep.surv, scan,
-                                                  window_start)
+        r1 = r0 + len(rows)
+        safe = commit.safe[r0:r1]
         stats["ksky_runs"] += len(rows)
-        stats["points_examined"] += int(examined.sum())
-        stats["early_terminations"] += int(np.count_nonzero(scan.terminated))
+        stats["points_examined"] += int(commit.examined[r0:r1].sum())
+        stats["early_terminations"] += int(np.count_nonzero(
+            scan.terminated[r0:r1]))
         stats["fully_safe_marked"] += int(np.count_nonzero(safe))
         table.safe[rows[safe]] = True
         table.touch(rows, prep.newest_seq)
-        table.rebuild(owner, src, scan.seq, scan.pos, scan.layer)
 
     @staticmethod
-    def _record(prep: _Prepared, scan: ScanBatch, refresh_ns: int) -> None:
-        """One detector's profile sample.  ``python_insert_iters`` is the
-        interpreted steps the scan engine actually spent (tiles resolved
-        + cadence-regime rows), not the logical candidate count -- that
-        is ``points_examined``."""
+    def _record(prep: _Prepared, scan: ScanBatch, d: int,
+                refresh_ns: int) -> None:
+        """One detector's profile sample (it is detector ``d`` of the
+        joint ``scan``).  ``python_insert_iters`` is the interpreted steps
+        the scan engine actually spent (tiles resolved + cadence-regime
+        rows), not the logical candidate count -- that is
+        ``points_examined``."""
         det = prep.det
         buf = det.buffer
         det.profile.record(
             refresh_ns,
             buf.kernel_calls - prep.kernels0,
             det.stats["batched_scans"] - prep.batched0,
-            scan.iters,
-            soa_insert_rows=scan.inserts,
-            near_candidates=scan.near,
+            scan.iters[d],
+            soa_insert_rows=scan.inserts[d],
+            near_candidates=scan.near[d],
             prefilter_screened=prep.screened,
             prefilter_suspects=prep.screened - prep.pruned,
             prefilter_pruned=prep.pruned,
@@ -232,41 +283,61 @@ class RefreshEngine:
         )
 
     def _scan(self, dets: Sequence, rows: Sequence[np.ndarray],
-              lo: Sequence[np.ndarray]) -> List[ScanBatch]:
+              lo: Sequence[np.ndarray]) -> ScanBatch:
         """Scan every detector's rows (live indexes ``rows[d]``), row
         ``j`` of detector ``d`` over live indexes ``[lo[d][j], end)``, in
         one sweep -- the hook ``repro.testing.ReferenceRefresh``
         overrides.  ``lo[d][j]`` is 0 for a from-scratch row and its
-        first unseen arrival for a survivor.  One batch per detector."""
+        first unseen arrival for a survivor.  One joint batch."""
         for det, r in zip(dets, rows):
             det.stats["batched_scans"] += len(r)
         return dets[0].skyband_engine.scan_batched(
             rows, [det.buffer for det in dets], lo)
 
-    def _commit(self, det, rows: np.ndarray, surv: np.ndarray,
-                scan: ScanBatch, window_start: float):
-        """Least examination and safe-for-all for every scanned row at
-        once (the hook ``repro.testing.ReferenceRefresh`` overrides with
-        the literal per-row merge).
+    def _commit(self, prepared: Sequence[_Prepared], scan: ScanBatch,
+                window_start: float) -> Commit:
+        """Least examination and safe-for-all for every scanned row of
+        every detector at once, and the layout of every rebuilt table (the
+        hook ``repro.testing.ReferenceRefresh`` overrides with the literal
+        per-row merge); :meth:`_rebuild` applies it.
 
-        ``rows`` are the scanned live rows, ``surv`` flags the ones whose
-        old evidence is merged, ``scan.owner`` indexes ``rows``.  Returns
-        ``(examined, safe, owner, src)``: per-row examined counts and
-        fully-safe flags, and the rebuilt table as its owner column plus
-        each entry's index into [scan entries | current table].
+        The detectors' tables are laid end to end -- live row ``i`` of
+        detector ``d`` is joint row ``base[d] + i`` -- and so are their
+        scanned rows (``scan.owner`` indexes them) and entry columns; each
+        old entry finds its row through its table's run offsets, one
+        ``repeat`` for all of them.  Every entry belongs to a row of its
+        own table, so each row merges, counts and sorts exactly what its
+        detector's own commit would (DESIGN.md section 15).
         """
-        plan = det.plan
-        table = det.table
-        seq_arr = det.buffer.seq_array()
-        n_rows = len(rows)
-        n_new = len(scan.owner)
+        plan = prepared[0].det.plan
+        n_rows = len(scan.examined)
+        n_new = len(scan.seq)
+        #: per detector: its rows as joint rows, their merge flags, its
+        #: run lengths and old entry columns, its rows' seqs
+        rows, surv, lens, o_seq, o_pos, o_layer, own = ([] for _ in range(7))
+        flags = []
+        n_live = 0
+        for prep in prepared:
+            table = prep.det.table
+            rows.append(prep.rows + n_live if n_live else prep.rows)
+            surv.append(prep.surv)
+            lens.append(table.start[1:] - table.start[:-1])
+            o_seq.append(table.seq)
+            o_pos.append(table.pos)
+            o_layer.append(table.layer)
+            flags.append(prep.det.use_safe_inliers)
+            own.append(prep.det.buffer.seq_array()[prep.rows])
+            n_live += len(table.seen)
+        rows, surv = _joined(rows), _joined(surv)
+        o_seq, o_pos, o_layer = _joined(o_seq), _joined(o_pos), _joined(
+            o_layer)
         # the old entries a row re-admits: a survivor's unexpired ones,
         # unless its scan terminated (Alg. 1 lines 3-5)
         merge = surv & ~scan.terminated
-        slot = np.full(len(seq_arr), -1, dtype=np.int32)
-        slot[rows[merge]] = np.flatnonzero(merge)
-        o_row = slot[np.searchsorted(seq_arr, table.owner)]
-        o_idx = np.flatnonzero((o_row >= 0) & (table.pos >= window_start))
+        slot = np.full(n_live, -1, dtype=np.int32)
+        slot[rows[merge]] = merge.nonzero()[0]
+        o_row = slot.repeat(_joined(lens))
+        o_idx = ((o_row >= 0) & (o_pos >= window_start)).nonzero()[0]
         o_row = o_row[o_idx]
         examined = scan.examined + np.bincount(o_row, minlength=n_rows)
         # Def. 6 condition 2 against the new arrivals alone: an old entry
@@ -274,33 +345,38 @@ class RefreshEngine:
         # (the scan engine's own per-row layer counts, when it kept them)
         new_at = (layer_counts(scan.owner, scan.layer, n_rows, plan.n_layers)
                   if scan.counts is None
-                  else np.cumsum(scan.counts, axis=1, dtype=np.int32))
-        kept = new_at[o_row, table.layer[o_idx]] < plan.k_max
+                  else scan.counts.cumsum(axis=1, dtype=np.int32))
+        kept = new_at[o_row, o_layer[o_idx]] < plan.k_max
         o_idx, o_row = o_idx[kept], o_row[kept]
 
-        if det.use_safe_inliers:
-            own = seq_arr[rows]
+        if any(flags):
+            own = _joined(own)
             s_new = scan.seq > own[scan.owner]
-            s_old = table.seq[o_idx] > own[o_row]
-            safe = det.safety.safe_rows(
+            s_old = o_seq[o_idx] > own[o_row]
+            safe = prepared[0].det.safety.safe_rows(
                 np.concatenate((scan.owner[s_new], o_row[s_old])),
-                np.concatenate((scan.layer[s_new],
-                                table.layer[o_idx[s_old]])),
+                np.concatenate((scan.layer[s_new], o_layer[o_idx[s_old]])),
                 n_rows)
+            if not all(flags):
+                # a detector without safe inliers marks none of its rows
+                safe &= np.repeat(flags, [len(p.rows) for p in prepared])
         else:
             safe = np.zeros(n_rows, dtype=bool)
 
         # fully safe rows drop their evidence; the rest keep their new
-        # entries ahead of their kept old ones -- the stable sort by row
-        # preserves that and each part's arrival-descending order
-        n_idx = np.flatnonzero(~safe[scan.owner])
+        # entries ahead of their kept old ones -- the stable sort by joint
+        # row preserves that and each part's arrival-descending order
+        n_idx = (~safe[scan.owner]).nonzero()[0]
         o_live = ~safe[o_row]
         o_idx, o_row = o_idx[o_live], o_row[o_live]
-        key = rows.astype(np.int32)[np.concatenate((scan.owner[n_idx],
-                                                    o_row))]
-        order = np.argsort(key, kind="stable")
+        key = rows[np.concatenate((scan.owner[n_idx], o_row))]
+        order = key.argsort(kind="stable")
         src = np.concatenate((n_idx, n_new + o_idx))[order]
-        return examined, safe, seq_arr[key[order]], src
+        # every row's new run: its kept entries if it was scanned, none
+        # otherwise (every other row is fully safe)
+        start = np.zeros(n_live + 1, dtype=np.intp)
+        np.bincount(key, minlength=n_live).cumsum(out=start[1:])
+        return Commit(examined, safe, start, src)
 
 
 # ------------------------------------------------------------ the scan engine
@@ -324,12 +400,13 @@ class VectorizedSkybandEngine:
     (:func:`~repro.core.lsky_soa.resolve_entries`); no insert is
     replayed.  :meth:`scan_batched` feeds it each tile with the row state
     (start, stored layer counts, exit index) held in arrays and returns
-    the inserted entries flat, as one :class:`ScanBatch` per detector.
+    the inserted entries flat, as one :class:`ScanBatch` -- a joint one
+    over every detector of a joint sweep.
 
-    Each batch carries its detector's share of the engine's own tallies:
+    A batch carries each detector's share of the engine's own tallies:
     ``iters`` (the profile's ``python_insert_iters``) counts the
     interpreted steps left -- one per resolved tile, booked once, and one
-    per row in the ``_CHECK_EVERY`` cadence regime; ``inserts`` the
+    per row in the ``CHECK_EVERY`` cadence regime; ``inserts`` the
     skyband entries committed, ``near`` the tile cells the resolve
     consumed up to each row's stop.
     """
@@ -363,8 +440,11 @@ class VectorizedSkybandEngine:
         Several detectors' rows share one sweep when ``row_indexes``,
         ``buffer`` and ``lo`` are lists with one item per detector -- its
         *segment*: its rows, its buffer and their starts.  The result is
-        then a list with one :class:`ScanBatch` per segment, each exactly
-        what the segment alone would have returned (below).
+        then one joint :class:`ScanBatch`, rows numbered segment by
+        segment and one tally per segment: each segment's rows and
+        entries exactly what the segment alone would have returned
+        (below), each entry's ``seq`` and ``pos`` read from its own
+        segment's buffer.
 
         ``row_indexes`` gives the live-buffer index of each evaluated
         point; the result's ``owner`` indexes it.  Every row walks down
@@ -422,12 +502,15 @@ class VectorizedSkybandEngine:
         """
         if isinstance(buffer, (list, tuple)):
             return self._sweep(row_indexes, buffer, lo)
-        return self._sweep([row_indexes], [buffer], [lo])[0]
+        batch = self._sweep([row_indexes], [buffer], [lo])
+        return batch._replace(iters=batch.iters[0],
+                              inserts=batch.inserts[0], near=batch.near[0])
 
-    def _sweep(self, row_indexes, buffers, lo) -> List[ScanBatch]:
-        """:meth:`scan_batched` over one segment per buffer.  Rows are
-        numbered segment by segment; with one segment every per-segment
-        split below is the identity and is skipped."""
+    def _sweep(self, row_indexes, buffers, lo) -> ScanBatch:
+        """:meth:`scan_batched` over one segment per buffer: one joint
+        batch, rows numbered segment by segment, one tally per segment.
+        With one segment every per-segment split below is the identity
+        and is skipped."""
         plan = self.plan
         n_layers = plan.n_layers
         k_max = plan.k_max
@@ -461,7 +544,7 @@ class VectorizedSkybandEngine:
         # terminates such rows at the first boundary check, which the
         # zero-selection fold would elide
         has_template = bool(self._pending)
-        cadence = len(self._pending) > _Resolution._EXACT_LIMIT
+        cadence = len(self._pending) > EXACT_LIMIT
 
         counts = np.zeros((n, n_layers), dtype=np.int32)
         #: scan position each scan stopped before: its terminating
@@ -561,7 +644,7 @@ class VectorizedSkybandEngine:
                     hit = np.zeros(len(act), dtype=bool)
                     hit[r_i] = True
                     slow = hit & ((rank > 0).sum(axis=1)
-                                  > _Resolution._EXACT_LIMIT)
+                                  > EXACT_LIMIT)
                     if one:
                         iters[0] += int(np.count_nonzero(slow))
                     else:
@@ -610,22 +693,21 @@ class VectorizedSkybandEngine:
         layer = np.concatenate(layers)[order]
         if one:
             buf = buffers[0]
-            return [ScanBatch(owner.astype(np.int32), buf.seq_array()[live],
-                              buf.pos_array(self.by_time)[live], layer,
-                              examined, terminated, counts, iters=iters[0],
-                              inserts=len(live), near=near[0])]
-        ends = owner.searchsorted(first)
-        out = []
-        for s, buf in enumerate(buffers):
-            a, b = ends[s], ends[s + 1]
-            r0, r1 = first[s], first[s + 1]
-            at = live[a:b]
-            out.append(ScanBatch(
-                (owner[a:b] - r0).astype(np.int32), buf.seq_array()[at],
-                buf.pos_array(self.by_time)[at], layer[a:b],
-                examined[r0:r1], terminated[r0:r1], counts[r0:r1],
-                iters=iters[s], inserts=int(b - a), near=near[s]))
-        return out
+            seq = buf.seq_array()[live]
+            pos = buf.pos_array(self.by_time)[live]
+            inserts = [len(live)]
+        else:
+            # each segment's entries are contiguous and read its own buffer
+            ends = owner.searchsorted(first).tolist()
+            seq = np.concatenate([buf.seq_array()[live[a:b]] for buf, a, b
+                                  in zip(buffers, ends, ends[1:])])
+            pos = np.concatenate([buf.pos_array(self.by_time)[live[a:b]]
+                                  for buf, a, b in zip(buffers, ends,
+                                                       ends[1:])])
+            inserts = np.diff(ends).tolist()
+        return ScanBatch(owner.astype(np.int32), seq, pos, layer, examined,
+                         terminated, counts, iters=iters, inserts=inserts,
+                         near=near)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorizedSkybandEngine(chunk_size={self.chunk_size})"

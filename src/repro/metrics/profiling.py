@@ -23,7 +23,7 @@ scan walks, because a sweep's tiles after its first double in width.  To *prove*
   ``ksky_runs`` (0 only under ``repro.testing.ReferenceRefresh``);
 * ``python_insert_iters`` -- interpreted steps the scan engine
   *actually* spent (one per resolved tile, one per row in the
-  ``_CHECK_EVERY`` cadence regime), counted by the engine itself.
+  ``CHECK_EVERY`` cadence regime), counted by the engine itself.
   Candidates are resolved in array passes, so this is far below the
   logical candidate count (the paper's ``L``), which is
   ``points_examined``;

@@ -28,6 +28,8 @@ __all__ = ["Merger"]
 
 Outputs = Dict[int, FrozenSet[int]]
 
+_EMPTY: FrozenSet[int] = frozenset()
+
 
 class Merger:
     """Combines per-shard outputs/results under per-shard replica sets.
@@ -74,17 +76,21 @@ class Merger:
 
     def _union(self, per_shard: Sequence[Mapping[Hashable, FrozenSet[int]]]
                ) -> Dict[Hashable, FrozenSet[int]]:
-        """Per key, the union of every shard's seqs minus its replicas."""
-        merged: Dict[Hashable, set] = {}
+        """Per key, the union of every shard's seqs minus its replicas:
+        one ``frozenset.union`` over the shards' differences."""
+        parts: Dict[Hashable, list] = {}
         replicas = self.replicas
         for s, outputs in enumerate(per_shard):
-            held = replicas[s] if s < len(replicas) else set()
+            held = replicas[s] if s < len(replicas) else None
             for key, seqs in outputs.items():
-                bucket = merged.get(key)
+                part = seqs - held if held else seqs
+                bucket = parts.get(key)
                 if bucket is None:
-                    merged[key] = bucket = set()
-                bucket |= seqs - held
-        return {key: frozenset(seqs) for key, seqs in merged.items()}
+                    parts[key] = [part]
+                else:
+                    bucket.append(part)
+        return {key: _EMPTY.union(*sets) if len(sets) > 1 else sets[0]
+                for key, sets in parts.items()}
 
     # ------------------------------------------------------------- outputs
 
@@ -94,8 +100,11 @@ class Merger:
 
         The key set is the union across shards, so a shard that received
         no points still contributes its (empty) due-query verdicts and
-        the merged boundary reports every due query exactly once.
+        the merged boundary reports every due query exactly once.  One
+        shard never holds replicas: its outputs are the merged ones.
         """
+        if len(per_shard) == 1 and not self.replicas[0]:
+            return per_shard[0]
         return self._union(per_shard)
 
     # ------------------------------------------------------------- results

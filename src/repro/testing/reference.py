@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ksky import KSkyRunner
-from ..engine.refresh import RefreshEngine, ScanBatch
+from ..engine.refresh import Commit, RefreshEngine, ScanBatch
 
 __all__ = ["ReferenceRefresh", "is_fully_safe", "merge_survivor",
            "use_reference_scans"]
@@ -65,8 +65,21 @@ class ReferenceRefresh(RefreshEngine):
         self.runner = KSkyRunner(plan, chunk_size)
 
     def _scan(self, dets, rows, lo):
-        """The literal per-row walk, one detector at a time."""
-        return [self._walk(det, r, s) for det, r, s in zip(dets, rows, lo)]
+        """The literal per-row walk, one detector at a time, laid end to
+        end as one joint batch."""
+        walks = [self._walk(det, r, s) for det, r, s in zip(dets, rows, lo)]
+        first = np.cumsum([0] + [len(r) for r in rows])
+
+        def joined(name):
+            return np.concatenate([getattr(w, name) for w in walks])
+
+        return ScanBatch(
+            np.concatenate([w.owner + f for w, f in zip(walks, first)]
+                           ).astype(np.int32),
+            joined("seq"), joined("pos"), joined("layer"),
+            joined("examined"), joined("terminated"),
+            iters=[0] * len(dets), inserts=[0] * len(dets),
+            near=[0] * len(dets))
 
     def _walk(self, det, rows, lo) -> ScanBatch:
         buf = det.buffer
@@ -84,7 +97,35 @@ class ReferenceRefresh(RefreshEngine):
             np.asarray([r.examined for r in results], dtype=np.int64),
             np.asarray([r.terminated_early for r in results], dtype=bool))
 
-    def _commit(self, det, rows, surv, scan, window_start):
+    def _commit(self, prepared, scan, window_start):
+        """The literal per-row merge, detector by detector, each over its
+        own part of the joint scan; the parts laid end to end."""
+        examined, safe, starts, srcs = [], [], [np.zeros(1, np.intp)], []
+        r0 = t0 = 0
+        for prep in prepared:
+            r1 = r0 + len(prep.rows)
+            a, b = np.searchsorted(scan.owner, (r0, r1))
+            own = ScanBatch(scan.owner[a:b] - r0, scan.seq[a:b],
+                            scan.pos[a:b], scan.layer[a:b],
+                            scan.examined[r0:r1], scan.terminated[r0:r1])
+            part = self._commit_one(prep.det, prep.rows, prep.surv, own,
+                                    window_start)
+            examined.append(part.examined)
+            safe.append(part.safe)
+            # each table's run offsets continue where the previous one's
+            # end; its sources move to its place in [scan | tables]
+            starts.append(part.start[1:] + starts[-1][-1])
+            n_new = b - a
+            srcs.append(np.where(part.src < n_new, a + part.src,
+                                 len(scan.seq) + t0 + part.src - n_new))
+            r0 = r1
+            t0 += len(prep.det.table)
+        return Commit(*(np.concatenate(parts) for parts in (
+            examined, safe, starts, srcs)))
+
+    @staticmethod
+    def _commit_one(det, rows, surv, scan, window_start) -> Commit:
+        """One detector's commit, one row at a time."""
         plan, table = det.plan, det.table
         seq_arr = det.buffer.seq_array()
         ends = np.searchsorted(scan.owner, np.arange(len(rows) + 1))
@@ -95,7 +136,7 @@ class ReferenceRefresh(RefreshEngine):
             old = np.zeros(0, dtype=np.intp)
             n_examined = int(scan.examined[j])
             if surv[j] and not scan.terminated[j]:
-                a, b = np.searchsorted(table.owner, (p_seq, p_seq + 1))
+                a, b = int(table.start[i]), int(table.start[i + 1])
                 keep, n_old = merge_survivor(
                     scan.layer[new], table.pos[a:b], table.layer[a:b],
                     window_start, plan.k_max)
@@ -109,12 +150,14 @@ class ReferenceRefresh(RefreshEngine):
             safe.append(is_safe)
             if not is_safe:
                 kept[i] = np.concatenate((new, len(scan.seq) + old))
-        order = sorted(kept)
-        owner = np.repeat(seq_arr[order], [len(kept[i]) for i in order])
-        src = np.concatenate([kept[i] for i in order]
-                             + [np.zeros(0, dtype=np.intp)])
-        return (np.asarray(examined, dtype=np.int64),
-                np.asarray(safe, dtype=bool), owner.astype(np.int64), src)
+        start = np.zeros(len(seq_arr) + 1, dtype=np.intp)
+        for i, idx in kept.items():
+            start[i + 1] = len(idx)
+        np.cumsum(start, out=start)
+        return Commit(np.asarray(examined, dtype=np.int64),
+                      np.asarray(safe, dtype=bool), start,
+                      np.concatenate([kept[i] for i in sorted(kept)]
+                                     + [np.zeros(0, dtype=np.intp)]))
 
 
 def use_reference_scans(det):

@@ -195,6 +195,24 @@ class TestMerger:
         ])
         assert merged == {0: frozenset({5}), 1: frozenset()}
 
+    def test_one_shard_boundary_is_the_shards_outputs(self):
+        """One shard holds no replicas: its outputs pass through, no set
+        rebuilt per query."""
+        outputs = {0: frozenset({1, 2}), 3: frozenset()}
+        assert Merger(1).merge_boundary([outputs]) is outputs
+
+    def test_union_of_every_shards_differences(self):
+        merger = Merger(3)
+        merger.add([[2], [], [7]])
+        merged = merger.merge_boundary([
+            {0: frozenset({1, 2}), 1: frozenset({9})},
+            {0: frozenset({2, 3})},
+            {0: frozenset({7}), 2: frozenset()},
+        ])
+        assert merged == {0: frozenset({1, 2, 3}), 1: frozenset({9}),
+                          2: frozenset()}
+        assert all(type(v) is frozenset for v in merged.values())
+
     def test_merge_results_single_shard_is_identity(self):
         group = small_workload()
         points = make_synthetic_points(600, dim=2, seed=5)

@@ -457,8 +457,12 @@ class _Buffer:
 
 
 class _Table:
-    def __init__(self, safe, owner, layer, pos):
+    """An evidence table with both layouts: the owner column the old
+    evaluation reads and the run offsets (``start``) the new one reads."""
+
+    def __init__(self, safe, owner, layer, pos, seqs):
         self.safe, self.owner, self.layer, self.pos = safe, owner, layer, pos
+        self.start = np.append(np.searchsorted(owner, seqs), len(owner))
 
     def __len__(self):
         return len(self.owner)
@@ -502,7 +506,7 @@ def _eval_case(draw):
         buffer=_Buffer(seqs, ppos),
         table=_Table(safe, np.asarray(owner, dtype=np.int64),
                      np.asarray(layer, dtype=np.uint8),
-                     np.asarray(pos, dtype=np.float64)),
+                     np.asarray(pos, dtype=np.float64), seqs),
         stats={"eval_flatten_rebuilds": 0}, group=queries,
         plan=SimpleNamespace(query_layers=layers), by_time=by_time)
     due = draw(st.lists(st.integers(0, n_queries - 1), max_size=n_queries,
